@@ -3,8 +3,8 @@
 Identifiers available to every model file:
 
 Sets:      ``EV R W F M ACQ REL SC ATO NA WEX LKD``
-Relations: ``id po poimm poloc sloc rf rfe rfi co coe coi fr fre fri
-           com come addr ctrl data rmw deps stxn stxnat tfence
+Relations: ``id po poimm poloc sloc int rf rfe rfi co coe coi fr fre
+           fri com come addr ctrl data rmw deps stxn stxnat tfence
            mfence sync lwsync isync dmb dmbld dmbst isb``
 Functions: ``weaklift(r, t)  stronglift(r, t)  cross(S1, S2)
            domain(r)  range(r)``
@@ -50,6 +50,7 @@ def build_environment(x: Execution, ctx: RelationContext) -> dict[str, Value]:
         "poimm": x.po_imm,
         "poloc": x.poloc,
         "sloc": x.sloc,
+        "int": x.same_thread,
         "rf": x.rf,
         "rfe": x.rfe,
         "rfi": x.rfi,

@@ -35,9 +35,9 @@ def complete_skeleton(skeleton: Skeleton) -> Iterator[Execution]:
     ]
 
     # The completer owns the shared static parts (sorted events, dep
-    # relations, lookup tables) and the template-adoption protocol, so
-    # skeleton-static derived relations (po, sloc, stxn, fences, ...)
-    # are computed once and inherited by every completion.
+    # relations, lookup tables) and the skeleton's row bundle, so
+    # skeleton-static relations (po, sloc, stxn, fences, ...) are built
+    # once and shared by every completion.
     completer = SkeletonCompleter(
         events=skeleton.events,
         threads=skeleton.threads,
@@ -53,12 +53,7 @@ def complete_skeleton(skeleton: Skeleton) -> Iterator[Execution]:
             (src, r) for src, r in zip(rf_choice, reads) if src is not None
         )
         for co_perms in itertools.product(*co_options):
-            co_pairs = tuple(
-                (a, b)
-                for perm in co_perms
-                for a, b in zip(perm, perm[1:])
-            )
-            yield completer.complete(co_pairs)
+            yield completer.complete(co_perms)
 
 
 def enumerate_executions(config, n_events: int) -> Iterator[Execution]:

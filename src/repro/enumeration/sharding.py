@@ -124,12 +124,15 @@ def complete_skeleton_range(
     ``start`` are skipped by arithmetic, not enumerated.
     """
     reads, read_options, writes_by_loc, locs = _choice_space(skeleton)
-    co_options = [
-        list(itertools.permutations(writes_by_loc[loc])) for loc in locs
-    ]
-    co_sizes = [len(options) for options in co_options]
+    # One rf block holds every co choice, in ``itertools.product`` order
+    # (the innermost digits of the completion index).
+    co_choices = list(
+        itertools.product(
+            *(itertools.permutations(writes_by_loc[loc]) for loc in locs)
+        )
+    )
     rf_sizes = [len(options) for options in read_options]
-    block = math.prod(co_sizes)
+    block = len(co_choices)
     total = block * math.prod(rf_sizes)
     start = max(0, start)
     stop = min(stop, total)
@@ -158,14 +161,8 @@ def complete_skeleton_range(
         )
         lo = max(start - rf_index * block, 0)
         hi = min(stop - rf_index * block, block)
-        for co_index in range(lo, hi):
-            co_digits = _decode(co_index, co_sizes)
-            co_pairs = tuple(
-                (a, b)
-                for j, digit in enumerate(co_digits)
-                for a, b in zip(co_options[j][digit], co_options[j][digit][1:])
-            )
-            yield completer.complete(co_pairs)
+        for co_orders in co_choices[lo:hi]:
+            yield completer.complete(co_orders)
 
 
 def complete_shard_range(

@@ -3,8 +3,14 @@
 An :class:`Execution` packages the events, the primitive relations chosen
 by the candidate-execution semantics (``po`` via per-thread sequences,
 ``rf``, ``co``, the dependency relations, ``rmw``), and the transaction
-structure, and computes every derived relation the paper's models use
-(``fr``, ``com``, ``stxn``, ``tfence``, per-flavour fence relations, ...).
+structure.
+
+Executions are row-native.  What the skeleton fixes -- ``po``, ``sloc``,
+``stxn``, the fence relations, ... -- lives as bitset rows in a
+:class:`~repro.events.rows.SkeletonRows` bundle, which every completion
+of one skeleton shares; the execution itself carries only its ``rf``
+rows and its transitively closed ``co`` rows.  The IR executor reads
+those rows directly.
 
 Executions are treated as immutable: all "edits" (used by the ⊏-weakening
 steps of §4.2 and the transformations of §8) return new objects.
@@ -12,43 +18,48 @@ steps of §4.2 and the transformations of §8) return new objects.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..relations import Relation, RelationContext
-from ..relations.context import global_intern
 from ..relations.relation import _universe
 from .event import (
     ACQ,
     ACQ_REL,
-    CPPF,
-    DMB,
-    DMBLD,
-    DMBST,
     FENCE,
-    ISB,
-    ISYNC,
-    LWSYNC,
-    MFENCE,
-    NA,
     READ,
     REL,
     RLX,
     SC,
-    SYNC,
     WRITE,
     Event,
 )
+from .rows import DEPENDENCIES, SkeletonRows, aligned_rows, pair_rows
 
 
-#: Distinguishes executions whose universes escaped interning; ids from
-#: this counter are negated so they can never collide with a real id().
-_INTERN_UID_FALLBACK = itertools.count(1)
+def _skeleton_view(name: str, doc: str) -> cached_property:
+    """A cached :class:`Relation` view of static relation ``name``,
+    built once per skeleton bundle."""
+
+    def view(self: "Execution") -> Relation:
+        return self._skel.view(name)
+
+    view.__doc__ = doc
+    return cached_property(view)
 
 
 class Execution:
     """An execution graph.
+
+    The IR reads an execution as rows: ``rf`` and ``co`` are its only
+    dynamic leaves, and ``fr``, ``com`` and the internal/external
+    restrictions are IR terms over them (:mod:`repro.ir.terms`).  The
+    :class:`Relation` attributes here are lazily built views, for
+    minimality, canonical keys, corpus JSON, litmus rendering and
+    diagnostics.  ``fr``, ``com``, ``rfe``, ... are computed from their
+    §2.1 pair-set definitions: the Relation-level reference that the cat
+    environment and :func:`repro.ir.fallback_value` read, kept
+    independent of the IR terms.
 
     Args:
         events: the events, in any order (they are sorted by ``eid``).
@@ -86,64 +97,48 @@ class Execution:
         self._eids = frozenset(e.eid for e in self.events)
         self._by_eid = {e.eid: e for e in self.events}
         uni = self._eids
-        self._rf = self._as_relation(rf, uni)
-        self._co_input = self._as_relation(co, uni)
-        self._addr = self._as_relation(addr, uni)
-        self._ctrl = self._as_relation(ctrl, uni)
-        self._data = self._as_relation(data, uni)
-        self._rmw = self._as_relation(rmw, uni)
         # Defensive copy: callers may reuse and mutate their mapping.
-        # (Candidate enumeration avoids the copy via from_skeleton_parts,
-        # whose SkeletonCompleter owns a private dict.)
         self.txn_of: dict[int, int] = dict(txn_of or {})
         self.atomic_txns: frozenset[int] = frozenset(atomic_txns)
-
-    @classmethod
-    def from_skeleton_parts(
-        cls,
-        *,
-        events: tuple[Event, ...],
-        threads: tuple[tuple[int, ...], ...],
-        eids: frozenset[int],
-        by_eid: dict[int, Event],
-        rf: Relation,
-        co,
-        addr: Relation,
-        ctrl: Relation,
-        data: Relation,
-        rmw: Relation,
-        txn_of: dict[int, int],
-        atomic_txns: frozenset[int],
-    ) -> "Execution":
-        """Fast constructor for candidate enumeration.
-
-        The caller passes pre-sorted events, prebuilt lookup tables, and
-        prebuilt relations shared across one skeleton's completions, so
-        none of the per-instance normalisation of ``__init__`` runs.
-        """
-        x = cls.__new__(cls)
-        x.events = events
-        x.threads = threads
-        x._eids = eids
-        x._by_eid = by_eid
-        x._rf = rf
-        x._co_input = co if isinstance(co, Relation) else Relation(co, eids)
-        x._addr = addr
-        x._ctrl = ctrl
-        x._data = data
-        x._rmw = rmw
-        x.txn_of = txn_of
-        x.atomic_txns = atomic_txns
-        return x
+        # The primitive views are primed here (a completion builds them
+        # from its rows instead); the rows are None when the pairs
+        # mention events outside the universe.
+        self.rf = self._as_relation(rf, uni)
+        self.co = self._as_relation(co, uni).transitive_closure()
+        self.addr = self._as_relation(addr, uni)
+        self.ctrl = self._as_relation(ctrl, uni)
+        self.data = self._as_relation(data, uni)
+        self.rmw = self._as_relation(rmw, uni)
+        row_uni = _universe(uni)
+        self._rf_rows = aligned_rows(self.rf, row_uni)
+        self._co_rows = aligned_rows(self.co, row_uni)
 
     @staticmethod
     def _as_relation(value, uni: frozenset[int]) -> Relation:
         """Accept either pair iterables or ready-made :class:`Relation`
-        instances over the execution's universe (candidate enumeration
-        builds the skeleton-fixed relations once and reuses them)."""
+        instances over the execution's universe."""
         if isinstance(value, Relation) and value.universe == uni:
             return value
         return Relation(value, uni)
+
+    @cached_property
+    def _skel(self) -> SkeletonRows:
+        """This execution's private row bundle (a completion is handed
+        its skeleton's shared one instead)."""
+        uni = _universe(self._eids)
+        deps = {
+            name: aligned_rows(getattr(self, name), uni)
+            for name in DEPENDENCIES
+        }
+        return SkeletonRows(
+            self.events,
+            self.threads,
+            deps,
+            self.txn_of,
+            self.atomic_txns,
+            uni,
+            shared=False,
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -200,183 +195,84 @@ class Execution:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _intern_uid(self) -> int:
-        """A stable identifier for this execution's universe, used as an
-        intern-table key component.  When the universe is not interned
-        (cache overflow), falls back to a fresh negative counter value --
-        unique forever, so it disables cross-execution sharing without
-        ever aliasing another execution's cache entries."""
-        uni = _universe(self._eids)
-        if uni.interned:
-            return id(uni)
-        return -next(_INTERN_UID_FALLBACK)
-
-    @cached_property
-    def _loc_key(self) -> tuple:
-        """Per-event location assignment (None for non-memory events)."""
-        return tuple(
-            e.loc if e.is_memory_access else None for e in self.events
-        )
-
-    @cached_property
-    def _kind_key(self) -> tuple:
-        return tuple(e.kind for e in self.events)
-
-    @cached_property
-    def _tag_key(self) -> tuple:
-        """Per-event mode tags (acquire/release/SC/fence flavours)."""
-        return tuple(tuple(sorted(e.tags)) for e in self.events)
-
-    @cached_property
-    def _txn_key(self) -> tuple:
-        return tuple(sorted(self.txn_of.items()))
-
-    @cached_property
-    def po(self) -> Relation:
-        """Program order: per-thread strict total order from ``threads``."""
-
-        def compute() -> Relation:
-            pairs = []
-            for seq in self.threads:
-                for i, a in enumerate(seq):
-                    for b in seq[i + 1 :]:
-                        pairs.append((a, b))
-            return Relation(pairs, self._eids)
-
-        return global_intern(("po", self._intern_uid, self.threads), compute)
-
-    @cached_property
-    def po_imm(self) -> Relation:
-        """Immediate (adjacent) program-order pairs."""
-
-        def compute() -> Relation:
-            pairs = []
-            for seq in self.threads:
-                for a, b in zip(seq, seq[1:]):
-                    pairs.append((a, b))
-            return Relation(pairs, self._eids)
-
-        return global_intern(
-            ("poimm", self._intern_uid, self.threads), compute
-        )
-
-    @property
     def rf(self) -> Relation:
-        return self._rf
+        """Reads-from pairs ``(write, read)``."""
+        return self._skel.relation(self._rf_rows)
 
     @cached_property
     def co(self) -> Relation:
         """Coherence order, stored transitively closed."""
-        return self._co_input.transitive_closure()
+        return self._skel.relation(self._co_rows)
 
-    @property
-    def addr(self) -> Relation:
-        return self._addr
+    po = _skeleton_view(
+        "po", "Program order: per-thread strict total order from ``threads``."
+    )
+    po_imm = _skeleton_view("poimm", "Immediate (adjacent) program-order pairs.")
 
-    @property
-    def ctrl(self) -> Relation:
-        return self._ctrl
-
-    @property
-    def data(self) -> Relation:
-        return self._data
-
-    @property
-    def rmw(self) -> Relation:
-        return self._rmw
+    addr = _skeleton_view("addr", "Address dependencies.")
+    ctrl = _skeleton_view("ctrl", "Control dependencies.")
+    data = _skeleton_view("data", "Data dependencies.")
+    rmw = _skeleton_view("rmw", "Read-modify-write pairs.")
 
     @cached_property
     def deps(self) -> Relation:
         """All dependency edges: ``addr ∪ ctrl ∪ data``."""
-        return self._addr | self._ctrl | self._data
+        return self.addr | self.ctrl | self.data
+
+    sloc = _skeleton_view("sloc", "Same-location equivalence over memory events.")
+    poloc = _skeleton_view("poloc", "``po ∩ sloc``.")
 
     # ------------------------------------------------------------------
-    # Derived relations (§2.1)
+    # Communication relations (§2.1): the Relation-level reference.  The
+    # IR builds the same relations as terms over the rf and co rows; the
+    # definitions here share no code with those terms.
     # ------------------------------------------------------------------
-
-    @cached_property
-    def sloc(self) -> Relation:
-        """Same-location equivalence over memory events."""
-
-        def compute() -> Relation:
-            by_loc: dict[str, list[int]] = {}
-            for e in self.events:
-                if e.is_memory_access and e.loc is not None:
-                    by_loc.setdefault(e.loc, []).append(e.eid)
-            pairs = [
-                (a, b)
-                for group in by_loc.values()
-                for a in group
-                for b in group
-            ]
-            return Relation(pairs, self._eids)
-
-        return global_intern(
-            ("sloc", self._intern_uid, self._loc_key), compute
-        )
-
-    @cached_property
-    def poloc(self) -> Relation:
-        """``po ∩ sloc``."""
-        return global_intern(
-            ("poloc", self._intern_uid, self.threads, self._loc_key),
-            lambda: self.po & self.sloc,
-        )
 
     @cached_property
     def fr(self) -> Relation:
         """From-read: ``([R] ; sloc ; [W]) \\ (rf⁻¹ ; (co⁻¹)*)`` (§2.1).
 
-        A read with no rf edge observes the initial value, and is
-        correctly fr-before *every* write to its location under this
-        definition.
+        A read is fr-before each write to its location that is neither
+        the write it reads from nor co-before that write; a read with no
+        rf edge observes the initial value and is fr-before *every*
+        write to its location.
         """
-        # co is stored transitively closed, so (co⁻¹)* is co⁻¹ ∪ id.
-        seen_or_earlier = self._rf.inverse().compose(
-            self.co.inverse().optional()
-        )
-        return self._fr_static - seen_or_earlier
-
-    @cached_property
-    def _fr_static(self) -> Relation:
-        """``[R] ; sloc ; [W]`` minus the diagonal -- the rf/co-free part
-        of ``fr``, shared across a skeleton's completions."""
-        return global_intern(
-            ("frs", self._intern_uid, self._loc_key, self._kind_key),
-            lambda: self.sloc.restrict(
-                self.reads, self.writes
-            ).irreflexive_part(),
-        )
+        sources: dict[int, set[int]] = {}
+        for w, r in self.rf.pairs:
+            sources.setdefault(r, set()).add(w)
+        co = self.co.pairs  # transitively closed, so (co⁻¹)* is co⁻¹ ∪ id
+        loc_of = {e.eid: e.loc for e in self.events if e.loc is not None}
+        pairs = [
+            (r, w)
+            for r in self.reads
+            if r in loc_of
+            for w in self.writes
+            if loc_of.get(w) == loc_of[r]
+            and not any(w == s or (w, s) in co for s in sources.get(r, ()))
+        ]
+        return Relation(pairs, self._eids)
 
     @cached_property
     def com(self) -> Relation:
         """Communication: ``rf ∪ co ∪ fr`` (§2.1)."""
-        return Relation.union_of(self._rf, self.co, self.fr)
+        return Relation.union_of(self.rf, self.co, self.fr)
 
     # External (inter-thread) / internal (intra-thread) restrictions.
 
     @cached_property
     def same_thread(self) -> Relation:
-        """``(po ∪ po⁻¹)*`` -- the same-thread equivalence every
-        internal/external restriction shares.  Since po is a per-thread
-        total order, this is just "same thread or same event", built
-        directly from the thread sequences (no closure computation)."""
-
-        def compute() -> Relation:
-            out = Relation.empty(self._eids)
-            for seq in self.threads:
-                out = out | Relation.cross(seq, seq, self._eids)
-            return out.optional()
-
-        return global_intern(("st", self._intern_uid, self.threads), compute)
+        """``(po ∪ po⁻¹)*`` -- same thread or same event; the IR's
+        ``int`` leaf."""
+        pairs = [(a, b) for seq in self.threads for a in seq for b in seq]
+        return Relation(pairs, self._eids).optional()
 
     @cached_property
     def rfe(self) -> Relation:
-        return self._rf - self.same_thread
+        return self.rf - self.same_thread
 
     @cached_property
     def rfi(self) -> Relation:
-        return self._rf & self.same_thread
+        return self.rf & self.same_thread
 
     @cached_property
     def coe(self) -> Relation:
@@ -406,38 +302,12 @@ class Execution:
     def transactional_events(self) -> frozenset[int]:
         return frozenset(self.txn_of)
 
-    @cached_property
-    def stxn(self) -> Relation:
-        """Successful-transaction PER: all pairs within one class,
-        including the diagonal (§3.1)."""
-
-        def compute() -> Relation:
-            classes: dict[int, list[int]] = {}
-            for eid, txn in self.txn_of.items():
-                classes.setdefault(txn, []).append(eid)
-            pairs = [
-                (a, b)
-                for group in classes.values()
-                for a in group
-                for b in group
-            ]
-            return Relation(pairs, self._eids)
-
-        return global_intern(
-            ("stxn", self._intern_uid, self._txn_key), compute
-        )
-
-    @cached_property
-    def stxnat(self) -> Relation:
-        """The sub-PER of atomic transactions (§7.2)."""
-        classes: dict[int, list[int]] = {}
-        for eid, txn in self.txn_of.items():
-            if txn in self.atomic_txns:
-                classes.setdefault(txn, []).append(eid)
-        pairs = [
-            (a, b) for group in classes.values() for a in group for b in group
-        ]
-        return Relation(pairs, self._eids)
+    stxn = _skeleton_view(
+        "stxn",
+        "Successful-transaction PER: all pairs within one class, including "
+        "the diagonal (§3.1).",
+    )
+    stxnat = _skeleton_view("stxnat", "The sub-PER of atomic transactions (§7.2).")
 
     @cached_property
     def txn_classes(self) -> dict[int, tuple[int, ...]]:
@@ -450,82 +320,26 @@ class Execution:
                     classes.setdefault(txn, []).append(eid)
         return {txn: tuple(evs) for txn, evs in classes.items()}
 
-    @cached_property
-    def tfence(self) -> Relation:
-        """Implicit transaction fences (§5.2):
-        ``tfence = po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn))`` -- po edges
-        that enter or exit a successful transaction."""
-        if not self.txn_of:
-            return Relation.empty(self._eids)
-
-        def compute() -> Relation:
-            stxn = self.stxn
-            not_stxn = ~stxn
-            boundary = not_stxn.compose(stxn) | stxn.compose(not_stxn)
-            return self.po & boundary
-
-        return global_intern(
-            ("tfence", self._intern_uid, self.threads, self._txn_key),
-            compute,
-        )
+    tfence = _skeleton_view(
+        "tfence",
+        "Implicit transaction fences (§5.2): "
+        "``tfence = po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn))`` -- po edges "
+        "that enter or exit a successful transaction.",
+    )
 
     # ------------------------------------------------------------------
-    # Fence relations (events of flavour k induce a po-pair relation)
+    # Fence relations: a fence of flavour k orders its po-predecessors
+    # before its po-successors
     # ------------------------------------------------------------------
 
-    def _fence_relation(self, flavour: str) -> Relation:
-        fence_eids = tuple(
-            e.eid
-            for e in self.events
-            if e.kind == FENCE and flavour in e.tags
-        )
-        if not fence_eids:
-            return Relation.empty(self._eids)
-
-        def compute() -> Relation:
-            po = self.po
-            pairs = set()
-            for f in fence_eids:
-                before = po.predecessors(f)
-                after = po.successors(f)
-                pairs |= {(a, b) for a in before for b in after}
-            return Relation(pairs, self._eids)
-
-        return global_intern(
-            ("fence", self._intern_uid, self.threads, fence_eids), compute
-        )
-
-    @cached_property
-    def mfence(self) -> Relation:
-        return self._fence_relation(MFENCE)
-
-    @cached_property
-    def sync(self) -> Relation:
-        return self._fence_relation(SYNC)
-
-    @cached_property
-    def lwsync(self) -> Relation:
-        return self._fence_relation(LWSYNC)
-
-    @cached_property
-    def isync(self) -> Relation:
-        return self._fence_relation(ISYNC)
-
-    @cached_property
-    def dmb(self) -> Relation:
-        return self._fence_relation(DMB)
-
-    @cached_property
-    def dmbld(self) -> Relation:
-        return self._fence_relation(DMBLD)
-
-    @cached_property
-    def dmbst(self) -> Relation:
-        return self._fence_relation(DMBST)
-
-    @cached_property
-    def isb(self) -> Relation:
-        return self._fence_relation(ISB)
+    mfence = _skeleton_view("mfence", "x86 ``MFENCE`` ordering.")
+    sync = _skeleton_view("sync", "Power ``sync`` ordering.")
+    lwsync = _skeleton_view("lwsync", "Power ``lwsync`` ordering.")
+    isync = _skeleton_view("isync", "Power ``isync`` ordering.")
+    dmb = _skeleton_view("dmb", "ARMv8 ``DMB`` ordering.")
+    dmbld = _skeleton_view("dmbld", "ARMv8 ``DMB LD`` ordering.")
+    dmbst = _skeleton_view("dmbst", "ARMv8 ``DMB ST`` ordering.")
+    isb = _skeleton_view("isb", "ARMv8 ``ISB`` ordering.")
 
     # ------------------------------------------------------------------
     # Tag-derived sets
@@ -592,76 +406,44 @@ class Execution:
 
     #: Cached attributes that depend only on the *skeleton* -- events,
     #: threads, dependencies, and transaction structure -- not on the
-    #: rf/co completion.  Candidate enumeration completes one skeleton
-    #: thousands of times; these values are identical across all of its
-    #: completions and are shared via :meth:`adopt_skeleton_caches`.
-    _SKELETON_STATIC = (
-        "_intern_uid",
-        "_loc_key",
-        "_kind_key",
-        "_tag_key",
-        "_txn_key",
-        "reads",
-        "writes",
-        "fences",
-        "memory_events",
-        "locations",
-        "po",
-        "po_imm",
-        "deps",
-        "sloc",
-        "poloc",
-        "_fr_static",
-        "same_thread",
-        "transactional_events",
-        "stxn",
-        "stxnat",
-        "txn_classes",
-        "tfence",
-        "mfence",
-        "sync",
-        "lwsync",
-        "isync",
-        "dmb",
-        "dmbld",
-        "dmbst",
-        "isb",
-        "acq",
-        "rel",
-        "sc_events",
-        "atomics",
-        "non_atomics",
+    #: rf/co completion: the row bundle (and with it every static
+    #: relation view) plus the event sets built from the events.
+    _SKELETON_STATIC = frozenset(
+        {
+            "_skel",
+            "reads",
+            "writes",
+            "fences",
+            "memory_events",
+            "locations",
+            "deps",
+            "same_thread",
+            "transactional_events",
+            "txn_classes",
+            "acq",
+            "rel",
+            "sc_events",
+            "atomics",
+            "non_atomics",
+        }
     )
-    _SKELETON_STATIC_SET = frozenset(_SKELETON_STATIC)
-
-    #: Cached attributes that depend only on the skeleton plus the rf
-    #: choice (not on co): shareable across one rf choice's co completions.
-    _RF_STATIC = ("rfe", "rfi")
-
-    def adopt_rf_caches(self, template: "Execution") -> "Execution":
-        """Copy rf-derived cached relations from ``template``, which must
-        share this execution's skeleton *and* rf choice."""
-        own = self.__dict__
-        for name in self._RF_STATIC:
-            value = template.__dict__.get(name)
-            if value is not None and name not in own:
-                own[name] = value
-        return self
 
     def adopt_skeleton_caches(self, template: "Execution") -> "Execution":
-        """Copy skeleton-derived cached relations from ``template``.
+        """Copy skeleton-derived cached values from ``template``.
 
         The caller guarantees that ``template`` has the same events,
         threads, dependency edges, and transaction structure -- only the
         ``rf``/``co`` completion may differ.  Whatever the template has
         already computed is inherited; the rest stays lazy.
+        (:class:`SkeletonCompleter` needs none of this: its completions
+        share one row bundle from the start.)
         """
         own = self.__dict__
         for name, value in template.__dict__.items():
-            if name in self._SKELETON_STATIC_SET and name not in own:
+            if name in self._SKELETON_STATIC and name not in own:
                 own[name] = value
-        # Model-derived relations marked skeleton-static (keys prefixed
-        # "static:") are shared through the RelationContext as well.
+        # Interned static plan nodes (keys prefixed "static:") are shared
+        # through the RelationContext as well.
         template_ctx = template.__dict__.get("_relation_context")
         if template_ctx is not None:
             own_cache = RelationContext.of(self)._cache
@@ -676,12 +458,12 @@ class Execution:
 
     def _relation_pairs(self) -> dict[str, frozenset[tuple[int, int]]]:
         return {
-            "rf": self._rf.pairs,
+            "rf": self.rf.pairs,
             "co": self.co.pairs,
-            "addr": self._addr.pairs,
-            "ctrl": self._ctrl.pairs,
-            "data": self._data.pairs,
-            "rmw": self._rmw.pairs,
+            "addr": self.addr.pairs,
+            "ctrl": self.ctrl.pairs,
+            "data": self.data.pairs,
+            "rmw": self.rmw.pairs,
         }
 
     def replace(self, **overrides) -> "Execution":
@@ -770,12 +552,12 @@ class Execution:
                 for e in self.events
             ),
             self.threads,
-            tuple(sorted(self._rf.pairs)),
+            tuple(sorted(self.rf.pairs)),
             tuple(sorted(self.co.pairs)),
-            tuple(sorted(self._addr.pairs)),
-            tuple(sorted(self._ctrl.pairs)),
-            tuple(sorted(self._data.pairs)),
-            tuple(sorted(self._rmw.pairs)),
+            tuple(sorted(self.addr.pairs)),
+            tuple(sorted(self.ctrl.pairs)),
+            tuple(sorted(self.data.pairs)),
+            tuple(sorted(self.rmw.pairs)),
             tuple(sorted(self.txn_of.items())),
             tuple(sorted(self.atomic_txns)),
         )
@@ -794,7 +576,8 @@ class Execution:
         # attributes -- during *unpickling* the owning execution is
         # still half-built, so a worker process would die mid-load
         # (and a dead pool worker hangs imap forever).  It is a pure
-        # cache; the receiving process rebuilds it on first use.
+        # cache; the receiving process rebuilds it on first use.  (The
+        # row bundle pickles without its caches: see SkeletonRows.)
         state = self.__dict__.copy()
         state.pop("_ir_state", None)
         return state
@@ -817,9 +600,7 @@ class Execution:
                 parts.append(lbl)
             lines.append(f"thread {tid}: " + " ; ".join(parts))
         for name in ("rf", "co", "addr", "ctrl", "data", "rmw"):
-            rel = getattr(self, name if name != "co" else "co")
-            if name == "rf":
-                rel = self._rf
+            rel = getattr(self, name)
             if rel.pairs:
                 edges = ", ".join(f"{a}->{b}" for a, b in sorted(rel.pairs))
                 lines.append(f"{name}: {edges}")
@@ -830,16 +611,20 @@ class Execution:
 
 
 class SkeletonCompleter:
-    """Builds one skeleton's rf/co completions with shared static parts.
+    """Builds one skeleton's rf/co completions over shared static rows.
 
-    Both candidate enumerators (``repro.enumeration.complete`` and
-    ``repro.litmus.candidates``) complete a fixed skeleton -- events,
-    threads, dependency edges, transaction structure -- with many rf/co
-    choices.  This helper owns the per-skeleton invariants they must
-    agree on: events sorted by eid, empty threads dropped (matching
-    ``Execution.__init__`` normalisation), dependency relations and
-    lookup tables built once, and the skeleton-template /
-    rf-template cache-adoption protocol applied in that order.
+    The candidate enumerators (``repro.enumeration.complete``,
+    ``repro.enumeration.sharding``, ``repro.litmus.candidates``) and the
+    fuzz generator complete a fixed skeleton -- events, threads,
+    dependency edges, transaction structure -- with many rf/co choices.
+    This helper owns what they must agree on: events sorted by eid,
+    empty threads dropped (matching ``Execution.__init__``
+    normalisation), and one :class:`SkeletonRows` bundle that every
+    completion shares.  A completion carries only two row tuples: the
+    rf rows, built once per rf choice, and the co rows, built already
+    transitively closed from the per-location write orders (each is a
+    total order, so no closure runs) and kept per co choice, which
+    recurs under every rf choice.
 
     Usage::
 
@@ -847,8 +632,8 @@ class SkeletonCompleter:
                                       data, rmw, txn_of, atomic_txns)
         for rf_pairs in ...:
             completer.start_rf(rf_pairs)
-            for co_pairs in ...:
-                execution = completer.complete(co_pairs)
+            for co_orders in ...:  # one tuple of writes per location
+                execution = completer.complete(co_orders)
     """
 
     def __init__(
@@ -862,47 +647,55 @@ class SkeletonCompleter:
         txn_of: Mapping[int, int],
         atomic_txns: Iterable[int],
     ):
-        self.events = tuple(sorted(events, key=lambda e: e.eid))
-        self.threads = tuple(tuple(t) for t in threads if len(t) > 0)
-        self.uni = frozenset(e.eid for e in self.events)
-        self.by_eid = {e.eid: e for e in self.events}
-        self.addr = Relation(addr, self.uni)
-        self.ctrl = Relation(ctrl, self.uni)
-        self.data = Relation(data, self.uni)
-        self.rmw = Relation(rmw, self.uni)
-        self.txn_of = dict(txn_of)
-        self.atomic_txns = frozenset(atomic_txns)
-        self._template: Execution | None = None
-        self._rf_rel: Relation | None = None
-        self._rf_template: Execution | None = None
+        events = tuple(sorted(events, key=lambda e: e.eid))
+        threads = tuple(tuple(t) for t in threads if len(t) > 0)
+        eids = frozenset(e.eid for e in events)
+        uni = _universe(eids)
+        deps = {
+            "addr": pair_rows(addr, uni),
+            "ctrl": pair_rows(ctrl, uni),
+            "data": pair_rows(data, uni),
+            "rmw": pair_rows(rmw, uni),
+        }
+        txn_of = dict(txn_of)
+        atomic_txns = frozenset(atomic_txns)
+        skel = SkeletonRows(
+            events, threads, deps, txn_of, atomic_txns, uni, shared=True
+        )
+        self._uni = uni
+        #: Every completion's __dict__ starts as a copy of this.
+        self._parts = {
+            "events": events,
+            "threads": threads,
+            "_eids": eids,
+            "_by_eid": {e.eid: e for e in events},
+            "txn_of": txn_of,
+            "atomic_txns": atomic_txns,
+            "_skel": skel,
+        }
+        self._rf_rows = skel.zero
+        self._co_rows: dict[tuple, tuple[int, ...]] = {}
 
     def start_rf(self, rf_pairs: Iterable[tuple[int, int]]) -> None:
         """Fix the rf choice for the completions that follow."""
-        self._rf_rel = Relation(rf_pairs, self.uni)
-        self._rf_template = None
+        self._rf_rows = pair_rows(rf_pairs, self._uni)
 
-    def complete(self, co_pairs: Iterable[tuple[int, int]]) -> Execution:
-        """One completion of the current rf choice."""
-        execution = Execution.from_skeleton_parts(
-            events=self.events,
-            threads=self.threads,
-            eids=self.uni,
-            by_eid=self.by_eid,
-            rf=self._rf_rel,
-            co=co_pairs,
-            addr=self.addr,
-            ctrl=self.ctrl,
-            data=self.data,
-            rmw=self.rmw,
-            txn_of=self.txn_of,
-            atomic_txns=self.atomic_txns,
-        )
-        if self._template is None:
-            self._template = execution
-        else:
-            execution.adopt_skeleton_caches(self._template)
-        if self._rf_template is None:
-            self._rf_template = execution
-        else:
-            execution.adopt_rf_caches(self._rf_template)
+    def complete(self, co_orders: tuple[tuple[int, ...], ...]) -> Execution:
+        """One completion of the current rf choice; ``co_orders`` gives
+        each location's writes in coherence order."""
+        co_rows = self._co_rows.get(co_orders)
+        if co_rows is None:
+            index = self._uni.index
+            rows = [0] * len(index)
+            for order in co_orders:
+                later = 0
+                for w in reversed(order):
+                    rows[index[w]] = later
+                    later |= 1 << index[w]
+            co_rows = self._co_rows[co_orders] = tuple(rows)
+        execution = Execution.__new__(Execution)
+        own = execution.__dict__
+        own.update(self._parts)
+        own["_rf_rows"] = self._rf_rows
+        own["_co_rows"] = co_rows
         return execution

@@ -185,11 +185,11 @@ def sample_completion(rng: random.Random, skeleton: Skeleton) -> Execution:
         if src is not None:
             rf_pairs.append((src, e.eid))
 
-    co_pairs: list[tuple[int, int]] = []
+    co_orders: list[tuple[int, ...]] = []
     for loc in sorted(writes_by_loc):
         order = list(writes_by_loc[loc])
         rng.shuffle(order)
-        co_pairs.extend(zip(order, order[1:]))
+        co_orders.append(tuple(order))
 
     completer = SkeletonCompleter(
         skeleton.events,
@@ -202,7 +202,7 @@ def sample_completion(rng: random.Random, skeleton: Skeleton) -> Execution:
         skeleton.atomic_txns,
     )
     completer.start_rf(rf_pairs)
-    return completer.complete(co_pairs)
+    return completer.complete(tuple(co_orders))
 
 
 def sample_execution(

@@ -21,30 +21,64 @@ prior per-execution state and record each constraint verdict in the
 state's memo as they go, so later ``axiom_thunks``/``violated_axioms``
 calls (and repeat ``consistent`` calls) read the same verdicts through
 the interpretive engine.  Static nodes still resolve through the
-context/intern fetch the interpreter uses, so skeleton adoption and the
-cache counters behave identically.  Anything off the fast path -- prior
-state, profiling builds, mixed-universe executions -- stays on the
+static store and intern fetch the interpreter uses (a hit in the
+per-skeleton store is read inline), so sharing and the cache counters
+behave identically.  Anything off the fast path -- prior state,
+profiling builds, mixed-universe executions -- stays on the
 interpreter, which remains the reference semantics.
 
 The emitted code grows with the *tree* expansion of the plan (guarded
 blocks are re-emitted at every demand site), which stays small because
 fixpoint groups and interned static subtrees emit as single helper
-calls.
+calls, and so do the derived communication relations (``fr``, ``com``,
+``rfe``, ...) and any node whose inline code would be large
+(:func:`_outlined`).  Each of those is compiled once, into an evaluator
+that stores its value in the execution's node memo, so a TM model and
+its baseline compute ``fr`` once per execution between them.  Emitted
+code is compiled in every fresh interpreter, so its size is set-up
+time.
 """
 
 from __future__ import annotations
 
 from .plan import Plan
-from .terms import Term
+from .terms import Term, derived_name
+
+#: Per-call locals a compiled function may read, in binding order.
+_LOCALS = (
+    ("_Z", "st.zero"),
+    ("_N", "st.n"),
+    ("_U", "st.uni"),
+    ("_F", "st.uni.full_mask"),
+    ("_L", "st.skel.rows"),
+    ("_SC", "st.static._cache"),
+)
+
+#: Term uid → its compiled evaluator (see :func:`_node_function`);
+#: built once per process.
+_NODES: dict[int, object] = {}
+
+#: Term uid → :func:`_inline_size`.
+_SIZES: dict[int, int] = {}
+
+#: Ops emitted as one line (helper calls and leaves).
+_INLINE_OPS = frozenset({"base", "set", "fix", "empty", "var"})
+
+#: Nodes whose inline code would span at least this many nodes get
+#: their own evaluator.
+_OUTLINE_MIN = 12
 
 
 class _Emitter:
     """Accumulates the source of one runner function."""
 
-    def __init__(self, ns: dict):
+    def __init__(self, ns: dict, inline: Term | None = None):
         self.ns = ns
         self.lines: list[str] = []
         self.uids: set[int] = set()
+        #: The one derived-relation term emitted inline rather than
+        #: called (the body of its own evaluator).
+        self.inline = inline
 
     def w(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -63,10 +97,30 @@ class _Emitter:
         name = self.name(t)
         op = t.op
         if t.intern_root:
+            # Per-skeleton store first; a miss (or a falsy empty-set
+            # mask) takes the counted path.  Values are otherwise
+            # truthy: row tuples are never empty.
             self.ns[f"_t{t.uid}"] = t
-            self.w(ind, f"{name} = _s(st, _t{t.uid})")
+            self.w(ind, f"{name} = _SC.get({t.skey!r}) or _s(st, _t{t.uid})")
+        elif t is not self.inline and _outlined(t):
+            # One shared evaluator per term, memoised in the execution's
+            # node memo: every plan checking the execution computes the
+            # node once, and its code is emitted once, not at every
+            # demand site.
+            self.ns[f"_d{t.uid}"] = _node_function(t, self.ns)
+            self.w(ind, f"{name} = vals.get({t.uid}) or _d{t.uid}(st)")
         elif op == "base":
-            self.w(ind, f"{name} = _b(st, {t.args[0]!r})")
+            # Leaf rows are read in place; ``None`` (not built yet, or
+            # misaligned) takes the executor's path, which builds or
+            # raises.
+            leaf = t.args[0]
+            if leaf == "id":
+                fast = "st.id_rows"
+            elif leaf in ("rf", "co"):
+                fast = f"st.{leaf}"
+            else:
+                fast = f"_L.get({leaf!r})"
+            self.w(ind, f"{name} = {fast} or _b(st, {leaf!r})")
         elif op == "set":
             self.w(ind, f"{name} = _m(st, {t.args[0]!r})")
         elif op == "fix":
@@ -247,18 +301,56 @@ def build(plan: Plan, helpers: dict):
             em.w(2, "_sc.inc()")
         em.w(2, "return False")
 
-    preamble = [
-        "def _runner(st):",
-        "    vals = st.vals",
-        "    _Z = st.zero",
-        "    _N = st.n",
-        "    _U = st.uni",
-        "    _F = _U.full_mask",
-    ]
+    return _function(em, ["    return True"], f"<ir-runner {plan.name}>")
+
+
+def _outlined(t: Term) -> bool:
+    """Whether ``t`` is emitted as a call to its own evaluator: the
+    derived communication relations, and any node whose inline code
+    would be large (it would be repeated at every demand site)."""
+    if derived_name(t) is not None:
+        return True
+    return t.op not in _INLINE_OPS and _inline_size(t) >= _OUTLINE_MIN
+
+
+def _inline_size(t: Term) -> int:
+    """Nodes emitted inline for ``t`` (calls count as one)."""
+    size = _SIZES.get(t.uid)
+    if size is None:
+        size = 1
+        if not (t.intern_root or t.op in _INLINE_OPS):
+            for child in t.args:
+                if isinstance(child, Term):
+                    size += 1 if _outlined(child) else _inline_size(child)
+        _SIZES[t.uid] = size
+    return size
+
+
+def _node_function(t: Term, helpers: dict):
+    """Compile ``t`` into ``evaluate(st) -> value``, which stores its
+    value in ``st.vals`` under the term's uid (the interpretive
+    evaluator's memo key)."""
+    fn = _NODES.get(t.uid)
+    if fn is None:
+        em = _Emitter(dict(helpers), inline=t)
+        em.ensure(t, 1)
+        tail = [f"    vals[{t.uid}] = v{t.uid}", f"    return v{t.uid}"]
+        fn = _NODES[t.uid] = _function(em, tail, f"<ir-node {t.uid}>")
+    return fn
+
+
+def _function(em: _Emitter, tail: list[str], filename: str):
+    body = "\n".join(em.lines + tail)
+    preamble = ["def _runner(st):", "    vals = st.vals"]
+    # Bind only the locals the body reads (the calls are per candidate;
+    # a substring hit on a longer name merely binds an unused local).
+    for local, value in _LOCALS:
+        if local in body:
+            preamble.append(f"    {local} = {value}")
     for uid in sorted(em.uids):
         preamble.append(f"    v{uid} = _M")
-    source = "\n".join(preamble + em.lines + ["    return True"])
-    exec(compile(source, f"<ir-runner {plan.name}>", "exec"), ns)
-    runner = ns["_runner"]
+    source = "\n".join(preamble + [body])
+    exec(compile(source, filename, "exec"), em.ns)
+    runner = em.ns["_runner"]
     runner.__ir_source__ = source  # introspection for tests/debugging
     return runner

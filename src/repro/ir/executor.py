@@ -4,20 +4,26 @@ One engine replaces the three historical consistency paths (generic
 ``axiom_thunks``, per-architecture hand-fused kernels, compiled ``.cat``
 closures).  The executor works directly over adjacency-bitset rows
 (``tuple[int, ...]``) and set masks (``int``) -- no intermediate
-:class:`~repro.relations.Relation` objects on the hot path -- with four
-layers of caching, all derived mechanically from term structure:
+:class:`~repro.relations.Relation` objects on the hot path.  Leaves are
+read straight from the execution's rows: ``rf`` and ``co`` (the only
+dynamic leaves) from the execution, static leaves and event sets from
+its skeleton's :class:`~repro.events.rows.SkeletonRows` bundle; ``fr``,
+``com`` and the internal/external restrictions are ordinary terms over
+them.  Four layers of caching, all derived mechanically from term
+structure:
 
 * **per-execution memo** -- every node value is stored under its term
-  ``uid`` in a dict living in the execution's
-  :class:`~repro.relations.RelationContext`, so axioms (and different
+  ``uid`` in the execution's evaluation state, so axioms (and different
   models checking the same execution) share subterm values;
-* **skeleton adoption** -- static nodes are fetched through
-  ``context.get("static:ir.n{uid}", ...)``, the prefix
-  :meth:`Execution.adopt_skeleton_caches` copies across rf/co
-  completions of one skeleton;
+* **per-skeleton statics** -- maximal static nodes are fetched through
+  ``static.get("static:ir.n{uid}", ...)`` on a store shared by every
+  completion of one skeleton (the bundle's own context; for an
+  execution built alone, its context, whose ``static:`` keys
+  :meth:`Execution.adopt_skeleton_caches` copies);
 * **cross-execution interning** -- a static node's value is a pure
-  function of its base-leaf rows, so it is resolved through
-  :func:`~repro.relations.context.global_intern` keyed on those rows;
+  function of the skeleton facts its leaves derive from, so it is
+  resolved through :func:`~repro.relations.context.global_intern` keyed
+  on those facts;
   fixpoint groups are interned the same way, keyed on their
   variable-free input values (generalising the hand-written Power
   ``ppo`` row cache);
@@ -57,7 +63,6 @@ from ..obs.profile import PROFILER
 from ..relations import Relation
 from ..relations.context import RelationContext, global_intern
 from ..relations.relation import (
-    _universe,
     acyclic_rows_cached,
     closure_rows_cached,
     compose_rows,
@@ -65,7 +70,7 @@ from ..relations.relation import (
     transpose_rows,
 )
 from .plan import Constraint, Plan
-from .terms import Term
+from .terms import _LEAF_SDEPS, Term, derived_name
 
 _NODE_EVALS = REGISTRY.counter("ir.exec.node_evals")
 _NODE_HITS = REGISTRY.counter("ir.exec.node_cache_hits")
@@ -80,42 +85,6 @@ class _Misaligned(Exception):
     """A base relation's universe cannot be aligned with the execution's
     event universe (hand-built executions): use the Relation fallback."""
 
-
-#: Base-relation name → Execution attribute (identical to the cat
-#: stdlib's environment; ``id`` is synthesised from the universe).
-_REL_ATTRS = {
-    "po": "po",
-    "poimm": "po_imm",
-    "poloc": "poloc",
-    "sloc": "sloc",
-    "rf": "rf",
-    "rfe": "rfe",
-    "rfi": "rfi",
-    "co": "co",
-    "coe": "coe",
-    "coi": "coi",
-    "fr": "fr",
-    "fre": "fre",
-    "fri": "fri",
-    "com": "com",
-    "come": "come",
-    "addr": "addr",
-    "ctrl": "ctrl",
-    "data": "data",
-    "rmw": "rmw",
-    "deps": "deps",
-    "stxn": "stxn",
-    "stxnat": "stxnat",
-    "tfence": "tfence",
-    "mfence": "mfence",
-    "sync": "sync",
-    "lwsync": "lwsync",
-    "isync": "isync",
-    "dmb": "dmb",
-    "dmbld": "dmbld",
-    "dmbst": "dmbst",
-    "isb": "isb",
-}
 
 #: Event-set name → value (identical to the cat stdlib's environment).
 _SET_FNS = {
@@ -141,31 +110,33 @@ _SET_FNS = {
 # ---------------------------------------------------------------------------
 
 
-#: Per-interned-universe (n, zero, id_rows) -- every candidate execution
-#: of a synthesis run shares one universe, so _State construction should
-#: not rebuild these tuples 10^4 times.  Keyed on id(): interned
-#: universes are immortal for the process (the intern table holds them).
-_UNI_CONSTS: dict[int, tuple] = {}
-
-
 class _State:
     """Row-level evaluation state for one execution, cached on the
-    execution object itself (like its ``RelationContext``)."""
+    execution object itself (like its ``RelationContext``).
 
-    __slots__ = ("x", "_ctx", "uni", "n", "zero", "id_rows", "vals", "_rels")
+    Leaves come straight from the execution's rows: ``rf`` and ``co``
+    from the execution, everything static from its skeleton's
+    :class:`~repro.events.rows.SkeletonRows` bundle."""
+
+    __slots__ = (
+        "x", "skel", "static", "rf", "co", "uni", "n", "zero", "id_rows",
+        "vals", "_rels",
+    )
 
     def __init__(self, x):
+        skel = x._skel
         self.x = x
-        self._ctx = None
-        uni = _universe(frozenset(x.eids))
-        self.uni = uni
-        consts = _UNI_CONSTS.get(id(uni)) if uni.interned else None
-        if consts is None:
-            n = len(uni.elements)
-            consts = (n, (0,) * n, tuple(1 << i for i in range(n)))
-            if uni.interned and len(_UNI_CONSTS) < 1 << 12:
-                _UNI_CONSTS[id(uni)] = consts
-        self.n, self.zero, self.id_rows = consts
+        self.skel = skel
+        #: Where interned static nodes live: the skeleton's shared store
+        #: for a completion, else the execution's own context (whose
+        #: ``static:`` keys ``adopt_skeleton_caches`` copies).
+        self.static = skel.context
+        if self.static is None:
+            self.static = RelationContext.of(x)
+        self.rf = x._rf_rows
+        self.co = x._co_rows
+        self.uni = skel.uni
+        self.n, self.zero, self.id_rows = skel.n, skel.zero, skel.id_rows
         #: term uid → rows tuple / set mask (plus verdict and fix-group
         #: entries under tuple keys).  Dynamic values persist for the
         #: execution's lifetime, so every plan touching the same term
@@ -174,13 +145,6 @@ class _State:
         #: term uid → materialised Relation/frozenset (for `evaluate`);
         #: built lazily, most states never materialise anything.
         self._rels: dict | None = None
-
-    @property
-    def ctx(self) -> RelationContext:
-        ctx = self._ctx
-        if ctx is None:
-            ctx = self._ctx = RelationContext.of(self.x)
-        return ctx
 
     @property
     def rels(self) -> dict:
@@ -249,41 +213,20 @@ def _eval_profiled(st: _State, t: Term):
 
 
 def _static_fetch(st: _State, t: Term):
-    # Routed through the context (counted, and the ``static:`` prefix
-    # makes the entry ride ``adopt_skeleton_caches``), then through the
-    # global intern table keyed on the leaf values the node is a pure
-    # function of.
-    return st.ctx.get(t.skey, lambda: _intern_static(st, t))
-
-
-#: Structural-dependency tag → cheap cached key component (see
-#: ``terms._LEAF_SDEPS``).  ``_intern_uid`` pins the interned universe
-#: (hence the bit indexing), so these only need to pin the structural
-#: facts the node's leaves derive from.
-_SDEP_FETCH = {
-    "threads": lambda x: x.threads,
-    "locs": lambda x: x._loc_key,
-    "kinds": lambda x: x._kind_key,
-    "tags": lambda x: x._tag_key,
-    "txn": lambda x: x._txn_key,
-    "atxn": lambda x: tuple(sorted(x.atomic_txns)),
-    "addr": lambda x: x.addr._rows,
-    "ctrl": lambda x: x.ctrl._rows,
-    "data": lambda x: x.data._rows,
-    "rmw": lambda x: x.rmw._rows,
-}
+    # Routed through the static store (counted as a context lookup),
+    # then through the global intern table keyed on the skeleton facts
+    # the node is a pure function of.
+    return st.static.get(t.skey, lambda: _intern_static(st, t))
 
 
 def _intern_static(st: _State, t: Term):
     # A static node's value is a pure function of the universe indexing
-    # plus the structural facts its leaves derive from; the key is
-    # assembled from those (cheap, already-cached) structural tuples --
-    # never from the leaf values, which would have to be materialised
-    # just to build a key for a table hit.
-    x = st.x
-    key = ("irs", t.uid, x._intern_uid) + tuple(
-        _SDEP_FETCH[dep](x) for dep in t.sdeps
-    )
+    # plus the structural facts its leaves derive from
+    # (``terms._LEAF_SDEPS``); the key is assembled from those cheap,
+    # per-skeleton tuples -- never from the leaf values, which would
+    # have to be materialised just to build a key for a table hit.
+    skel = st.skel
+    key = ("irs", t.uid, skel.uid, *map(skel.facts.__getitem__, t.sdeps))
     return global_intern(key, lambda: _compute(st, t))
 
 
@@ -331,19 +274,42 @@ def _eval_open(st: _State, t: Term, varvals: list, memo: dict):
     return v
 
 
+def _intern_leaf(skel, name: str, compute):
+    """A static leaf's value, interned across skeletons on the skeleton
+    facts it derives from (the same keys static nodes use)."""
+    facts = map(skel.facts.__getitem__, _LEAF_SDEPS[name])
+    return global_intern(("irl", name, skel.uid, *facts), compute)
+
+
 def _base_rows(st: _State, name: str):
-    if name == "id":
+    if name == "rf":
+        rows = st.rf
+    elif name == "co":
+        rows = st.co
+    elif name == "id":
         return st.id_rows
-    relation = getattr(st.x, _REL_ATTRS[name])
-    if relation._uni is st.uni:
-        return relation._rows
-    try:
-        return tuple(relation._realigned_rows(st.uni))
-    except KeyError:
-        raise _Misaligned(name) from None
+    else:
+        skel = st.skel
+        rows = skel.rows.get(name)
+        if rows is None:  # not built for this skeleton yet, or misaligned
+            rows = _intern_leaf(skel, name, lambda: skel.static_rows(name))
+            skel.rows[name] = rows
+    if rows is None:
+        raise _Misaligned(name)
+    return rows
 
 
 def _set_mask(st: _State, name: str) -> int:
+    # Event sets are skeleton-static: computed once per bundle.
+    masks = st.skel.masks
+    mask = masks.get(name)
+    if mask is None:
+        mask = _intern_leaf(st.skel, name, lambda: _mask_of(st, name))
+        masks[name] = mask
+    return mask
+
+
+def _mask_of(st: _State, name: str) -> int:
     index = st.uni.index
     mask = 0
     for eid in _SET_FNS[name](st.x):
@@ -693,8 +659,12 @@ def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
     else:
         ev = lambda child: _rel_open(child, x, memo, varvals, itermemo)
     op = t.op
-    if op in ("base", "set"):
-        return RelationContext.of(x).cat_environment()[t.args[0]]
+    # Leaves and derived relations (fr, com, ...) read the cat
+    # environment, i.e. Execution's pair-set definitions: the reference
+    # never evaluates the derived-relation terms it is checked against.
+    name = t.args[0] if op in ("base", "set") else derived_name(t)
+    if name is not None:
+        return RelationContext.of(x).cat_environment()[name]
     if op == "union":
         value = ev(t.args[0])
         for child in t.args[1:]:

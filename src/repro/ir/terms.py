@@ -24,9 +24,9 @@ Static classification.  A term is *static* when its value is fixed by
 the candidate skeleton (program order, locations, fences, transaction
 structure) and *dynamic* when it depends on the ``rf``/``co`` choice.
 Staticness is computed bottom-up from the base-relation vocabulary and
-drives two things: context keys carrying the ``static:`` prefix (so
-:meth:`Execution.adopt_skeleton_caches` shares them across completions
-of one skeleton) and **static hoisting** -- a union mixing static and
+drives two things: ``static:`` store keys (every completion of one
+skeleton reads a static node from the skeleton's shared store) and
+**static hoisting** -- a union mixing static and
 dynamic children is rebuilt as ``(static-part) ∪ dynamic children`` so
 the skeleton-constant part is folded once per skeleton rather than once
 per candidate.  This mechanically recreates what the hand-fused kernels
@@ -69,7 +69,9 @@ class IRTypeError(TypeError):
 
 #: Base relations fixed by the candidate *skeleton* (program order,
 #: locations, dependencies, fences, transaction structure): safe to
-#: share across all rf/co completions of one skeleton.
+#: share across all rf/co completions of one skeleton.  ``int`` is the
+#: same-thread relation ``(po ∪ po⁻¹)*`` the internal/external
+#: restrictions of the derived relations below are taken against.
 STATIC_RELATIONS = frozenset(
     {
         "id",
@@ -77,6 +79,7 @@ STATIC_RELATIONS = frozenset(
         "poimm",
         "poloc",
         "sloc",
+        "int",
         "addr",
         "ctrl",
         "data",
@@ -96,12 +99,9 @@ STATIC_RELATIONS = frozenset(
     }
 )
 
-#: Base relations that change with every reads-from / coherence choice.
-DYNAMIC_RELATIONS = frozenset(
-    {"rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com", "come"}
-)
-
-BASE_RELATIONS = STATIC_RELATIONS | DYNAMIC_RELATIONS
+#: Base relations chosen by the completion: the only dynamic leaves.
+#: ``co`` is read transitively closed.
+DYNAMIC_RELATIONS = frozenset({"rf", "co"})
 
 #: Base event sets (all skeleton-static).
 EVENT_SETS = frozenset(
@@ -124,6 +124,7 @@ _LEAF_SDEPS: dict[str, tuple[str, ...]] = {
     "poimm": ("threads",),
     "sloc": ("locs",),
     "poloc": ("threads", "locs"),
+    "int": ("threads",),
     "addr": ("addr",),
     "ctrl": ("ctrl",),
     "data": ("data",),
@@ -325,11 +326,15 @@ def _need_set(term: Term, context: str) -> Term:
 
 
 def rel(name: str) -> Term:
-    """A base relation leaf (``po``, ``rf``, ``stxn``, ...)."""
+    """A base relation leaf (``po``, ``rf``, ``stxn``, ...), or the term
+    of a derived communication relation (``fr``, ``com``, ``rfe``, ...;
+    see :data:`DERIVED_RELATIONS`)."""
     if name in STATIC_RELATIONS:
         static = True
     elif name in DYNAMIC_RELATIONS:
         static = False
+    elif name in DERIVED_RELATIONS:
+        return DERIVED_RELATIONS[name]
     else:
         raise KeyError(f"unknown base relation {name!r}")
     return _mk(
@@ -641,6 +646,51 @@ def stronglift(relation: Term, txn: Term) -> Term:
     least one endpoint is transactional."""
     txn_opt = opt(txn)
     return seq(txn_opt, diff(relation, txn), txn_opt)
+
+
+# ---------------------------------------------------------------------------
+# Derived communication relations (§2.1; the cat standard library)
+# ---------------------------------------------------------------------------
+
+
+def _communication_terms() -> dict[str, Term]:
+    """``fr``, ``com`` and the internal/external restrictions as terms
+    over ``rf``, ``co``, ``sloc`` and ``int``, as Herding Cats' cat
+    standard library defines them."""
+    rf, co, internal = rel("rf"), rel("co"), rel("int")
+    reads, writes = setrel(evset("R")), setrel(evset("W"))
+    # co is read transitively closed, so (co⁻¹)* is (co⁻¹)?.
+    fr = diff(seq(reads, rel("sloc"), writes), seq(inv(rf), opt(inv(co))))
+    rfe, coe, fre = diff(rf, internal), diff(co, internal), diff(fr, internal)
+    return {
+        "fr": fr,
+        "com": union(rf, co, fr),
+        "rfe": rfe,
+        "rfi": inter(rf, internal),
+        "coe": coe,
+        "coi": inter(co, internal),
+        "fre": fre,
+        "fri": inter(fr, internal),
+        "come": union(rfe, coe, fre),
+    }
+
+
+#: Derived relation name → its term.  ``rel(name)`` returns these, so
+#: Python models and lowered ``.cat`` twins share them through CSE.
+DERIVED_RELATIONS: dict[str, Term] = _communication_terms()
+
+#: Every relation identifier :func:`rel` accepts: the leaves plus the
+#: derived relations (the cat environment's relation vocabulary).
+BASE_RELATIONS = (
+    STATIC_RELATIONS | DYNAMIC_RELATIONS | frozenset(DERIVED_RELATIONS)
+)
+
+_DERIVED_NAMES = {term.uid: name for name, term in DERIVED_RELATIONS.items()}
+
+
+def derived_name(term: Term) -> str | None:
+    """The derived relation ``term`` defines (``"fr"``, ...), if any."""
+    return _DERIVED_NAMES.get(term.uid)
 
 
 def intern_table_size() -> int:

@@ -266,8 +266,8 @@ def _complete_skeleton(
 
     all_committed = len(committed) == total_txns
 
-    # The completer owns the shared static parts and the cache-adoption
-    # protocol; all completions of one skeleton share po/sloc/stxn/...
+    # The completer owns the shared static parts; all completions of
+    # one skeleton share one row bundle (po/sloc/stxn/...).
     completer = SkeletonCompleter(
         events=sk.events,
         threads=sk.threads,
@@ -298,12 +298,7 @@ def _complete_skeleton(
 
         completer.start_rf(rf_pairs)
         for co_perm in itertools.product(*co_choices_per_loc):
-            co_pairs = [
-                (a, b)
-                for perm in co_perm
-                for a, b in zip(perm, perm[1:])
-            ]
-            execution = completer.complete(co_pairs)
+            execution = completer.complete(co_perm)
             memory = {
                 loc: (sk.write_value[perm[-1]] if perm else 0)
                 for loc, perm in zip(locs, co_perm)

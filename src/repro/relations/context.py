@@ -65,11 +65,17 @@ _CTX_MISSES = REGISTRY.counter("relations.context.misses")
 
 
 class RelationContext:
-    """Interned per-execution cache of derived relational values."""
+    """Interned per-execution cache of derived relational values.
+
+    A skeleton's row bundle (:class:`repro.events.rows.SkeletonRows`)
+    also keeps one, with no execution, as the store for the IR's
+    interned static plan nodes that all of its completions share; only
+    :meth:`get` is used on it.
+    """
 
     __slots__ = ("execution", "_cache")
 
-    def __init__(self, execution: "Execution"):
+    def __init__(self, execution: "Execution | None"):
         self.execution = execution
         self._cache: dict[str, object] = {}
 

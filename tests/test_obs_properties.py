@@ -64,6 +64,11 @@ def test_cache_accounting_balances_after_real_workload(
     before = {p: _cache_counts(p) for p in CACHE_PREFIXES}
     for x in x86_executions[:200]:
         model.consistent(x)
+    # x86 plans close no relation (completions carry co already
+    # closed); Power's hb* is a closure, so it exercises that cache.
+    power = get_model("power")
+    for x in x86_executions[:200]:
+        power.consistent(x)
     load_cat_model("x86tm")
     with CheckPipeline(checkpoint=tmp_path / "acct.jsonl") as pipe:
         pipe.consistency_batch("x86tm", x86_executions[:20])
