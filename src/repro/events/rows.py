@@ -12,6 +12,8 @@ each built on first demand and then kept:
   :data:`repro.ir.terms.STATIC_RELATIONS`);
 * event-set masks (filled in by the executor, which owns the set
   definitions);
+* the skeleton's share of canonical keys (``canon``, filled in by
+  :mod:`repro.enumeration.canonical`);
 * the skeleton facts the executor interns static plan nodes under
   (``facts``).
 
@@ -127,6 +129,7 @@ class SkeletonRows:
         "rows",
         "masks",
         "facts",
+        "canon",
         "_views",
     )
 
@@ -170,6 +173,10 @@ class SkeletonRows:
             "atxn": tuple(sorted(atomic_txns)),
             **deps,
         }
+        #: The skeleton's share of its completions' canonical keys,
+        #: filled in by :func:`repro.enumeration.canonical.canonical_key`
+        #: (``False`` when the rows cannot represent them).
+        self.canon = None
         self._views: dict[tuple[int, ...], Relation] = {}
 
     def __reduce__(self):

@@ -286,7 +286,9 @@ def _pool_worker_init() -> None:
     re-report everything the parent had already accumulated.  (The
     profiler's *enabled* flag survives the reset via the
     ``REPRO_PROFILE`` environment variable, which ``--profile`` sets;
-    the verdict cache likewise reopens read-only from ``REPRO_CACHE``.)
+    the verdict cache is likewise named by ``REPRO_CACHE``: a forked
+    worker keeps the parent's loaded entries, read-only, and a spawned
+    one reloads them.)
     """
     reset_observability()
     _verdict_cache.worker_init()
@@ -315,8 +317,9 @@ class CheckPipeline:
         cache: optional directory for the cross-run verdict cache
             (:mod:`repro.harness.verdict_cache`).  ``None`` reads
             ``REPRO_CACHE``.  The parent opens it as the single writer
-            and exports ``REPRO_CACHE`` so pool workers reopen it
-            read-only after fork/spawn.
+            and exports ``REPRO_CACHE`` so pool workers read it too:
+            forked ones through the entries they inherit, spawned ones
+            by reloading it.
     """
 
     def __init__(
@@ -590,6 +593,10 @@ class CheckPipeline:
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
+        if self.verdict_cache is not None:
+            # Forked workers inherit the segment handle, never to touch
+            # it: nothing of ours may sit in its buffer.
+            self.verdict_cache.flush()
         self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
 
     def submit(self, fn: Callable, item, callback: Callable) -> None:

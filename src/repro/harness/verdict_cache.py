@@ -27,11 +27,13 @@ posture as :class:`~repro.harness.checkpoint.CheckpointStore`: a bad
 line costs one re-computation, never a crash.
 
 Process roles mirror the pipeline's: the **parent** opens the cache as
-the single writer; **pool workers** (re)open it read-only from the
-``REPRO_CACHE`` environment variable after fork/spawn, collect their
-fresh verdicts in a pending list, and ship them home in the worker
-delta (:class:`~repro.harness.pipeline._PoolTask`), where the parent
-absorbs and persists them.
+the single writer; **pool workers** read it without writing -- a forked
+worker keeps the entries it inherited from the parent, a spawned one
+reopens the cache from the ``REPRO_CACHE`` environment variable (see
+:func:`worker_init`) -- collect their fresh verdicts in a pending list,
+and ship them home in the worker delta
+(:class:`~repro.harness.pipeline._PoolTask`), where the parent absorbs
+and persists them.
 
 Metrics: ``verdict_cache.lookups/hits/misses/appends`` (hit rate
 surfaces in ``--stats`` via the standard ``hits/lookups`` convention).
@@ -58,10 +60,18 @@ _VALID_KINDS = ("consistent", "violated")
 
 
 def execution_digest(execution: Execution) -> str:
-    """The canonical (isomorphism-invariant) digest of one execution."""
-    return hashlib.sha256(
-        repr(canonical_key(execution)).encode("utf-8")
-    ).hexdigest()
+    """The canonical (isomorphism-invariant) digest of one execution.
+
+    Memoised on the (immutable) execution: a candidate is looked up
+    under its TM model and again under the baseline.
+    """
+    own = execution.__dict__
+    digest = own.get("_verdict_digest")
+    if digest is None:
+        digest = own["_verdict_digest"] = hashlib.sha256(
+            repr(canonical_key(execution)).encode("utf-8")
+        ).hexdigest()
+    return digest
 
 
 class VerdictCache:
@@ -73,12 +83,25 @@ class VerdictCache:
             pipeline parent passes ``True``; pool workers open with
             ``False`` and accumulate new verdicts in :attr:`pending`
             for the parent to :meth:`absorb`.
+        inherited: a forked parent's cache over the same ``root``, whose
+            loaded entries this one reads instead of re-parsing the
+            segments.  It is kept referenced and otherwise untouched:
+            collecting it would close -- and so flush -- the parent's
+            segment handle, writing the parent's buffer a second time.
     """
 
-    def __init__(self, root: str | Path, writer: bool = False):
+    def __init__(
+        self,
+        root: str | Path,
+        writer: bool = False,
+        inherited: "VerdictCache | None" = None,
+    ):
         self.root = Path(root)
         self.writer = writer
-        self._entries: dict[tuple[str, str, str], object] = {}
+        self._inherited = inherited
+        self._entries: dict[tuple[str, str, str], object] = (
+            {} if inherited is None else inherited._entries
+        )
         self._file = None
         self._unflushed = 0
         #: Worker-side records awaiting shipment in the next delta.
@@ -87,7 +110,9 @@ class VerdictCache:
         self._hits = REGISTRY.counter("verdict_cache.hits")
         self._misses = REGISTRY.counter("verdict_cache.misses")
         self._appends = REGISTRY.counter("verdict_cache.appends")
-        self._load()
+        if inherited is None:
+            self._load()
+        self.loaded = len(self._entries)
 
     # -- loading ---------------------------------------------------------
 
@@ -116,7 +141,6 @@ class VerdictCache:
                 if record["k"] not in _VALID_KINDS:
                     continue
                 self._entries[key] = verdict
-        self.loaded = len(self._entries)
 
     # -- lookups and appends ---------------------------------------------
 
@@ -190,8 +214,19 @@ class VerdictCache:
         self._appends.inc()
         self._unflushed += 1
         if self._unflushed >= _FLUSH_EVERY:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write buffered appends through to this process's segment."""
+        if self._file is not None:
             self._file.flush()
             self._unflushed = 0
+
+    def _close_segment(self) -> None:
+        if self._file is not None:
+            self.flush()
+            self._file.close()
+            self._file = None
 
     def compact(self) -> Path | None:
         """Merge every segment into one, atomically.
@@ -202,11 +237,7 @@ class VerdictCache:
         """
         if not self.writer:
             raise RuntimeError("only the writing process may compact")
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
-            self._unflushed = 0
+        self._close_segment()
         segments = self._segments()
         if not segments and not self._entries:
             return None
@@ -233,17 +264,13 @@ class VerdictCache:
 
     def close(self) -> None:
         """Flush buffered appends; auto-compact a fragmented cache."""
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
-            self._unflushed = 0
+        self._close_segment()
         if self.writer and len(self._segments()) >= _COMPACT_SEGMENTS:
             self.compact()
 
 
 # ---------------------------------------------------------------------------
-# The process-active cache (parent configures; workers reopen from env)
+# The process-active cache (parent configures; workers inherit or reopen)
 # ---------------------------------------------------------------------------
 
 _ACTIVE: VerdictCache | None = None
@@ -270,18 +297,25 @@ def active() -> VerdictCache | None:
 
 
 def worker_init() -> None:
-    """(Re)open the cache in a fresh pool worker.
+    """Open the cache read-only in a fresh pool worker.
 
-    A forked worker inherits the parent's writer handle; it must never
-    write through it (two processes appending to one segment would tear
-    lines), so the inherited state is dropped and the cache reopened
-    read-only from ``REPRO_CACHE`` -- the same environment contract
-    ``REPRO_PROFILE`` uses for the profiler.
+    The cache to open is ``REPRO_CACHE`` -- the same environment
+    contract ``REPRO_PROFILE`` uses for the profiler.  A forked worker
+    inherits the parent's active writer over that directory, with its
+    loaded entries and its segment handle.  It keeps the entries and
+    never touches the handle (the parent flushes before forking; a
+    worker writing, flushing or closing it would tear lines or write
+    the parent's buffer twice).  A spawned worker starts with no cache
+    and reloads the segments.
     """
     global _ACTIVE
-    _ACTIVE = None
     from .._env import env_str
 
+    inherited, _ACTIVE = _ACTIVE, None
     root = env_str("REPRO_CACHE")
-    if root:
+    if not root:
+        return
+    if inherited is not None and inherited.root == Path(root):
+        _ACTIVE = VerdictCache(root, inherited=inherited)
+    else:
         configure(root, writer=False)

@@ -1,11 +1,13 @@
 """The disk-backed verdict cache: hits, crash tolerance, compaction."""
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.enumeration import enumerate_executions, get_config
 from repro.harness import verdict_cache
+from repro.harness.pipeline import CheckPipeline
 from repro.harness.verdict_cache import VerdictCache, execution_digest
 from repro.ir import model_digest
 from repro.models import get_model
@@ -172,3 +174,53 @@ class TestWorkerProtocol:
         assert VerdictCache(tmp_path / "p").lookup(
             "m", "x", "consistent"
         ) == (True, False)
+
+
+def _worker_cache_state(_item) -> dict:
+    """What a pool worker's active cache looks like (runs in the pool)."""
+    cache = verdict_cache.active()
+    return {
+        "writer": cache.writer,
+        "no_file": cache._file is None,
+        "entries_id": id(cache._entries),
+        "hit": cache.lookup("m", "x3", "consistent"),
+        "size": len(cache),
+    }
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="forked pool workers only",
+)
+def test_forked_workers_reuse_the_parents_entries(tmp_path):
+    """A forked worker reads the entries the parent loaded -- the same
+    dict, not a re-parse -- without the parent's segment handle, and
+    leaves the parent's segment bytes alone."""
+    root = tmp_path / "verdicts"
+    seed = VerdictCache(root, writer=True)
+    for i in range(3):
+        seed.record("m", f"x{i}", "consistent", True)
+    seed.close()
+    with CheckPipeline(workers=2, cache=root, runlog=False) as pipe:
+        parent = pipe.verdict_cache
+        for i in range(3, 6):  # buffered in the parent's open segment
+            parent.record("m", f"x{i}", "consistent", False)
+        states = pipe.map(_worker_cache_state, range(4))
+        segments = sorted(root.glob("segment-*.jsonl"))
+        written = {path: path.read_bytes() for path in segments}
+        pipe._pool.close()
+        pipe._pool.join()
+        pipe._pool = None
+        assert {
+            path: path.read_bytes() for path in root.glob("segment-*.jsonl")
+        } == written
+        for state in states:
+            assert state["writer"] is False
+            assert state["no_file"]
+            assert state["entries_id"] == id(parent._entries)
+            assert state["hit"] == (True, False)
+            assert state["size"] == 6
+    lines = b"".join(written.values()).decode().splitlines()
+    assert sorted(json.loads(line)["x"] for line in lines) == [
+        f"x{i}" for i in range(6)
+    ]
