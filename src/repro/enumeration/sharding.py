@@ -91,13 +91,16 @@ def completion_count(skeleton: Skeleton) -> int:
 
 
 def shard_completion_counts(
-    config: EnumerationConfig, signature: Signature
+    config: EnumerationConfig,
+    signature: Signature,
+    skeletons: list[Skeleton] | None = None,
 ) -> list[int]:
     """Per-skeleton completion counts for one shard (same order as
-    :func:`shard_skeletons`)."""
-    return [
-        completion_count(s) for s in shard_skeletons(config, signature)
-    ]
+    :func:`shard_skeletons`).  Pass the shard's ``skeletons`` when they
+    are already built, to price them without elaborating them again."""
+    if skeletons is None:
+        skeletons = shard_skeletons(config, signature)
+    return [completion_count(s) for s in skeletons]
 
 
 def _decode(index: int, sizes: list[int]) -> list[int]:

@@ -594,8 +594,10 @@ class CheckPipeline:
             "fork" if "fork" in methods else "spawn"
         )
         if self.verdict_cache is not None:
-            # Forked workers inherit the segment handle, never to touch
-            # it: nothing of ours may sit in its buffer.
+            # Forked workers inherit the parsed entries, and the segment
+            # handles, never to touch them: nothing of ours may sit in
+            # their buffers.
+            self.verdict_cache.load()
             self.verdict_cache.flush()
         self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
 

@@ -25,6 +25,14 @@ design:
   is active -- and ship survivors; the order-dependent steps (canonical
   dedup, discovery order, the Allow weakening pass) run in the fold,
   where the global ``seen`` set lives.
+* **Whole shards are cached.**  With a verdict cache open, the parent
+  looks each shard up (:meth:`VerdictCache.shard_lookup`) before
+  counting or scheduling it; a hit's stored payload -- counters,
+  skeleton and completion counts, survivors in start order -- joins the
+  fold as one range ``[0, completions)``, the way checkpointed chunks
+  do, and no count job, chunk or verdict lookup runs for it.  After a
+  bound that did not time out, every shard whose fresh chunks tile its
+  whole range is recorded.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
@@ -106,7 +114,7 @@ def _shard_space(target: str, bound: int, signature: Signature):
         config = _target_context(target)[0]
         skeletons = shard_skeletons(config, signature)
         cumulative = cumulative_counts(
-            shard_completion_counts(config, signature)
+            shard_completion_counts(config, signature, skeletons)
         )
         space = (skeletons, cumulative)
         _SPACE_CACHE[key] = space
@@ -165,12 +173,7 @@ def run_shard_job(job: tuple):
 
     from ..fuzz.corpus import execution_to_json
 
-    counters = {
-        "candidates": 0,
-        "pruned_consistent": 0,
-        "pruned_baseline": 0,
-        "pruned_nonminimal": 0,
-    }
+    counters = dict.fromkeys(verdict_cache.SHARD_COUNTERS, 0)
     survivors: list[dict] = []
     began = time.monotonic()
     label = signature_label(signature)
@@ -395,9 +398,11 @@ def _recorded_ranges(
     target: str,
     bound: int,
     signatures: list[Signature],
+    skip: dict[int, dict],
 ) -> tuple[list[dict], dict[int, list[tuple[int, int]]]]:
     """Previously checkpointed chunk payloads for this bound, plus the
-    completion ranges they cover, per shard index."""
+    completion ranges they cover, per shard index -- except for the
+    shards in ``skip``, which the shard cache already answers."""
     payloads: list[dict] = []
     covered: dict[int, list[tuple[int, int]]] = {}
     store = pipeline.checkpoint
@@ -410,7 +415,7 @@ def _recorded_ranges(
         if payload.get("target") != target or payload.get("bound") != bound:
             continue
         shard = index_of.get(tuple(payload.get("sig", ())))
-        if shard is None:
+        if shard is None or shard in skip:
             continue
         payloads.append(payload)
         covered.setdefault(shard, []).append(
@@ -496,6 +501,64 @@ def synthesise_sharded(
     return result
 
 
+def _shard_keys(
+    pipeline: "CheckPipeline",
+    target: str,
+    bound: int,
+    signatures: list[Signature],
+) -> list[str | None]:
+    """Each shard's record key; all ``None`` without a verdict cache."""
+    if pipeline.verdict_cache is None:
+        return [None] * len(signatures)
+    model_dig, baseline_dig = _target_context(target)[3:]
+    return [
+        verdict_cache.shard_key(model_dig, baseline_dig, target, bound, sig)
+        for sig in signatures
+    ]
+
+
+def _record_shards(
+    cache: "verdict_cache.VerdictCache",
+    keys: list[str | None],
+    counts: dict[int, dict],
+    fresh: list[dict],
+    index_of: dict[Signature, int],
+) -> None:
+    """Record every counted shard whose fresh chunk payloads tile
+    ``[0, completions)`` exactly, empty shards included.  Chunks
+    replayed from a checkpoint carry no code digest, so a shard resumed
+    from one is left for a later run to record."""
+    chunks: dict[int, list[dict]] = {}
+    for payload in fresh:
+        chunks.setdefault(index_of[tuple(payload["sig"])], []).append(payload)
+    for shard, count in counts.items():
+        key = keys[shard]
+        if key is None:
+            continue
+        ordered = sorted(chunks.get(shard, []), key=lambda p: p["start"])
+        position = 0
+        for payload in ordered:
+            if payload["start"] != position:
+                break
+            position = payload["stop"]
+        if position != count["completions"]:
+            continue
+        counters = {
+            name: sum(p["counters"][name] for p in ordered)
+            for name in verdict_cache.SHARD_COUNTERS
+        }
+        cache.shard_record(
+            key,
+            {
+                "skeletons": count["skeletons"],
+                "completions": count["completions"],
+                "counters": counters,
+                "survivors": [x for p in ordered for x in p["survivors"]],
+            },
+        )
+    cache.flush()
+
+
 def _sharded_bound(
     result: SynthesisResult,
     pipeline: "CheckPipeline",
@@ -506,28 +569,45 @@ def _sharded_bound(
     started: float,
     deadline: float | None,
 ) -> None:
-    """One event bound: count shards, drain ranges, fold in order."""
+    """One event bound: look shards up, count and drain the rest, fold
+    in order, record what was computed."""
     from ..fuzz.corpus import execution_from_json
 
     prefix = f"enumeration.{target}.bound{bound}"
     signatures = list(shard_signatures(config, bound))
+    index_of = {sig: i for i, sig in enumerate(signatures)}
+    cache = pipeline.verdict_cache
     with TRACER.span(f"synthesis:{target}:bound{bound}"), REGISTRY.timed(
         f"{prefix}.seconds"
     ):
-        counts = pipeline.map_checkpointed(
-            run_shard_job,
-            [("synth_count", target, bound, sig) for sig in signatures],
-            kind="synth_count",
+        keys = _shard_keys(pipeline, target, bound, signatures)
+        stored: dict[int, dict] = {}
+        for shard, key in enumerate(keys):
+            payload = None if key is None else cache.shard_lookup(key)
+            if payload is not None:
+                stored[shard] = payload
+        missed = [s for s in range(len(signatures)) if s not in stored]
+        counts = dict(
+            zip(
+                missed,
+                pipeline.map_checkpointed(
+                    run_shard_job,
+                    [("synth_count", target, bound, signatures[s])
+                     for s in missed],
+                    kind="synth_count",
+                ),
+            )
         )
         REGISTRY.counter(f"{prefix}.skeletons").inc(
-            sum(count["skeletons"] for count in counts)
+            sum(count["skeletons"] for count in counts.values())
+            + sum(payload["skeletons"] for payload in stored.values())
         )
         resumed, covered = _recorded_ranges(
-            pipeline, target, bound, signatures
+            pipeline, target, bound, signatures, stored
         )
         remaining = {
-            shard: _gaps(counts[shard]["completions"], covered.get(shard, []))
-            for shard in range(len(signatures))
+            shard: _gaps(count["completions"], covered.get(shard, []))
+            for shard, count in counts.items()
         }
         scheduler = WorkStealingScheduler(
             pipeline, target, bound, signatures, remaining, deadline
@@ -535,10 +615,20 @@ def _sharded_bound(
         fresh = scheduler.run()
         if scheduler.timed_out:
             result.complete = False
+        elif cache is not None:
+            _record_shards(cache, keys, counts, fresh, index_of)
 
-        index_of = {sig: i for i, sig in enumerate(signatures)}
+        replayed = [
+            dict(
+                payload,
+                sig=list(signatures[shard]),
+                start=0,
+                stop=payload["completions"],
+            )
+            for shard, payload in stored.items()
+        ]
         ordered = sorted(
-            resumed + fresh,
+            resumed + fresh + replayed,
             key=lambda p: (index_of[tuple(p["sig"])], p["start"]),
         )
         c_candidates = REGISTRY.counter(f"{prefix}.candidates")

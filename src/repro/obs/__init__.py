@@ -71,6 +71,7 @@ def stats_snapshot() -> dict:
         "cat.compile_cache",
         "pipeline.checkpoint",
         "verdict_cache",
+        "verdict_cache.shards",
     )
     hit_rates = {}
     for prefix in cache_prefixes:

@@ -177,6 +177,9 @@ class TestShardedSynthesis:
         reset_observability()
         with CheckPipeline(workers=1, cache=tmp_path / "verdicts") as p:
             _assert_identical(legacy, p.synthesis("x86", 3))
+        # Drop the shard records, so the rerun exercises the verdict layer.
+        for segment in (tmp_path / "verdicts").glob("shards-*.jsonl"):
+            segment.unlink()
         reset_observability()
         with CheckPipeline(workers=1, cache=tmp_path / "verdicts") as p:
             _assert_identical(legacy, p.synthesis("x86", 3))
