@@ -90,16 +90,9 @@ def completion_count(skeleton: Skeleton) -> int:
     return count
 
 
-def shard_completion_counts(
-    config: EnumerationConfig,
-    signature: Signature,
-    skeletons: list[Skeleton] | None = None,
-) -> list[int]:
-    """Per-skeleton completion counts for one shard (same order as
-    :func:`shard_skeletons`).  Pass the shard's ``skeletons`` when they
-    are already built, to price them without elaborating them again."""
-    if skeletons is None:
-        skeletons = shard_skeletons(config, signature)
+def shard_completion_counts(skeletons: list[Skeleton]) -> list[int]:
+    """Per-skeleton completion counts for one shard's skeletons (as
+    built by :func:`shard_skeletons`)."""
     return [completion_count(s) for s in skeletons]
 
 

@@ -31,15 +31,17 @@ design:
   skeleton and completion counts, survivors in start order -- joins the
   fold as one range ``[0, completions)``, the way checkpointed chunks
   do, and no count job, chunk or verdict lookup runs for it.  After a
-  bound that did not time out, every shard whose fresh chunks tile its
-  whole range is recorded.
+  bound that did not time out, every shard counted in this run (not
+  read back from a checkpoint) whose fresh chunks tile its whole range
+  is recorded.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
 prefers its own shard's remainder), plus per-shard
 ``synthesis.shard.<target>.b<n>.<label>.{completions,survivors,chunks,
 steals}`` counters and a ``.seconds`` timer feeding the ``--stats``
-per-shard summary.
+per-shard summary.  A shard replayed from the cache adds to its
+``completions`` and ``survivors`` only: it ran no chunk.
 """
 
 from __future__ import annotations
@@ -113,9 +115,7 @@ def _shard_space(target: str, bound: int, signature: Signature):
     if space is None:
         config = _target_context(target)[0]
         skeletons = shard_skeletons(config, signature)
-        cumulative = cumulative_counts(
-            shard_completion_counts(config, signature, skeletons)
-        )
+        cumulative = cumulative_counts(shard_completion_counts(skeletons))
         space = (skeletons, cumulative)
         _SPACE_CACHE[key] = space
     return space
@@ -357,19 +357,23 @@ class WorkStealingScheduler:
             if error is not None:
                 raise error
             self._record(job, payload)
-            self._fold_chunk_metrics(payload)
+            _fold_shard_metrics(self.target, self.bound, payload)
             self.payloads.append(payload)
         return self.payloads
 
-    def _fold_chunk_metrics(self, payload: dict) -> None:
-        sig = tuple(payload["sig"])
-        label = signature_label(sig)
-        base = f"synthesis.shard.{self.target}.b{self.bound}.{label}"
-        REGISTRY.counter(f"{base}.completions").inc(
-            payload["counters"]["candidates"]
-        )
-        REGISTRY.counter(f"{base}.survivors").inc(len(payload["survivors"]))
-        REGISTRY.timer(f"{base}.seconds").observe(payload.get("seconds", 0.0))
+
+def _fold_shard_metrics(target: str, bound: int, payload: dict) -> None:
+    """Per-shard counters for one chunk or replayed shard payload; only
+    a chunk evaluated in this run (it carries ``seconds``) feeds the
+    shard's timer."""
+    label = signature_label(tuple(payload["sig"]))
+    base = f"synthesis.shard.{target}.b{bound}.{label}"
+    REGISTRY.counter(f"{base}.completions").inc(
+        payload["counters"]["candidates"]
+    )
+    REGISTRY.counter(f"{base}.survivors").inc(len(payload["survivors"]))
+    if "seconds" in payload:
+        REGISTRY.timer(f"{base}.seconds").observe(payload["seconds"])
 
 
 def _deliver(results: queue.Queue, slot, packed) -> None:
@@ -510,10 +514,8 @@ def _shard_keys(
     """Each shard's record key; all ``None`` without a verdict cache."""
     if pipeline.verdict_cache is None:
         return [None] * len(signatures)
-    model_dig, baseline_dig = _target_context(target)[3:]
     return [
-        verdict_cache.shard_key(model_dig, baseline_dig, target, bound, sig)
-        for sig in signatures
+        verdict_cache.shard_key(target, bound, sig) for sig in signatures
     ]
 
 
@@ -524,10 +526,11 @@ def _record_shards(
     fresh: list[dict],
     index_of: dict[Signature, int],
 ) -> None:
-    """Record every counted shard whose fresh chunk payloads tile
-    ``[0, completions)`` exactly, empty shards included.  Chunks
-    replayed from a checkpoint carry no code digest, so a shard resumed
-    from one is left for a later run to record."""
+    """Record every shard counted in this run whose fresh chunk
+    payloads tile ``[0, completions)`` exactly, empty shards included.
+    Counts and chunks replayed from a checkpoint carry no code digest,
+    so the caller leaves out shards counted there: a later run records
+    them."""
     chunks: dict[int, list[dict]] = {}
     for payload in fresh:
         chunks.setdefault(index_of[tuple(payload["sig"])], []).append(payload)
@@ -587,14 +590,20 @@ def _sharded_bound(
             if payload is not None:
                 stored[shard] = payload
         missed = [s for s in range(len(signatures)) if s not in stored]
+        count_jobs = [
+            ("synth_count", target, bound, signatures[s]) for s in missed
+        ]
+        store = pipeline.checkpoint
+        checkpointed = {
+            shard
+            for shard, job in zip(missed, count_jobs)
+            if store is not None and job_digest(job) in store
+        }
         counts = dict(
             zip(
                 missed,
                 pipeline.map_checkpointed(
-                    run_shard_job,
-                    [("synth_count", target, bound, signatures[s])
-                     for s in missed],
-                    kind="synth_count",
+                    run_shard_job, count_jobs, kind="synth_count"
                 ),
             )
         )
@@ -616,7 +625,12 @@ def _sharded_bound(
         if scheduler.timed_out:
             result.complete = False
         elif cache is not None:
-            _record_shards(cache, keys, counts, fresh, index_of)
+            counted = {
+                shard: count
+                for shard, count in counts.items()
+                if shard not in checkpointed
+            }
+            _record_shards(cache, keys, counted, fresh, index_of)
 
         replayed = [
             dict(
@@ -627,6 +641,8 @@ def _sharded_bound(
             )
             for shard, payload in stored.items()
         ]
+        for payload in replayed:
+            _fold_shard_metrics(target, bound, payload)
         ordered = sorted(
             resumed + fresh + replayed,
             key=lambda p: (index_of[tuple(p["sig"])], p["start"]),

@@ -22,14 +22,15 @@ This module persists it across runs, in one directory, at two grains.
 completion counts, and surviving executions in start order (see
 :mod:`repro.harness.scheduler`) -- keyed by :func:`shard_key`::
 
-    sha256(format, code digest, model digest, baseline digest,
-           target, bound, signature)
+    sha256(code digest, target, bound, signature)
 
 The **code digest** (:func:`code_digest`) hashes the source of the
-whole ``repro`` package, so any source edit makes every shard record
-unreachable, while the verdict layer, keyed on model plans alone, keeps
-serving.  A warm rerun that hits every shard replays the stored
-payloads without enumerating, digesting or looking up a single verdict.
+whole ``repro`` package -- including every model, which the sharded
+path only ever builds from that source -- so any source edit makes
+every shard record unreachable, while the verdict layer, keyed on model
+plans alone, keeps serving.  A warm rerun that hits every shard replays
+the stored payloads without enumerating, digesting or looking up a
+single verdict.
 
 On disk each layer is a set of JSONL *segments*, one record per line:
 ``segment-000001.jsonl`` for verdicts, ``shards-000001.jsonl`` for
@@ -77,9 +78,6 @@ _COMPACT_SEGMENTS = 8
 _FLUSH_EVERY = 128
 
 _VALID_KINDS = ("consistent", "violated")
-
-#: Part of every shard key; bump it when the shard payload changes shape.
-SHARD_FORMAT = 1
 
 #: The outcome counters of a shard payload, ``candidates`` first (see
 #: :func:`repro.harness.scheduler.run_shard_job`).
@@ -135,27 +133,26 @@ def code_digest() -> str | None:
 
 
 def shard_key(
-    model_digest: str | None,
-    baseline_digest: str | None,
-    target: str,
-    bound: int,
-    signature: tuple[str, ...],
+    target: str, bound: int, signature: tuple[str, ...]
 ) -> str | None:
     """The shard-record key (see the module docstring); ``None`` -- do
-    not cache -- when the code or either model has no digest."""
+    not cache -- when the code has no digest."""
     code = code_digest()
-    if code is None or model_digest is None or baseline_digest is None:
+    if code is None:
         return None
-    fields = [
-        SHARD_FORMAT,
-        code,
-        model_digest,
-        baseline_digest,
-        target,
-        bound,
-        list(signature),
-    ]
+    fields = [code, target, bound, list(signature)]
     return hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
+
+
+def _decodable(survivor) -> bool:
+    """Whether one stored survivor decodes to an execution."""
+    from ..fuzz.corpus import execution_from_json
+
+    try:
+        execution_from_json(survivor)
+    except Exception:  # any mangling: the record is skipped, not folded
+        return False
+    return True
 
 
 def _valid_shard_payload(payload) -> bool:
@@ -175,7 +172,7 @@ def _valid_shard_payload(payload) -> bool:
     return (
         counters["candidates"] == payload["completions"]
         and counters["candidates"] - pruned == len(survivors)
-        and all(isinstance(x, dict) for x in survivors)
+        and all(_decodable(x) for x in survivors)
     )
 
 

@@ -4,9 +4,9 @@ A warm synthesis rerun looks every shard up before counting or
 scheduling it; a hit's stored payload joins the fold like a checkpointed
 range.  The pins: the folded result is identical to the sequential
 enumerator's whether shards come from disk or not; a warm run does no
-verdict work at all; any change to what a shard depends on -- the code,
-either model, the bound, the signature -- misses; and damaged, partial
-or double-counted records never reach the fold.
+verdict work at all; any change to what a shard depends on -- the code
+(models included), the bound, the signature -- misses; and damaged,
+partial, stale or double-counted records never reach the fold.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 
 from repro.enumeration import get_config, shard_signatures, synthesise
 from repro.harness import scheduler, verdict_cache
+from repro.harness.checkpoint import CheckpointStore, job_digest
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.verdict_cache import (
     VerdictCache,
@@ -111,6 +112,15 @@ class TestWarmRuns:
             + counters["enumeration.x86.bound2.candidates"]
             == legacy.candidates_examined
         )
+        # Replayed shards still report their per-shard counters.
+        per_shard: dict[str, int] = {}
+        for name, value in counters.items():
+            if name.startswith("synthesis.shard.x86."):
+                field = name.rpartition(".")[2]
+                per_shard[field] = per_shard.get(field, 0) + value
+        assert per_shard["completions"] == legacy.candidates_examined
+        assert per_shard["survivors"] >= len(legacy.forbidden)
+        assert per_shard.get("chunks", 0) == 0
 
     def test_hit_rate_reaches_stats(self, tmp_path):
         from repro.obs import stats_snapshot
@@ -121,12 +131,12 @@ class TestWarmRuns:
 
 
 class TestKeys:
-    BASE = ("m", "b", "x86", 3, ("RW", "W"))
+    BASE = ("x86", 3, ("RW", "W"))
 
     @pytest.mark.parametrize(
         "position, other",
-        [(0, "m2"), (1, "b2"), (2, "power"), (3, 4), (4, ("RW", "R"))],
-        ids=["model", "baseline", "target", "bound", "signature"],
+        [(0, "power"), (1, 4), (2, ("RW", "R"))],
+        ids=["target", "bound", "signature"],
     )
     def test_every_component_changes_the_key(self, position, other):
         changed = list(self.BASE)
@@ -137,12 +147,6 @@ class TestKeys:
         before = shard_key(*self.BASE)
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
         assert shard_key(*self.BASE) != before
-
-    @pytest.mark.parametrize("position", [0, 1])
-    def test_undigestable_model_is_not_cached(self, position):
-        args = list(self.BASE)
-        args[position] = None
-        assert shard_key(*args) is None
 
     def test_source_digest_tracks_every_source_file(self, tmp_path):
         package = tmp_path / "pkg"
@@ -186,25 +190,6 @@ class TestMisses:
         assert _counters().get("verdict_cache.shards.lookups", 0) == 0
         assert not _shard_lines(tmp_path / "c")
 
-    @pytest.mark.parametrize("position", [3, 4], ids=["model", "baseline"])
-    def test_model_digest_change_misses(
-        self, tmp_path, legacy, monkeypatch, position
-    ):
-        root = tmp_path / "c"
-        _synth(root)
-        original = scheduler._target_context
-
-        def edited(target):
-            context = list(original(target))
-            context[position] = "edited-" + context[position]
-            return tuple(context)
-
-        monkeypatch.setattr(scheduler, "_target_context", edited)
-        _assert_identical(legacy, _synth(root))
-        counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == 0
-        assert counters["verdict_cache.shards.appends"] == _shard_count(2, 3)
-
     def test_other_bound_misses(self, tmp_path, legacy):
         root = tmp_path / "c"
         _synth(root, bound=2)
@@ -226,11 +211,14 @@ class TestDamage:
         fruitful = [
             i for i, r in enumerate(records) if r["payload"]["survivors"]
         ]
-        assert len(fruitful) >= 2
-        mangled, torn = fruitful[:2]
+        assert len(fruitful) >= 3
+        mangled, torn, undecodable = fruitful[:3]
         bad = json.loads(lines[mangled])
         bad["payload"]["survivors"] = []  # no longer adds up: skipped
         lines[mangled] = json.dumps(bad)
+        bad = json.loads(lines[undecodable])
+        bad["payload"]["survivors"][0] = {}  # adds up, but is no execution
+        lines[undecodable] = json.dumps(bad)
         plain = next(i for i in range(len(lines)) if i not in fruitful)
         lines[plain] = "not json at all"
         # Move a survivor-bearing record to the end and tear it.
@@ -240,8 +228,8 @@ class TestDamage:
 
         _assert_identical(legacy, _synth(root))
         counters = _counters()
-        assert counters["verdict_cache.shards.misses"] == 3
-        assert counters["verdict_cache.shards.appends"] == 3
+        assert counters["verdict_cache.shards.misses"] == 4
+        assert counters["verdict_cache.shards.appends"] == 4
         assert len(list(root.glob("shards-*.jsonl"))) == 2
         _assert_identical(legacy, _synth(root))
         assert _counters()["verdict_cache.shards.hits"] == _shard_count(2, 3)
@@ -275,9 +263,8 @@ class TestDamage:
             partial = p.synthesis("x86", 3, time_budget=600.0)
         assert skew and not partial.complete
         # Bound 2 finished in time and was recorded; bound 3 was not.
-        _, _, _, model_dig, baseline_dig = scheduler._target_context("x86")
         bound2 = {
-            shard_key(model_dig, baseline_dig, "x86", 2, sig)
+            shard_key("x86", 2, sig)
             for sig in shard_signatures(get_config("x86"), 2)
         }
         recorded = [json.loads(line)["key"] for line in _shard_lines(root)]
@@ -308,10 +295,42 @@ class TestCheckpointAndCompaction:
         _synth(None, checkpoint=checkpoint)
         cached = _synth(tmp_path / "c", checkpoint=checkpoint)
         _assert_identical(legacy, cached)
-        # Chunks replayed from the checkpoint carry no code digest; only
-        # the shards with no completions (nothing to replay) are recorded.
-        records = [json.loads(line) for line in _shard_lines(tmp_path / "c")]
-        assert all(r["payload"]["completions"] == 0 for r in records)
+        # Every count came back from the checkpoint, which carries no
+        # code digest: nothing is recorded, not even the empty shards.
+        assert not _shard_lines(tmp_path / "c")
+        assert _counters()["verdict_cache.shards.misses"] == _shard_count(2, 3)
+
+    def test_stale_checkpointed_count_is_not_recorded(
+        self, tmp_path, legacy
+    ):
+        # A checkpoint from older code claims one shard has half the
+        # completions it has now.
+        signatures = list(shard_signatures(get_config("x86"), 3))
+        counts = {
+            sig: scheduler.run_shard_job(("synth_count", "x86", 3, sig))
+            for sig in signatures
+        }
+        stale = max(signatures, key=lambda sig: counts[sig]["completions"])
+        checkpoint = tmp_path / "synth.jsonl"
+        store = CheckpointStore(checkpoint)
+        store.record(
+            job_digest(("synth_count", "x86", 3, stale)),
+            dict(
+                counts[stale], completions=counts[stale]["completions"] // 2
+            ),
+            kind="synth_count",
+        )
+        store.close()
+        root = tmp_path / "c"
+        _synth(root, checkpoint=checkpoint)
+        recorded = {json.loads(line)["key"] for line in _shard_lines(root)}
+        assert shard_key("x86", 3, stale) not in recorded
+        assert len(recorded) == _shard_count(2, 3) - 1
+        # Without the checkpoint, the stale shard is recomputed in full.
+        _assert_identical(legacy, _synth(root))
+        counters = _counters()
+        assert counters["verdict_cache.shards.misses"] == 1
+        assert counters["verdict_cache.shards.appends"] == 1
 
     def test_compaction_keeps_shard_records_servable(self, tmp_path, legacy):
         root = tmp_path / "c"

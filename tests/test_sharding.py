@@ -89,7 +89,7 @@ class TestShardSpace:
         signature = next(iter(shard_signatures(config, 3)))
         skeletons = shard_skeletons(config, signature)
         cumulative = cumulative_counts(
-            shard_completion_counts(config, signature)
+            shard_completion_counts(skeletons)
         )
         total = cumulative[-1]
         full = [
