@@ -14,7 +14,9 @@ def log(msg):
 log(f"=== deep run started {time.strftime('%Y-%m-%d %H:%M:%S')} ===")
 
 from repro.enumeration import synthesise
-from repro.harness import run_table1, run_figure7, run_rtl_bug
+from repro.harness import run_rtl_bug
+from repro.harness.figure7 import run_figure7
+from repro.harness.table1 import run_table1
 from repro.metatheory import check_monotonicity, check_compilation, check_lock_elision
 
 # ---- 1. x86 synthesis at 4 events + validation ----

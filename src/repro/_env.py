@@ -1,70 +1,30 @@
-"""Normalized ``REPRO_*`` environment variables, with legacy aliases.
+"""Normalized ``REPRO_*`` environment variables.
 
 Every knob the harness reads from the environment goes through
 :func:`env_str` / :func:`env_int` / :func:`env_float`, under one
 consistent naming scheme:
 
-==================== ======================================= =====================
-canonical            meaning                                 legacy alias
-==================== ======================================= =====================
-``REPRO_WORKERS``      pipeline fan-out width                ``REPRO_PIPELINE_WORKERS``
-``REPRO_RETRIES``      per-job retry count                   ``REPRO_PIPELINE_RETRIES``
-``REPRO_BACKOFF``      retry backoff base (seconds)          ``REPRO_PIPELINE_BACKOFF``
-``REPRO_SOFT_TIMEOUT`` slow-job flagging threshold (seconds) ``REPRO_PIPELINE_SOFT_TIMEOUT``
-``REPRO_SEED``         fuzz / random-runner campaign seed    ``REPRO_FUZZ_SEED``
-``REPRO_CACHE``        verdict-cache directory               (none)
-``REPRO_PROFILE``      enable the IR plan profiler           ``REPRO_IR_PROFILE``
-==================== ======================================= =====================
-
-Legacy names keep working -- scripts and CI configs in the wild set
-them -- but each one warns once per process with a
-:class:`DeprecationWarning` naming the canonical spelling.  The
-canonical name always wins when both are set.
+====================== =======================================
+name                   meaning
+====================== =======================================
+``REPRO_WORKERS``      pipeline fan-out width
+``REPRO_RETRIES``      per-job retry count
+``REPRO_BACKOFF``      retry backoff base (seconds)
+``REPRO_SOFT_TIMEOUT`` slow-job flagging threshold (seconds)
+``REPRO_SEED``         fuzz / random-runner campaign seed
+``REPRO_CACHE``        verdict-cache directory
+``REPRO_PROFILE``      enable the IR plan profiler
+====================== =======================================
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-
-#: canonical name → accepted legacy aliases, in precedence order.
-ALIASES: dict[str, tuple[str, ...]] = {
-    "REPRO_WORKERS": ("REPRO_PIPELINE_WORKERS",),
-    "REPRO_RETRIES": ("REPRO_PIPELINE_RETRIES",),
-    "REPRO_BACKOFF": ("REPRO_PIPELINE_BACKOFF",),
-    "REPRO_SOFT_TIMEOUT": ("REPRO_PIPELINE_SOFT_TIMEOUT",),
-    "REPRO_SEED": ("REPRO_FUZZ_SEED",),
-    "REPRO_CACHE": (),
-    "REPRO_PROFILE": ("REPRO_IR_PROFILE",),
-}
-
-_warned_aliases: set[str] = set()
-
-
-def _warn_once(alias: str, canonical: str) -> None:
-    if alias in _warned_aliases:
-        return
-    _warned_aliases.add(alias)
-    warnings.warn(
-        f"the {alias} environment variable is deprecated; "
-        f"set {canonical} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 def env_str(name: str, default: str | None = None) -> str | None:
-    """The value of canonical variable ``name``, falling back through
-    its legacy aliases (warning once per alias actually used)."""
-    value = os.environ.get(name)
-    if value is not None:
-        return value
-    for alias in ALIASES.get(name, ()):
-        value = os.environ.get(alias)
-        if value is not None:
-            _warn_once(alias, name)
-            return value
-    return default
+    """The value of variable ``name``, or ``default`` when unset."""
+    return os.environ.get(name, default)
 
 
 def env_int(name: str, default: int) -> int:

@@ -15,9 +15,9 @@ capability happens to live in this month:
   (``"table1"``, ``"table2"``, ``"figure7"``, ``"ablation"``) under
   one set of keyword arguments.
 
-The legacy entry points (``repro.harness.run_table1`` and friends,
-``repro.enumeration.synthesise`` called directly from scripts) keep
-working but are deprecated shims; new code imports ``repro.api``::
+The driver modules behind it (``repro.harness.table1`` and friends,
+``repro.enumeration.synthesise``) stay importable; new code imports
+``repro.api``::
 
     from repro import api
 

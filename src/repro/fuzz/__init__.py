@@ -1,8 +1,9 @@
 """Differential conformance fuzzing for the consistency models.
 
 Random well-formed executions (beyond the enumeration bounds) are run
-through every redundant verdict path the repo ships -- compiled IR,
-interpretive executor, Relation-level reference, cat twins, and the
+through every redundant verdict path the repo ships -- the generated
+IR runner stopping at the first failure and deciding every constraint,
+the Relation-level reference, cat twins, and the
 simulated machines where a litmus conversion exists -- and any
 disagreement is delta-debugged down to a minimal witness and recorded
 in a replayable JSONL corpus.  See ``docs/fuzzing.md``.

@@ -5,10 +5,11 @@ For each generated execution and each of the six models the repo ships
 implementations of "is this execution consistent?" are evaluated and
 cross-checked:
 
-* **compiled** -- ``ir.consistent``, which prefers the generated-code
-  runner (:mod:`repro.ir.codegen`);
-* **interp** -- ``ir.violated_axioms``, the interpretive per-constraint
-  executor (it never uses the runner);
+* **compiled** -- ``ir.consistent``: the generated plan runner
+  (:mod:`repro.ir.codegen`), stopping at the first failed constraint;
+* **interp** -- ``ir.violated_axioms``: the same runner deciding every
+  constraint (the key keeps its historical name, so recorded corpora
+  keep their format);
 * **reference** -- per-constraint :func:`repro.ir.fallback_value`, the
   ``Relation``-level reference semantics;
 * **cat** -- the bundled ``.cat`` twin, lowered through the same IR but

@@ -1,33 +1,22 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
-New code should reach the drivers through the stable facade
-(:mod:`repro.api`: ``run_table("table1", arch=..., bound=...)``)
-instead of importing ``run_table1``/``run_table2``/``run_figure7``/
-``run_ablation`` from here -- those re-exports remain as deprecation
-shims with their historical signatures, but each one warns on call.
-Importing the driver *modules* (``repro.harness.table1`` etc.) stays
-supported; only the package-level aliases are deprecated.
+Callers reach the drivers through the stable facade
+(:mod:`repro.api`: ``run_table("table1", arch=..., bound=...)``) or
+import them from their modules (``repro.harness.table1.run_table1``
+and so on).
 """
 
-import functools
-import warnings
-
 from .ablation import AblationResult
-from .ablation import run_ablation as _run_ablation
 from .export import export_suite
 from .figure7 import Figure7Result
-from .figure7 import run_figure7 as _run_figure7
 from .pipeline import CheckPipeline, hardware_for, model_for, run_job
 from .figures import FiguresResult, run_figures
 from .rtl_bug import RTLBugResult, run_rtl_bug
 from .table1 import Table1Result, Table1Row
-from .table1 import run_table1 as _run_table1
 from .table2 import Table2Result, Table2Row
-from .table2 import run_table2 as _run_table2
 
 __all__ = [
     "AblationResult",
-    "run_ablation",
     "CheckPipeline",
     "hardware_for",
     "model_for",
@@ -40,39 +29,6 @@ __all__ = [
     "Table1Row",
     "Table2Result",
     "Table2Row",
-    "run_figure7",
     "run_figures",
     "run_rtl_bug",
-    "run_table1",
-    "run_table2",
 ]
-
-
-def _deprecated_alias(fn, name: str, replacement: str):
-    """A shim preserving ``fn``'s historical signature, warning once
-    per call site style about the :mod:`repro.api` replacement."""
-
-    @functools.wraps(fn)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"repro.harness.{name} is deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return fn(*args, **kwargs)
-
-    return shim
-
-
-run_table1 = _deprecated_alias(
-    _run_table1, "run_table1", 'repro.api.run_table("table1", ...)'
-)
-run_table2 = _deprecated_alias(
-    _run_table2, "run_table2", 'repro.api.run_table("table2", ...)'
-)
-run_figure7 = _deprecated_alias(
-    _run_figure7, "run_figure7", 'repro.api.run_table("figure7", ...)'
-)
-run_ablation = _deprecated_alias(
-    _run_ablation, "run_ablation", 'repro.api.run_table("ablation", ...)'
-)

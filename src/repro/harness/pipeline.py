@@ -12,7 +12,7 @@ shared cache layer:
 * **batched evaluation** -- jobs are submitted as a list and evaluated
   in order, either sequentially (the default) or fanned out across a
   ``multiprocessing`` pool (``workers > 1``, or the
-  ``REPRO_PIPELINE_WORKERS`` environment variable).  Results are
+  ``REPRO_WORKERS`` environment variable).  Results are
   returned in submission order, so verdicts are identical either way.
 * **checkpoint/resume** -- with a ``checkpoint`` path, every completed
   job appends one JSONL record keyed by its stable digest
@@ -299,9 +299,7 @@ class CheckPipeline:
 
     Args:
         workers: fan-out width.  ``None`` reads ``REPRO_WORKERS``
-            (defaulting to sequential; the legacy
-            ``REPRO_PIPELINE_WORKERS`` spelling still works, with a
-            deprecation warning); ``0``/``1`` force sequential
+            (defaulting to sequential); ``0``/``1`` force sequential
             evaluation; larger values use a ``multiprocessing`` pool.
         checkpoint: optional path to a JSONL checkpoint file.  Completed
             jobs append one record each; a restarted pipeline pointed at

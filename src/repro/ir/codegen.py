@@ -1,13 +1,13 @@
-"""Plan → specialised Python runner (the executor's codegen backend).
+"""IR terms → specialised Python functions: the row-level semantics.
 
-The interpretive executor pays per-node dispatch, memo-dict traffic, and
-counter increments on every candidate execution -- measurable against
-the hand-fused kernels it replaced.  Since a plan's term DAG is fixed at
-compile time, we instead emit one straight-line Python function per plan
-and ``exec`` it once: every composite node becomes a local variable,
-computed at its first *executed* demand site behind an ``is _M`` guard
-(so shared subterms are CSE'd into a single computation per call), and
-the algebraic short-circuits become real branches:
+Every row-level evaluation of an IR term runs code emitted here; the
+only other implementation of the operators is the Relation-level
+reference (:func:`repro.ir.fallback_value`).  Since a plan's term DAG is
+fixed at compile time, it is emitted as straight-line Python and
+``exec``'d once: every composite node becomes a local variable, computed
+at its first *executed* demand site behind an ``is _M`` guard (so shared
+subterms are CSE'd into a single computation per call), and the
+algebraic short-circuits become real branches:
 
 * ``seq``/``diff`` skip their right operand when the left is empty, and
   an empty ``seq`` factor under ``opt`` reduces to the other operand
@@ -16,33 +16,41 @@ the algebraic short-circuits become real branches:
   which also turns ``TxnOrder`` into a verdict-cache hit on ``Order``);
 * ``inter`` stops folding once the accumulator is empty.
 
-Runners implement only the fresh-execution fast path: they assume no
-prior per-execution state and record each constraint verdict in the
-state's memo as they go, so later ``axiom_thunks``/``violated_axioms``
-calls (and repeat ``consistent`` calls) read the same verdicts through
-the interpretive engine.  Static nodes still resolve through the
-static store and intern fetch the interpreter uses (a hit in the
-per-skeleton store is read inline), so sharing and the cache counters
-behave identically.  Anything off the fast path -- prior state,
-profiling builds, mixed-universe executions -- stays on the
-interpreter, which remains the reference semantics.
+Three kinds of function are emitted:
 
-The emitted code grows with the *tree* expansion of the plan (guarded
-blocks are re-emitted at every demand site), which stays small because
-fixpoint groups and interned static subtrees emit as single helper
-calls, and so do the derived communication relations (``fr``, ``com``,
-``rfe``, ...) and any node whose inline code would be large
-(:func:`_outlined`).  Each of those is compiled once, into an evaluator
-that stores its value in the execution's node memo, so a TM model and
-its baseline compute ``fr`` once per execution between them.  Emitted
-code is compiled in every fresh interpreter, so its size is set-up
-time.
+* **plan runners** (:func:`build`) decide a plan's constraints in
+  scheduled order.  Each constraint's verdict is read from the
+  execution's verdict memo first and recorded there once decided; the
+  runner returns at the first failure, or with ``full`` decides every
+  constraint (``violated_axioms``);
+* **node evaluators** (:func:`_node_function`) compute one term and
+  store it in the execution's node memo under its uid.  Runners call
+  them for the derived communication relations (``fr``, ``com``,
+  ``rfe``, ...) and any node whose inline code would be large
+  (:func:`_outlined`), so a TM model and its baseline compute ``fr``
+  once per execution between them; lazy thunks, ``ir.evaluate`` and
+  interned static nodes run them directly;
+* **fix-group functions** (:func:`_group_function`) solve a ``let rec``
+  group by Kleene iteration from the kind-appropriate bottoms, interned
+  across executions on ``("irfix", group, n, *input values)``.
+
+Static nodes resolve through the per-skeleton store and the global
+intern table (a hit in the store is read inline).  The emitted code
+grows with the *tree* expansion of a plan (guarded blocks are re-emitted
+at every demand site), which outlining keeps small; it is compiled in
+every fresh interpreter, so its size is set-up time.
+
+The **profiling build** (``profile=True``, selected while
+:data:`~repro.obs.profile.PROFILER` is enabled) is the same emitter
+with ``PROFILER.begin``/``end``/``abort`` around each guarded node
+block, ``PROFILER.hit`` on node-memo reads, and each constraint run
+inside ``PROFILER.constraint`` and its ``ir.constraint.*`` timer.
 """
 
 from __future__ import annotations
 
 from .plan import Plan
-from .terms import Term, derived_name
+from .terms import FixGroup, Term, derived_name
 
 #: Per-call locals a compiled function may read, in binding order.
 _LOCALS = (
@@ -54,9 +62,12 @@ _LOCALS = (
     ("_SC", "st.static._cache"),
 )
 
-#: Term uid → its compiled evaluator (see :func:`_node_function`);
-#: built once per process.
-_NODES: dict[int, object] = {}
+#: (term uid, profile) → its compiled evaluator (see
+#: :func:`_node_function`); built once per process.
+_NODES: dict[tuple[int, bool], object] = {}
+
+#: (group uid, profile) → its compiled fix-group function.
+_GROUPS: dict[tuple[int, bool], object] = {}
 
 #: Term uid → :func:`_inline_size`.
 _SIZES: dict[int, int] = {}
@@ -70,15 +81,26 @@ _OUTLINE_MIN = 12
 
 
 class _Emitter:
-    """Accumulates the source of one runner function."""
+    """Accumulates the source of one compiled function."""
 
-    def __init__(self, ns: dict, inline: Term | None = None):
+    def __init__(
+        self,
+        ns: dict,
+        inline: Term | None = None,
+        profile: bool = False,
+        bound: frozenset[int] = frozenset(),
+    ):
         self.ns = ns
         self.lines: list[str] = []
-        self.uids: set[int] = set()
-        #: The one derived-relation term emitted inline rather than
+        #: uid → term of every node given a guarded local.
+        self.terms: dict[int, Term] = {}
+        #: The one term emitted as its own body rather than fetched or
         #: called (the body of its own evaluator).
         self.inline = inline
+        self.profile = profile
+        #: uids whose locals are already bound: a fix iteration's
+        #: inputs (parameters) and variables (the current iterate).
+        self.bound = bound
 
     def w(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -86,29 +108,56 @@ class _Emitter:
     def name(self, t: Term) -> str:
         return f"v{t.uid}"
 
+    def calls(self, t: Term) -> bool:
+        """Whether ``t`` is emitted as a call to its own evaluator."""
+        return t is not self.inline and not t.intern_root and _outlined(t)
+
     def ensure(self, t: Term, ind: int) -> None:
         """Emit a guarded block assigning ``v{uid}`` at this indent."""
+        if t.uid in self.bound:
+            return
         name = self.name(t)
-        self.uids.add(t.uid)
+        self.terms[t.uid] = t
         self.w(ind, f"if {name} is _M:")
-        self.node(t, ind + 1)
+        if not self.profile or self.calls(t):
+            # A called evaluator times itself.
+            self.node(t, ind + 1)
+            return
+        self.ns[f"_t{t.uid}"] = t
+        clock = f"_c{t.uid}"
+        self.w(ind + 1, "_pb()")
+        self.w(ind + 1, f"{clock} = _pc()")
+        self.w(ind + 1, "try:")
+        self.node(t, ind + 2)
+        self.w(ind + 1, "except BaseException:")
+        self.w(ind + 2, f"_pa(_pc() - {clock})")
+        self.w(ind + 2, "raise")
+        self.w(ind + 1, f"_pe(_t{t.uid}, _pc() - {clock}, {name})")
 
     def node(self, t: Term, ind: int) -> None:
         name = self.name(t)
         op = t.op
-        if t.intern_root:
+        if t.intern_root and t is not self.inline:
             # Per-skeleton store first; a miss (or a falsy empty-set
             # mask) takes the counted path.  Values are otherwise
             # truthy: row tuples are never empty.
             self.ns[f"_t{t.uid}"] = t
             self.w(ind, f"{name} = _SC.get({t.skey!r}) or _s(st, _t{t.uid})")
-        elif t is not self.inline and _outlined(t):
+        elif self.calls(t):
             # One shared evaluator per term, memoised in the execution's
             # node memo: every plan checking the execution computes the
             # node once, and its code is emitted once, not at every
             # demand site.
-            self.ns[f"_d{t.uid}"] = _node_function(t, self.ns)
-            self.w(ind, f"{name} = vals.get({t.uid}) or _d{t.uid}(st)")
+            self.ns[f"_d{t.uid}"] = _node_function(t, self.ns, self.profile)
+            if not self.profile:
+                self.w(ind, f"{name} = vals.get({t.uid}) or _d{t.uid}(st)")
+                return
+            self.ns[f"_t{t.uid}"] = t
+            self.w(ind, f"{name} = vals.get({t.uid}, _M)")
+            self.w(ind, f"if {name} is _M:")
+            self.w(ind + 1, f"{name} = _d{t.uid}(st)")
+            self.w(ind, "else:")
+            self.w(ind + 1, f"_ph(_t{t.uid})")
         elif op == "base":
             # Leaf rows are read in place; ``None`` (not built yet, or
             # misaligned) takes the executor's path, which builds or
@@ -124,8 +173,11 @@ class _Emitter:
         elif op == "set":
             self.w(ind, f"{name} = _m(st, {t.args[0]!r})")
         elif op == "fix":
-            self.ns[f"_t{t.uid}"] = t
-            self.w(ind, f"{name} = _fx(st, _t{t.uid})")
+            group = t.group
+            self.ns[f"_g{group.uid}"] = _group_function(
+                group, self.ns, self.profile
+            )
+            self.w(ind, f"{name} = _g{group.uid}(st)[{t.args[1]}]")
         elif op == "empty":
             self.w(ind, f"{name} = _Z" if t.kind == "rel" else f"{name} = 0")
         elif op == "union":
@@ -180,7 +232,7 @@ class _Emitter:
         elif op == "range":
             self.ensure(t.args[0], ind)
             self.w(ind, f"{name} = _rng({self.name(t.args[0])})")
-        else:  # pragma: no cover - "var" never escapes fix bodies
+        else:  # pragma: no cover - a "var" outside its fix iteration
             raise AssertionError(f"cannot emit op {op!r}")
 
     def union(self, t: Term, ind: int) -> None:
@@ -274,40 +326,63 @@ class _Emitter:
         self.w(ind + 1, f"{name} = _Z")
 
 
-def build(plan: Plan, helpers: dict):
-    """Compile ``plan`` into ``runner(st) -> bool``.
+#: A constraint kind → its verdict over the root rows ``{}``.
+_VERDICTS = {
+    "acyclic": "_acy(_U, {})",
+    "irreflexive": "not _refl({})",
+    "empty": "not any({})",
+}
+
+
+def build(plan: Plan, helpers: dict, profile: bool = False):
+    """Compile ``plan`` into ``runner(st, full) -> bool``.
 
     ``helpers`` supplies the executor's primitives (leaf fetchers, row
-    kernels, counters); the emitted function stores each constraint
-    verdict in ``st.vals`` exactly as the interpretive loop would.
+    kernels, counters, profiler hooks).  The runner decides constraints
+    in scheduled order, skipping any whose verdict ``st.vals`` already
+    holds and recording the rest there; it returns ``False`` at the
+    first failure unless ``full`` asks it to decide every constraint.
     """
     ns = dict(helpers)
-    em = _Emitter(ns)
+    em = _Emitter(ns, profile=profile)
     scheduled = plan.scheduled
+    ind = 2 if profile else 1
+    em.w(1, "holds = True")
     for position, constraint in enumerate(scheduled):
+        vk = f"_vk{position}"
+        ns[vk] = constraint.vkey
         em.w(1, f"# {constraint.kind} {constraint.name}")
-        em.ensure(constraint.term, 1)
-        root = em.name(constraint.term)
-        if constraint.kind == "acyclic":
-            em.w(1, f"ok = _acy(_U, {root})")
-        elif constraint.kind == "irreflexive":
-            em.w(1, f"ok = not _refl({root})")
-        else:
-            em.w(1, f"ok = not any({root})")
-        ns[f"_vk{position}"] = constraint.vkey
-        em.w(1, f"vals[_vk{position}] = ok")
+        if profile:
+            timer = f"ir.constraint.{plan.name}.{constraint.name}"
+            em.w(
+                1,
+                f"with _pcon({plan.name!r}, {constraint.name!r}),"
+                f" _tm({timer!r}).time():",
+            )
+        em.w(ind, f"ok = vals.get({vk})")
+        em.w(ind, "if ok is None:")
+        em.ensure(constraint.term, ind + 1)
+        verdict = _VERDICTS[constraint.kind].format(em.name(constraint.term))
+        em.w(ind + 1, f"ok = vals[{vk}] = {verdict}")
         em.w(1, "if not ok:")
         if position + 1 < len(scheduled):
-            em.w(2, "_sc.inc()")
-        em.w(2, "return False")
-
-    return _function(em, ["    return True"], f"<ir-runner {plan.name}>")
+            em.w(2, "if not full:")
+            em.w(3, "_sc.inc()")
+            em.w(3, "return False")
+            em.w(2, "holds = False")
+        else:
+            em.w(2, "return False")
+    return _function(
+        em, ["    return holds"], f"<ir-runner {plan.name}>", "st, full"
+    )
 
 
 def _outlined(t: Term) -> bool:
-    """Whether ``t`` is emitted as a call to its own evaluator: the
-    derived communication relations, and any node whose inline code
-    would be large (it would be repeated at every demand site)."""
+    """Whether ``t`` gets its own evaluator: the derived communication
+    relations, and any closed node whose inline code would be large (it
+    would be repeated at every demand site)."""
+    if t.has_var:
+        return False
     if derived_name(t) is not None:
         return True
     return t.op not in _INLINE_OPS and _inline_size(t) >= _OUTLINE_MIN
@@ -326,31 +401,103 @@ def _inline_size(t: Term) -> int:
     return size
 
 
-def _node_function(t: Term, helpers: dict):
-    """Compile ``t`` into ``evaluate(st) -> value``, which stores its
-    value in ``st.vals`` under the term's uid (the interpretive
-    evaluator's memo key)."""
-    fn = _NODES.get(t.uid)
+def _node_function(t: Term, helpers: dict, profile: bool = False):
+    """Compile ``t`` into ``evaluate(st) -> value``, which computes the
+    term from its children and stores it in ``st.vals`` under its uid
+    (the node memo)."""
+    key = (t.uid, profile)
+    fn = _NODES.get(key)
     if fn is None:
-        em = _Emitter(dict(helpers), inline=t)
+        em = _Emitter(dict(helpers), inline=t, profile=profile)
         em.ensure(t, 1)
         tail = [f"    vals[{t.uid}] = v{t.uid}", f"    return v{t.uid}"]
-        fn = _NODES[t.uid] = _function(em, tail, f"<ir-node {t.uid}>")
+        fn = _NODES[key] = _function(em, tail, f"<ir-node {t.uid}>")
     return fn
 
 
-def _function(em: _Emitter, tail: list[str], filename: str):
+def _group_function(group: FixGroup, helpers: dict, profile: bool):
+    """Compile a fix group into ``values(st) -> tuple``: its input
+    values, then its least fixpoint, interned across executions on
+    ``("irfix", uid, n, *inputs)`` and memoised per execution."""
+    key = (group.uid, profile)
+    fn = _GROUPS.get(key)
+    if fn is None:
+        ns = dict(helpers)
+        ns["_it"] = _iteration_function(group, helpers, profile)
+        em = _Emitter(ns, profile=profile)
+        gkey = ("g", group.uid)
+        em.w(1, f"r = vals.get({gkey!r})")
+        em.w(1, "if r is None:")
+        for t in group.inputs:
+            em.ensure(t, 2)
+        args = "".join(f", {em.name(t)}" for t in group.inputs)
+        em.w(
+            2,
+            f"r = vals[{gkey!r}] = _gi(('irfix', {group.uid}, _N{args}),"
+            f" lambda: _it(st{args}))",
+        )
+        fn = _GROUPS[key] = _function(
+            em, ["    return r"], f"<ir-fix {group.uid}>"
+        )
+    return fn
+
+
+def _iteration_function(group: FixGroup, helpers: dict, profile: bool):
+    """Compile a fix group's Kleene iteration into ``iterate(st,
+    *inputs) -> tuple``: every body is evaluated against the current
+    iterate (a Jacobi step, as the cat evaluator's ``let rec`` loop
+    does) until nothing changes.  Variable-containing nodes are reset
+    each round; everything else is computed at most once per call."""
+    variables: dict[int, Term] = {}
+    stack = list(group.bodies)
+    while stack:
+        t = stack.pop()
+        if t.op == "var":
+            variables[t.uid] = t
+        elif t.has_var:
+            stack.extend(a for a in t.args if isinstance(a, Term))
+    inputs = [t.uid for t in group.inputs]
+    em = _Emitter(
+        dict(helpers), profile=profile, bound=frozenset([*inputs, *variables])
+    )
+    bottoms = "".join(
+        "_Z, " if kind == "rel" else "0, " for kind in group.kinds
+    )
+    em.w(1, f"cur = ({bottoms})")
+    em.w(1, "while True:")
+    for uid, t in sorted(variables.items()):
+        em.w(2, f"v{uid} = cur[{t.args[0]}]")
+    start = len(em.lines)
+    for body in group.bodies:
+        em.ensure(body, 2)
+    em.lines[start:start] = [
+        f"        v{uid} = _M"
+        for uid, t in sorted(em.terms.items())
+        if t.has_var
+    ]
+    nxt = "".join(f"{em.name(body)}, " for body in group.bodies)
+    em.w(2, f"nxt = ({nxt})")
+    em.w(2, "if nxt == cur:")
+    em.w(3, "return cur")
+    em.w(2, "cur = nxt")
+    params = "st" + "".join(f", v{uid}" for uid in inputs)
+    return _function(em, [], f"<ir-fix-iteration {group.uid}>", params)
+
+
+def _function(
+    em: _Emitter, tail: list[str], filename: str, params: str = "st"
+):
     body = "\n".join(em.lines + tail)
-    preamble = ["def _runner(st):", "    vals = st.vals"]
+    preamble = [f"def _fn({params}):", "    vals = st.vals"]
     # Bind only the locals the body reads (the calls are per candidate;
     # a substring hit on a longer name merely binds an unused local).
     for local, value in _LOCALS:
         if local in body:
             preamble.append(f"    {local} = {value}")
-    for uid in sorted(em.uids):
+    for uid in sorted(em.terms):
         preamble.append(f"    v{uid} = _M")
     source = "\n".join(preamble + [body])
     exec(compile(source, filename, "exec"), em.ns)
-    runner = em.ns["_runner"]
-    runner.__ir_source__ = source  # introspection for tests/debugging
-    return runner
+    fn = em.ns["_fn"]
+    fn.__ir_source__ = source  # introspection for tests/debugging
+    return fn

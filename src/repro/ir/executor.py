@@ -1,8 +1,11 @@
-"""The IR executor: evaluates plans over executions at bitset-row level.
+"""The IR executor: decides plans over executions at bitset-row level.
 
 One engine replaces the three historical consistency paths (generic
 ``axiom_thunks``, per-architecture hand-fused kernels, compiled ``.cat``
-closures).  The executor works directly over adjacency-bitset rows
+closures).  Every row-level evaluation runs code that
+:mod:`repro.ir.codegen` emits from the term DAG; this module supplies
+its primitives (leaf fetchers, row kernels, the per-execution state)
+and the entry points.  Values are adjacency-bitset rows
 (``tuple[int, ...]``) and set masks (``int``) -- no intermediate
 :class:`~repro.relations.Relation` objects on the hot path.  Leaves are
 read straight from the execution's rows: ``rf`` and ``co`` (the only
@@ -12,9 +15,9 @@ its skeleton's :class:`~repro.events.rows.SkeletonRows` bundle; ``fr``,
 them.  Four layers of caching, all derived mechanically from term
 structure:
 
-* **per-execution memo** -- every node value is stored under its term
-  ``uid`` in the execution's evaluation state, so axioms (and different
-  models checking the same execution) share subterm values;
+* **per-execution memo** -- outlined node values are stored under their
+  term ``uid`` in the execution's evaluation state, so axioms (and
+  different models checking the same execution) share them;
 * **per-skeleton statics** -- maximal static nodes are fetched through
   ``static.get("static:ir.n{uid}", ...)`` on a store shared by every
   completion of one skeleton (the bundle's own context; for an
@@ -31,25 +34,33 @@ structure:
   :func:`acyclic_rows_cached`, and per-constraint verdicts are memoised
   per execution.
 
-Evaluation short-circuits on empty operands (an empty left factor kills
-a composition without touching the right factor; an empty accumulator
-kills an intersection), which is how the old hand-fused kernels skipped
-transactional machinery on transaction-free executions -- here it falls
-out of the algebra.  Constraints run in the plan's cheapest-first order
-with early exit (counted by ``ir.exec.constraint_short_circuits``).
+Entry points:
 
-Executions whose primitive relations live in mixed universes
-(hand-built tests) cannot be row-aligned; the executor transparently
-falls back to a Relation-level evaluation of the same terms, which is
-also the reference implementation the property tests compare against.
+* :func:`consistent` runs the plan's compiled runner, which decides
+  constraints in cheapest-first order and exits at the first failure
+  (counted by ``ir.exec.constraint_short_circuits``);
+* :func:`violated_axioms` runs the same runner deciding every
+  constraint;
+* :func:`axiom_thunks` decides each constraint alone, through the
+  compiled evaluator of its term, so dropped axioms stay unevaluated;
+* :func:`evaluate` materialises one term the same way.
+
+All four read and record the same per-execution verdicts, skipping any
+constraint already decided.
+
+Executions whose primitive relations name events outside their
+universe (hand-built inputs) cannot be row-aligned: a leaf fetch raises
+:class:`_Misaligned` and the executor falls back to
+:func:`fallback_value`, a Relation-level evaluation of the same terms
+that is also the reference the property tests compare against.
 
 Profiling: when :data:`~repro.obs.profile.PROFILER` is enabled
-(``--profile`` / ``REPRO_PROFILE=1``), evaluation takes the interpretive
-path (compiled runners bypassed, so every node is visible) and each node
-evaluation is timed and attributed to ``(model, constraint, node uid)``
--- see :mod:`repro.obs.profile` for the hot-node table, dot export and
-planner-calibration report.  When disabled the only hot-path cost is
-one ``PROFILER.enabled`` attribute check per node evaluation.
+(``--profile`` / ``REPRO_PROFILE=1``), evaluation runs the profiling
+build of the same generated code, which times each node block and
+attributes it to ``(model, constraint, node uid)`` -- see
+:mod:`repro.obs.profile` for the hot-node table, dot export and
+planner-calibration report.  When disabled the only cost is one
+``PROFILER.enabled`` check per runner call.
 """
 
 from __future__ import annotations
@@ -69,11 +80,10 @@ from ..relations.relation import (
     rtc_rows_cached,
     transpose_rows,
 )
+from . import codegen
 from .plan import Constraint, Plan
 from .terms import _LEAF_SDEPS, Term, derived_name
 
-_NODE_EVALS = REGISTRY.counter("ir.exec.node_evals")
-_NODE_HITS = REGISTRY.counter("ir.exec.node_cache_hits")
 _SHORT_CIRCUITS = REGISTRY.counter("ir.exec.constraint_short_circuits")
 _FALLBACKS = REGISTRY.counter("ir.exec.relation_fallbacks")
 _FAST_RUNS = REGISTRY.counter("ir.exec.compiled_runs")
@@ -137,10 +147,10 @@ class _State:
         self.co = x._co_rows
         self.uni = skel.uni
         self.n, self.zero, self.id_rows = skel.n, skel.zero, skel.id_rows
-        #: term uid → rows tuple / set mask (plus verdict and fix-group
-        #: entries under tuple keys).  Dynamic values persist for the
-        #: execution's lifetime, so every plan touching the same term
-        #: shares one evaluation.
+        #: term uid → rows tuple / set mask of every node computed by
+        #: its own evaluator (plus verdict and fix-group entries under
+        #: tuple keys).  Values persist for the execution's lifetime,
+        #: so every plan touching the same term shares one evaluation.
         self.vals: dict = {}
         #: term uid → materialised Relation/frozenset (for `evaluate`);
         #: built lazily, most states never materialise anything.
@@ -165,113 +175,6 @@ def _state(x) -> _State:
     if st is None:
         st = own["_ir_state"] = _State(x)
     return st
-
-
-# ---------------------------------------------------------------------------
-# Row-level term evaluation
-# ---------------------------------------------------------------------------
-
-
-def _eval(st: _State, t: Term):
-    vals = st.vals
-    v = vals.get(t.uid, _MISS)
-    if v is not _MISS:
-        _NODE_HITS.inc()
-        if PROFILER.enabled:
-            PROFILER.hit(t)
-        return v
-    if PROFILER.enabled:
-        return _eval_profiled(st, t)
-    if t.intern_root:
-        v = _static_fetch(st, t)
-    elif t.op == "fix":
-        v = _eval_fix(st, t)
-    else:
-        v = _compute(st, t)
-    vals[t.uid] = v
-    return v
-
-
-def _eval_profiled(st: _State, t: Term):
-    """The memo-miss path under profiling: time the node (self time via
-    the profiler's child-time stack) and record the result cardinality."""
-    PROFILER.begin()
-    started = time.perf_counter()
-    try:
-        if t.intern_root:
-            v = _static_fetch(st, t)
-        elif t.op == "fix":
-            v = _eval_fix(st, t)
-        else:
-            v = _compute(st, t)
-    except BaseException:
-        PROFILER.abort(time.perf_counter() - started)
-        raise
-    st.vals[t.uid] = v
-    PROFILER.end(t, time.perf_counter() - started, v)
-    return v
-
-
-def _static_fetch(st: _State, t: Term):
-    # Routed through the static store (counted as a context lookup),
-    # then through the global intern table keyed on the skeleton facts
-    # the node is a pure function of.
-    return st.static.get(t.skey, lambda: _intern_static(st, t))
-
-
-def _intern_static(st: _State, t: Term):
-    # A static node's value is a pure function of the universe indexing
-    # plus the structural facts its leaves derive from
-    # (``terms._LEAF_SDEPS``); the key is assembled from those cheap,
-    # per-skeleton tuples -- never from the leaf values, which would
-    # have to be materialised just to build a key for a table hit.
-    skel = st.skel
-    key = ("irs", t.uid, skel.uid, *map(skel.facts.__getitem__, t.sdeps))
-    return global_intern(key, lambda: _compute(st, t))
-
-
-def _eval_fix(st: _State, t: Term):
-    group = t.group
-    gkey = ("g", group.uid)
-    results = st.vals.get(gkey, _MISS)
-    if results is _MISS:
-        invals = tuple(_eval(st, inp) for inp in group.inputs)
-        results = global_intern(
-            ("irfix", group.uid, st.n) + invals,
-            lambda: _fix_iterate(st, group),
-        )
-        st.vals[gkey] = results
-    return results[t.args[1]]
-
-
-def _fix_iterate(st: _State, group) -> tuple:
-    """Kleene iteration from the kind-appropriate bottoms (the same
-    Jacobi scheme as the cat evaluator's ``let rec`` loop)."""
-    cur = [st.zero if kind == "rel" else 0 for kind in group.kinds]
-    bodies = group.bodies
-    while True:
-        memo: dict = {}
-        nxt = [_eval_open(st, body, cur, memo) for body in bodies]
-        if nxt == cur:
-            return tuple(nxt)
-        cur = nxt
-
-
-def _eval_open(st: _State, t: Term, varvals: list, memo: dict):
-    """Evaluate inside a fix iteration: variables resolve to the current
-    iterate, and variable-containing nodes memoise per *iteration* (their
-    value changes between rounds); variable-free subterms route to the
-    ordinary persistent evaluator."""
-    if not t.has_var:
-        return _eval(st, t)
-    if t.op == "var":
-        return varvals[t.args[0]]
-    v = memo.get(t.uid, _MISS)
-    if v is not _MISS:
-        return v
-    v = _apply(st, t, lambda child: _eval_open(st, child, varvals, memo))
-    memo[t.uid] = v
-    return v
 
 
 def _intern_leaf(skel, name: str, compute):
@@ -320,237 +223,29 @@ def _mask_of(st: _State, name: str) -> int:
     return mask
 
 
-def _compute(st: _State, t: Term):
-    """Compute one node from its children on the persistent path.
-
-    This is the hot-loop twin of :func:`_apply` (which keeps the same op
-    semantics for the *open* evaluator inside fix iterations): children
-    recurse straight into :func:`_eval` and the n-ary folds run through
-    C-level ``map``.  Any semantic change here must be mirrored in
-    ``_apply`` -- the property tests compare both against the
-    Relation-level reference."""
-    _NODE_EVALS.inc()
-    op = t.op
-    args = t.args
-    if op == "base":
-        return _base_rows(st, args[0])
-    if op == "union":
-        if t.kind == "rel":
-            acc = _eval(st, args[0])
-            for child in args[1:]:
-                acc = tuple(map(_or, acc, _eval(st, child)))
-            return acc
-        mask = 0
-        for child in args:
-            mask |= _eval(st, child)
-        return mask
-    if op == "seq":
-        a = _eval(st, args[0])
-        if not any(a):
-            return st.zero
-        b = _eval(st, args[1])
-        if not any(b):
-            return st.zero
-        return tuple(compose_rows(a, b))
-    if op == "inter":
-        # Children are cost-sorted at construction; stop as soon as the
-        # accumulator goes empty (``rmw ∩ ...`` on rmw-free executions).
-        if t.kind == "rel":
-            acc = _eval(st, args[0])
-            if not any(acc):
-                return st.zero
-            for child in args[1:]:
-                acc = tuple(map(_and, acc, _eval(st, child)))
-                if not any(acc):
-                    return st.zero
-            return acc
-        mask = _eval(st, args[0])
-        for child in args[1:]:
-            if not mask:
-                return 0
-            mask &= _eval(st, child)
-        return mask
-    if op == "diff":
-        left, right = args
-        if t.kind == "rel":
-            a = _eval(st, left)
-            if not any(a):
-                return st.zero
-            b = _eval(st, right)
-            if not any(b):
-                return a
-            return tuple(p & ~q for p, q in zip(a, b))
-        return _eval(st, left) & ~_eval(st, right)
-    if op == "opt":
-        rows = _eval(st, args[0])
-        return tuple(row | (1 << i) for i, row in enumerate(rows))
-    if op == "plus":
-        return closure_rows_cached(st.uni, _eval(st, args[0]))
-    if op == "star":
-        return rtc_rows_cached(st.uni, _eval(st, args[0]))
-    if op == "set":
-        return _set_mask(st, args[0])
-    return _apply_rest(st, t, op, args, lambda child: _eval(st, child))
-
-
-def _apply_rest(st: _State, t: Term, op: str, args, ev):
-    """The cold tail of the op vocabulary, shared by both evaluators."""
-    if op == "inv":
-        return tuple(transpose_rows(ev(args[0])))
-    if op == "comp":
-        full = st.uni.full_mask
-        return tuple(~row & full for row in ev(args[0]))
-    if op == "setrel":
-        mask = ev(args[0])
-        return tuple((1 << i) if (mask >> i) & 1 else 0 for i in range(st.n))
-    if op == "cross":
-        sources = ev(args[0])
-        if not sources:
-            return st.zero
-        targets = ev(args[1])
-        if not targets:
-            return st.zero
-        return tuple(targets if (sources >> i) & 1 else 0 for i in range(st.n))
-    if op == "domain":
-        rows = ev(args[0])
-        mask = 0
-        for i, row in enumerate(rows):
-            if row:
-                mask |= 1 << i
-        return mask
-    if op == "range":
-        mask = 0
-        for row in ev(args[0]):
-            mask |= row
-        return mask
-    if op == "empty":
-        return st.zero if t.kind == "rel" else 0
-    if op == "fix":
-        return _eval_fix(st, t)
-    raise AssertionError(f"unexpected op {op!r}")  # pragma: no cover
-
-
-def _apply(st: _State, t: Term, ev):
-    """Compute one node from its children (``ev`` evaluates a child --
-    used by the open evaluator inside fix iterations; the persistent
-    path runs the specialised :func:`_compute`)."""
-    _NODE_EVALS.inc()
-    op = t.op
-    if op == "base":
-        return _base_rows(st, t.args[0])
-    if op == "set":
-        return _set_mask(st, t.args[0])
-    if op == "union":
-        if t.kind == "rel":
-            parts = [ev(child) for child in t.args]
-            first = parts[0]
-            if len(parts) == 2:
-                return tuple(a | b for a, b in zip(first, parts[1]))
-            out = []
-            for column in zip(*parts):
-                acc = 0
-                for row in column:
-                    acc |= row
-                out.append(acc)
-            return tuple(out)
-        mask = 0
-        for child in t.args:
-            mask |= ev(child)
-        return mask
-    if op == "inter":
-        # Children are cost-sorted at construction; stop as soon as the
-        # accumulator goes empty (``rmw ∩ ...`` on rmw-free executions).
-        if t.kind == "rel":
-            acc = ev(t.args[0])
-            if not any(acc):
-                return st.zero
-            for child in t.args[1:]:
-                rows = ev(child)
-                acc = tuple(a & b for a, b in zip(acc, rows))
-                if not any(acc):
-                    return st.zero
-            return acc
-        mask = ev(t.args[0])
-        for child in t.args[1:]:
-            if not mask:
-                return 0
-            mask &= ev(child)
-        return mask
-    if op == "diff":
-        left, right = t.args
-        if t.kind == "rel":
-            a = ev(left)
-            if not any(a):
-                return st.zero
-            b = ev(right)
-            if not any(b):
-                return a
-            return tuple(p & ~q for p, q in zip(a, b))
-        return ev(left) & ~ev(right)
-    if op == "seq":
-        left, right = t.args
-        a = ev(left)
-        if not any(a):
-            return st.zero
-        b = ev(right)
-        if not any(b):
-            return st.zero
-        return tuple(compose_rows(a, b))
-    if op == "plus":
-        return closure_rows_cached(st.uni, ev(t.args[0]))
-    if op == "star":
-        return rtc_rows_cached(st.uni, ev(t.args[0]))
-    if op == "opt":
-        rows = ev(t.args[0])
-        return tuple(row | (1 << i) for i, row in enumerate(rows))
-    return _apply_rest(st, t, op, t.args, ev)
-
-
 # ---------------------------------------------------------------------------
-# Constraint checking
+# Generated code: primitives and dispatch
 # ---------------------------------------------------------------------------
 
 
-def _holds(st: _State, constraint: Constraint) -> bool:
-    rows = _eval(st, constraint.term)
-    kind = constraint.kind
-    if kind == "acyclic":
-        return acyclic_rows_cached(st.uni, rows)
-    if kind == "irreflexive":
-        for i, row in enumerate(rows):
-            if (row >> i) & 1:
-                return False
-        return True
-    return not any(rows)
+def _static_fetch(st: _State, t: Term):
+    # Routed through the static store (counted as a context lookup),
+    # then through the global intern table keyed on the skeleton facts
+    # the node is a pure function of.
+    return st.static.get(t.skey, lambda: _intern_static(st, t))
 
 
-def _check(st: _State, constraint: Constraint) -> bool:
-    """Per-execution verdict memo, keyed on (kind, term) so the same
-    axiom shared between plans (TM model and its baseline, say) is
-    decided once."""
-    key = constraint.vkey
-    v = st.vals.get(key, _MISS)
-    if v is not _MISS:
-        return v
-    v = _holds(st, constraint)
-    st.vals[key] = v
-    return v
-
-
-def _checked(st: _State, plan: Plan, constraint: Constraint) -> bool:
-    if PROFILER.enabled:
-        PROFILER.note_plan(plan)
-        with PROFILER.constraint(plan.name, constraint.name):
-            with REGISTRY.timer(
-                f"ir.constraint.{plan.name}.{constraint.name}"
-            ).time():
-                return _check(st, constraint)
-    return _check(st, constraint)
-
-
-# ---------------------------------------------------------------------------
-# Compiled runners (repro.ir.codegen)
-# ---------------------------------------------------------------------------
+def _intern_static(st: _State, t: Term):
+    # A static node's value is a pure function of the universe indexing
+    # plus the structural facts its leaves derive from
+    # (``terms._LEAF_SDEPS``); the key is assembled from those cheap,
+    # per-skeleton tuples -- never from the leaf values, which would
+    # have to be materialised just to build a key for a table hit.
+    skel = st.skel
+    key = ("irs", t.uid, skel.uid, *map(skel.facts.__getitem__, t.sdeps))
+    return global_intern(
+        key, lambda: codegen._node_function(t, _CODEGEN_NS)(st)
+    )
 
 
 def _domain_mask(rows) -> int:
@@ -575,13 +270,13 @@ def _has_reflexive(rows) -> bool:
     return False
 
 
-#: Primitives handed to generated runners (see ``codegen.build``).
+#: Primitives handed to generated code (see :mod:`repro.ir.codegen`).
 _CODEGEN_NS = {
     "_M": _MISS,
     "_s": _static_fetch,
     "_b": _base_rows,
     "_m": _set_mask,
-    "_fx": _eval_fix,
+    "_gi": global_intern,
     "_cr": compose_rows,
     "_clo": closure_rows_cached,
     "_rtc": rtc_rows_cached,
@@ -594,20 +289,68 @@ _CODEGEN_NS = {
     "_rng": _range_mask,
     "_refl": _has_reflexive,
     "_sc": _SHORT_CIRCUITS,
+    # The profiling build's hooks.
+    "_pb": PROFILER.begin,
+    "_pe": PROFILER.end,
+    "_ph": PROFILER.hit,
+    "_pa": PROFILER.abort,
+    "_pc": time.perf_counter,
+    "_pcon": PROFILER.constraint,
+    "_tm": REGISTRY.timer,
 }
 
 
-def _runner_for(plan: Plan):
-    runner = plan.runner
-    if runner is None:
-        from . import codegen
+def _run(plan: Plan, st: _State, full: bool) -> bool:
+    """Run the plan's runner (its profiling build while the profiler is
+    on), compiling it on first use."""
+    _FAST_RUNS.inc()
+    if PROFILER.enabled:
+        PROFILER.note_plan(plan)
+        runner = plan.profiled
+        if runner is None:
+            runner = plan.profiled = codegen.build(plan, _CODEGEN_NS, True)
+    else:
+        runner = plan.runner
+        if runner is None:
+            runner = plan.runner = codegen.build(plan, _CODEGEN_NS)
+    return runner(st, full)
 
-        try:
-            runner = codegen.build(plan, _CODEGEN_NS)
-        except Exception:  # pragma: no cover - codegen must not break models
-            runner = False
-        plan.runner = runner
-    return runner
+
+def _value(st: _State, t: Term):
+    """``t``'s rows (or mask) on ``st``'s execution: from the node memo,
+    the static store, or the term's compiled evaluator."""
+    v = st.vals.get(t.uid, _MISS)
+    if v is not _MISS:
+        if PROFILER.enabled:
+            PROFILER.hit(t)
+        return v
+    if t.intern_root:
+        return _static_fetch(st, t)
+    return codegen._node_function(t, _CODEGEN_NS, PROFILER.enabled)(st)
+
+
+def _verdict(st: _State, constraint: Constraint) -> bool:
+    rows = _value(st, constraint.term)
+    kind = constraint.kind
+    if kind == "acyclic":
+        ok = acyclic_rows_cached(st.uni, rows)
+    elif kind == "irreflexive":
+        ok = not _has_reflexive(rows)
+    else:
+        ok = not any(rows)
+    st.vals[constraint.vkey] = ok
+    return ok
+
+
+def _decide(st: _State, plan: Plan, constraint: Constraint) -> bool:
+    """Decide one constraint alone (a lazy thunk) and record it."""
+    if PROFILER.enabled:
+        PROFILER.note_plan(plan)
+        name = f"ir.constraint.{plan.name}.{constraint.name}"
+        with PROFILER.constraint(plan.name, constraint.name):
+            with REGISTRY.timer(name).time():
+                return _verdict(st, constraint)
+    return _verdict(st, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -737,88 +480,43 @@ def _fallback_check(constraint: Constraint, x) -> bool:
 
 
 def consistent(plan: Plan, x) -> bool:
-    """All constraints hold, evaluated cheapest-first with early exit."""
-    st = _state(x)
-    scheduled = plan.scheduled
+    """All constraints hold, decided cheapest-first with early exit."""
     try:
-        if PROFILER.enabled:
-            # Interpretive path only: the compiled runners fold node
-            # evaluation into opaque generated code, which would hide
-            # exactly the per-node structure being profiled.
-            for position, constraint in enumerate(scheduled):
-                if not _checked(st, plan, constraint):
-                    if position + 1 < len(scheduled):
-                        _SHORT_CIRCUITS.inc()
-                    return False
-            return True
-        vals = st.vals
-        if vals:
-            # Repeat calls answer from the verdict memo (a False verdict
-            # decides the conjunction even if later ones are missing).
-            for constraint in scheduled:
-                v = vals.get(constraint.vkey)
-                if v is None:
-                    break
-                if not v:
-                    return False
-            else:
-                return True
-        # The synthesis hot path: run the plan's compiled runner, which
-        # records its verdicts in ``vals`` so thunk/diagnostic calls (and
-        # other plans sharing constraints) agree with it.  Re-running a
-        # plan recomputes rows rather than reading the interpretive node
-        # memo, but expensive verdicts still hit the row-level caches.
-        runner = _runner_for(plan)
-        if runner is not False:
-            _FAST_RUNS.inc()
-            return runner(st)
-        remaining = len(scheduled)
-        for constraint in scheduled:
-            remaining -= 1
-            v = vals.get(constraint.vkey, _MISS)
-            if v is _MISS:
-                v = _holds(st, constraint)
-                vals[constraint.vkey] = v
-            if not v:
-                if remaining:
-                    _SHORT_CIRCUITS.inc()
-                return False
-        return True
+        return _run(plan, _state(x), False)
     except _Misaligned:
         _FALLBACKS.inc()
         return all(_fallback_check(c, x) for c in plan.constraints)
 
 
 def violated_axioms(plan: Plan, x) -> list[str]:
-    """Names of failing constraints, in declaration order, straight from
-    the executor's per-constraint verdicts (no separate diagnostic
-    path)."""
+    """Names of failing constraints, in declaration order, from the
+    verdicts the runner records deciding every constraint."""
     st = _state(x)
-    names = []
-    for constraint in plan.constraints:
-        try:
-            ok = _checked(st, plan, constraint)
-        except _Misaligned:
-            _FALLBACKS.inc()
-            ok = _fallback_check(constraint, x)
-        if not ok:
-            names.append(constraint.name)
-    return names
+    try:
+        _run(plan, st, True)
+    except _Misaligned:
+        _FALLBACKS.inc()
+        return [c.name for c in plan.constraints if not _fallback_check(c, x)]
+    vals = st.vals
+    return [c.name for c in plan.constraints if not vals[c.vkey]]
 
 
 def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
-    """``(name, thunk)`` pairs in declaration order; each thunk resolves
-    through the executor's verdict memo (so the thunk view and the fast
-    path can never disagree)."""
+    """``(name, thunk)`` pairs in declaration order.  A thunk answers
+    from the verdict memo the runners share, else decides its own
+    constraint alone -- the others stay unevaluated."""
     st = _state(x)
 
     def thunk_for(constraint: Constraint):
         def thunk() -> bool:
-            try:
-                return _checked(st, plan, constraint)
-            except _Misaligned:
-                _FALLBACKS.inc()
-                return _fallback_check(constraint, x)
+            ok = st.vals.get(constraint.vkey)
+            if ok is None:
+                try:
+                    ok = _decide(st, plan, constraint)
+                except _Misaligned:
+                    _FALLBACKS.inc()
+                    ok = _fallback_check(constraint, x)
+            return ok
 
         return thunk
 
@@ -835,7 +533,7 @@ def evaluate(term: Term, x):
     if v is not _MISS:
         return v
     try:
-        raw = _eval(st, term)
+        raw = _value(st, term)
     except _Misaligned:
         _FALLBACKS.inc()
         v = fallback_value(term, x)

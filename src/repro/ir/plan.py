@@ -65,7 +65,9 @@ def empty_c(name: str, term: Term) -> Constraint:
 class Plan:
     """A compiled model: constraints plus their scheduled order."""
 
-    __slots__ = ("name", "constraints", "order", "scheduled", "runner")
+    __slots__ = (
+        "name", "constraints", "order", "scheduled", "runner", "profiled",
+    )
 
     def __init__(self, name: str, constraints: tuple[Constraint, ...]):
         self.name = name
@@ -76,10 +78,10 @@ class Plan:
         #: The constraints themselves in scheduled order (what the
         #: executor's hot loop iterates).
         self.scheduled = tuple(constraints[i] for i in self.order)
-        #: Lazily-compiled specialised runner (see ``repro.ir.codegen``);
-        #: ``None`` until first use, ``False`` if compilation failed and
-        #: the interpretive path should be used permanently.
+        #: The plan's generated runner and its profiling build (see
+        #: ``repro.ir.codegen``), each compiled on first use.
         self.runner = None
+        self.profiled = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         order = ", ".join(self.constraints[i].name for i in self.order)

@@ -1,9 +1,9 @@
 """Per-IR-plan-node cost profiler: which nodes does a model spend in?
 
 The IR executor (:mod:`repro.ir.executor`) evaluates hash-consed term
-DAGs; this profiler, when enabled, attributes wall time to individual
-plan nodes keyed by ``(model, constraint, node uid)``, recording per
-node:
+DAGs through code generated by :mod:`repro.ir.codegen`; this profiler,
+when enabled, attributes wall time to individual plan nodes keyed by
+``(model, constraint, node uid)``, recording per node:
 
 * evaluation count and cumulative wall time (inclusive of children),
 * *self* time (inclusive minus time spent evaluating child nodes --
@@ -13,12 +13,12 @@ node:
 * memo hits (evaluations answered from the per-execution cache).
 
 Profiling is **off by default** and costs one ``PROFILER.enabled``
-attribute check per node evaluation when off.  Enable it with
-``--profile`` on the harness commands or ``REPRO_PROFILE=1`` in the
-environment (the older ``REPRO_IR_PROFILE`` is honoured as an alias).
-While enabled the executor takes the interpretive path instead of the
-compiled runners, so the profiler sees every node -- profiled runs are
-slower *and more instrumentable* by design.
+attribute check per plan run when off.  Enable it with ``--profile`` on
+the harness commands or ``REPRO_PROFILE=1`` in the environment.  While
+enabled the executor runs the *profiling build* of the generated code:
+the same emitted functions, with the begin/end/hit/abort hooks below
+around every guarded node block.  Profiled runs are slower, but they
+measure the production code path.
 
 Outputs:
 
@@ -91,7 +91,7 @@ class PlanProfiler:
     :data:`PROFILER`)."""
 
     def __init__(self) -> None:
-        #: Read on the executor's hot path; everything else is cold.
+        #: Read once per plan run; everything else is cold.
         self.enabled = _env_enabled()
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -117,7 +117,7 @@ class PlanProfiler:
         self._local = threading.local()
         self.enabled = _env_enabled()
 
-    # -- executor hooks ----------------------------------------------------
+    # -- hooks called by the profiling build ---------------------------------
 
     def _frame(self):
         local = self._local

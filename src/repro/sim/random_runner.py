@@ -42,8 +42,7 @@ class RandomisedRunner:
     instance, never the module-global ``random`` state: either pass a
     ready-made ``rng`` (the fuzzer threads its own generator through),
     or a ``seed``.  When neither is given the seed comes from the
-    ``REPRO_SEED`` environment variable (default 0; the legacy
-    ``REPRO_FUZZ_SEED`` spelling still works), so CI runs are
+    ``REPRO_SEED`` environment variable (default 0), so CI runs are
     reproducible end to end.
     """
 

@@ -66,23 +66,13 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    def test_shims_warn_and_delegate(self, x86_synthesis):
-        import repro.harness as harness
-
-        with pytest.warns(DeprecationWarning, match="run_table1"):
-            table = harness.run_table1("x86", 3, synthesis=x86_synthesis)
-        assert table.rows  # the shim still runs the real driver
-
-    def test_every_driver_alias_is_shimmed(self):
-        import repro.harness as harness
-
-        for name in ("run_table1", "run_table2", "run_figure7", "run_ablation"):
-            shim = getattr(harness, name)
-            # functools.wraps preserves the wrapped driver's identity.
-            assert shim.__name__ == name
-            assert shim.__wrapped__ is not shim
-
     def test_module_level_driver_imports_do_not_warn(self):
+        """The drivers live in their modules; the package no longer
+        re-exports them."""
+        import repro.harness as harness
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.harness.table1 import run_table1  # noqa: F401
+        for name in ("run_table1", "run_table2", "run_figure7", "run_ablation"):
+            assert not hasattr(harness, name)

@@ -30,20 +30,28 @@ class TestDerivedRelationSharing:
     def test_repeat_queries_do_no_node_work(self):
         """Once consistency has been decided, further consistent() /
         thunk / violated_axioms queries answer from the per-execution
-        verdict memo without evaluating a single IR node."""
-        from repro.obs import REGISTRY
+        verdict memo without evaluating a single IR node (the profiling
+        build samples every node block it runs)."""
+        from repro.obs import PROFILER
 
         model = CppModel(transactional=True)
         x = self._execution()
-        model.consistent(x)
-        all(t() for _, t in model.axiom_thunks(x))  # prime every verdict
-        evals = REGISTRY.counter("ir.exec.node_evals")
-        before = evals.value
-        model.consistent(x)
-        model.consistent(x)
-        assert all(t() for _, t in model.axiom_thunks(x))
-        assert model.violated_axioms(x) == []
-        assert evals.value == before
+        PROFILER.reset()
+        PROFILER.enable()
+        try:
+            model.consistent(x)
+            all(t() for _, t in model.axiom_thunks(x))  # prime every verdict
+            nodes = lambda: PROFILER.snapshot()["nodes"]
+            evals = lambda: sum(n["count"] for n in nodes())
+            before = evals()
+            assert before > 0
+            model.consistent(x)
+            model.consistent(x)
+            assert all(t() for _, t in model.axiom_thunks(x))
+            assert model.violated_axioms(x) == []
+            assert evals() == before
+        finally:
+            PROFILER.reset()
 
     def test_materialised_views_are_interned(self):
         """hb/sw materialise once per execution: repeated calls return

@@ -1,11 +1,12 @@
 """Property tests for the relational-algebra IR (planner + executor).
 
-Three independent implementations of every model's semantics exist in
-the codebase: the codegen'd plan runner (the synthesis hot path), the
-interpretive node evaluator, and the Relation-level fallback evaluator
+Two independent implementations of every model's semantics exist in
+the codebase: the generated code of :mod:`repro.ir.codegen` (plan
+runners, their profiling builds, and the per-term evaluators behind
+thunks and ``evaluate``) and the Relation-level fallback evaluator
 (:func:`repro.ir.fallback_value`, the readable reference).  These tests
-pin all three to each other -- over the exhaustively enumerated corpora
-and over hypothesis-generated random executions -- plus the planner's
+pin them to each other -- over the exhaustively enumerated corpora and
+over hypothesis-generated random executions -- plus the planner's
 scheduling and CSE behaviour.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from repro import ir
 from repro.enumeration import enumerate_executions, get_config
 from repro.models import get_model
-from repro.obs import REGISTRY
+from repro.obs import PROFILER, REGISTRY
 
 from .test_events_properties import executions
 
@@ -99,26 +100,83 @@ def test_models_agree_with_reference_on_random_executions(x):
         ]
 
 
-def test_codegen_agrees_with_interpreter():
-    """The compiled plan runner and the interpretive constraint loop
-    produce the same verdicts (checked on distinct execution objects so
-    neither can answer from the other's verdict memo)."""
+def test_runner_agrees_with_reference_on_x86_corpus():
+    """The compiled plan runner and the Relation-level reference give
+    the same verdicts over the whole x86 bound-3 corpus (each path on
+    its own enumeration, so neither can answer from the other's
+    memo)."""
     plan = get_model("x86tm").plan()
     fast = [
         ir.consistent(plan, x)
         for x in enumerate_executions(get_config("x86"), 3)
     ]
-    saved = plan.runner
-    plan.runner = False  # force the interpretive path
-    try:
-        slow = [
-            ir.consistent(plan, x)
-            for x in enumerate_executions(get_config("x86"), 3)
-        ]
-    finally:
-        plan.runner = saved
+    slow = [
+        all(_reference_check(c, x) for c in plan.constraints)
+        for x in enumerate_executions(get_config("x86"), 3)
+    ]
     assert fast == slow
     assert any(fast) and not all(fast)  # both verdicts actually occur
+
+
+@pytest.fixture
+def profiled():
+    PROFILER.reset()
+    PROFILER.enable()
+    yield PROFILER
+    PROFILER.reset()
+
+
+@pytest.mark.parametrize("model_name,target,stride", MODELS)
+def test_profiling_build_gives_identical_verdicts(
+    model_name, target, stride, request, profiled
+):
+    """The profiling build of the runner decides exactly what the
+    production build does -- consistency and failed-axiom sets, on
+    separate copies -- and samples the nodes it runs (for Power, the
+    ii/ic/ci/cc fix group)."""
+    model = get_model(model_name)
+    corpus = _corpus(request, target, stride * 9)
+
+    def verdicts():
+        return [
+            (model.consistent(x.replace()), model.violated_axioms(x.replace()))
+            for x in corpus
+        ]
+
+    profiled.enable(False)
+    plain = verdicts()
+    profiled.enable(True)
+    assert verdicts() == plain
+    labels = {
+        n["label"].split("#")[0]
+        for n in profiled.snapshot()["nodes"]
+        if n["model"] == model.plan().name
+    }
+    assert labels
+    if model_name == "powertm":
+        assert "fix" in labels
+
+
+@pytest.mark.parametrize("model_name,target,stride", MODELS)
+def test_violated_axioms_after_short_circuit(
+    model_name, target, stride, request
+):
+    """``violated_axioms`` on an execution whose ``consistent`` call
+    stopped at its first failure decides the constraints left undecided
+    and matches the reference (SC has a single constraint, so nothing
+    to stop early for)."""
+    model = get_model(model_name)
+    plan = model.plan()
+    counter = REGISTRY.counter("ir.exec.constraint_short_circuits")
+    before = counter.value
+    for x in _corpus(request, target, stride * 9):
+        x = x.replace()
+        reference = [
+            c.name for c in plan.constraints if not _reference_check(c, x)
+        ]
+        assert model.consistent(x) == (not reference), x.describe()
+        assert model.violated_axioms(x) == reference, x.describe()
+    assert (counter.value > before) == (len(plan.constraints) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +240,15 @@ def test_early_exit_short_circuits_remaining_constraints():
     b.rf(w, r)
     x = b.build()
     counter = REGISTRY.counter("ir.exec.constraint_short_circuits")
-    before = counter.value
-    plan.runner = False  # count via the interpretive loop
+    runs = REGISTRY.counter("ir.exec.compiled_runs")
+    before, runs_before = counter.value, runs.value
     assert not ir.consistent(plan, x)
     assert counter.value == before + 1
+    assert runs.value == runs_before + 1
+    # Only the cheap constraint was decided.
+    verdicts = x._ir_state.vals
+    assert verdicts[plan.scheduled[0].vkey] is False
+    assert plan.scheduled[1].vkey not in verdicts
     assert ir.violated_axioms(plan, x) == ["NoReads"]
 
 

@@ -202,16 +202,17 @@ def test_profiler_attributes_samples_to_axioms(profiled):
 
 
 def test_executor_counts_node_memo_hits(profiled):
-    from repro.ir.executor import _eval, _state
+    from repro import ir
 
     model = get_model("x86")
     x = classics.sb()
-    model.consistent(x)
+    model.consistent(x)  # the runner memoises the derived ``fr`` rows
     total = lambda: sum(n["hits"] for n in profiled.snapshot()["nodes"])
     before = total()
-    # Re-asking for an already-evaluated node answers from the
+    # Asking ``evaluate`` for an already-evaluated node answers from the
     # per-execution memo, which the profiler counts as a hit.
-    _eval(_state(x), model.plan().constraints[0].term)
+    fr = ir.rel("fr")
+    assert ir.evaluate(fr, x) == ir.fallback_value(fr, x)
     assert total() == before + 1
 
 

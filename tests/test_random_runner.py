@@ -41,7 +41,7 @@ def test_injected_rng_wins_over_seed():
 
 def test_env_seed_is_honoured(monkeypatch):
     program = _sb_program()
-    monkeypatch.setenv("REPRO_FUZZ_SEED", "123")
+    monkeypatch.setenv("REPRO_SEED", "123")
     from_env = [RandomisedRunner(program).run_once() for _ in range(20)]
     explicit = [
         RandomisedRunner(program, seed=123).run_once() for _ in range(20)
@@ -51,7 +51,7 @@ def test_env_seed_is_honoured(monkeypatch):
 
 def test_env_seed_defaults_to_zero(monkeypatch):
     program = _sb_program()
-    monkeypatch.delenv("REPRO_FUZZ_SEED", raising=False)
+    monkeypatch.delenv("REPRO_SEED", raising=False)
     assert (
         RandomisedRunner(program).run_once()
         == RandomisedRunner(program, seed=0).run_once()
