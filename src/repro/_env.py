@@ -12,7 +12,7 @@ name                   meaning
 ``REPRO_BACKOFF``      retry backoff base (seconds)
 ``REPRO_SOFT_TIMEOUT`` slow-job flagging threshold (seconds)
 ``REPRO_SEED``         fuzz / random-runner campaign seed
-``REPRO_CACHE``        verdict-cache directory
+``REPRO_CACHE``        shard-store directory
 ``REPRO_PROFILE``      enable the IR plan profiler
 ====================== =======================================
 """

@@ -9,8 +9,8 @@ capability happens to live in this month:
 * :func:`check` -- judge one execution under one model;
 * :func:`synthesize` -- the Forbid/Allow conformance suites, through
   the sharded work-stealing scheduler (byte-identical at any worker
-  count), with optional checkpoint/resume and a cross-run verdict
-  cache;
+  count), with optional checkpoint/resume and a cross-run shard store
+  that a rerun of the same code replays;
 * :func:`run_table` -- any of the paper's artifact drivers
   (``"table1"``, ``"table2"``, ``"figure7"``, ``"ablation"``) under
   one set of keyword arguments.
@@ -23,7 +23,7 @@ The driver modules behind it (``repro.harness.table1`` and friends,
 
     model = api.load_model("x86tm")
     result = api.synthesize("x86", bound=3, workers=4,
-                            cache="results/verdicts")
+                            cache="results/shards")
     table = api.run_table("table1", arch="x86", bound=4)
     print(table.render())
 """
@@ -87,8 +87,10 @@ def synthesize(
     Runs the sharded work-stealing scheduler: the result is
     byte-identical at every ``workers`` count (and to the sequential
     enumerator), only wall-clock varies.  ``cache`` points at a
-    cross-run verdict-cache directory; ``checkpoint`` at a JSONL file a
-    killed run resumes from.
+    cross-run shard-store directory: a rerun of the same code replays
+    every shard from it without judging a candidate, and any source
+    edit makes it miss.  ``checkpoint`` names a JSONL file a killed run
+    resumes from.
     """
     from .harness.pipeline import CheckPipeline
 

@@ -4,7 +4,7 @@ Two executions are isomorphic when one maps onto the other by renaming
 threads, renaming locations, and renumbering events consistently with
 thread order.  Synthesis deduplicates the Forbid/Allow sets under this
 relation, mirroring how Memalloy's symmetry-breaking reports each test
-once, and the disk verdict cache keys every verdict on it.
+once.
 
 The canonical key is the lexicographically least encoding over all
 thread permutations (executions have at most a handful of threads): for
@@ -25,8 +25,8 @@ is least -- no other permutation can win -- and precomputes each one's
 renumbering and static tail.  Per completion it encodes just the ``rf``
 and ``co`` rows under those survivors, memoised per rows tuple (an rf
 choice recurs under every co choice, and a co choice under every rf
-choice).  The two functions return identical keys, so the verdict-cache
-digests built on them are unchanged by the fast path; executions the
+choice).  The two functions return identical keys, so dedup and
+discovery order are unchanged by the fast path; executions the
 rows cannot represent (relations over events outside the universe,
 events in no thread) go to the reference.
 """

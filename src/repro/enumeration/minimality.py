@@ -20,7 +20,7 @@ approximated as the one-step weakenings of min-inconsistent executions
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..events import Execution
 from ..models.base import MemoryModel
@@ -58,20 +58,11 @@ def is_minimal_inconsistent(
     model: MemoryModel,
     config: EnumerationConfig,
     known_inconsistent: bool = False,
-    consistent: "Callable[[Execution], bool] | None" = None,
 ) -> bool:
-    """Is the execution in ``min-inconsistent(model)``?
-
-    ``consistent`` overrides how each execution is judged (default:
-    ``model.consistent``) -- the hook the harness verdict cache uses to
-    answer weakening checks from disk without changing this module's
-    semantics.
-    """
-    if consistent is None:
-        consistent = model.consistent
-    if not known_inconsistent and consistent(execution):
+    """Is the execution in ``min-inconsistent(model)``?"""
+    if not known_inconsistent and model.consistent(execution):
         return False
     for child in weakenings(execution, config):
-        if not consistent(child):
+        if not model.consistent(child):
             return False
     return True

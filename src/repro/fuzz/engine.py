@@ -90,7 +90,7 @@ class FuzzConfig:
     sim_event_limit: int = 6
     #: JSONL checkpoint file for the pipeline (resume support).
     checkpoint: str | None = None
-    #: cross-run verdict-cache directory.
+    #: cross-run shard-store directory (fuzz cases are never stored).
     cache: str | None = None
 
     def resolved_seed(self) -> int:

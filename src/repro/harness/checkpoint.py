@@ -2,9 +2,13 @@
 
 A multi-hour Table 1/Table 2 campaign that dies at bound 4 should not
 restart from scratch.  The :class:`CheckPipeline` therefore records one
-JSONL line per completed job -- ``{"digest": ..., "kind": ...,
-"result": ...}`` -- keyed by a **stable digest** of the job itself, and
-on restart skips every job whose digest is already on disk.
+JSONL line per completed job -- ``{"code": ..., "digest": ...,
+"kind": ..., "result": ...}`` -- keyed by a **stable digest** of the job
+itself, and on restart skips every job whose digest is already on disk.
+Each line is stamped with the
+:func:`~repro.harness.verdict_cache.code_digest` it was computed under;
+a restart under edited code ignores it, so no result outlives the
+semantics it was computed under.
 
 Digest stability is the load-bearing requirement: the digest must be
 identical across processes and interpreter runs, so it cannot come from
@@ -15,8 +19,8 @@ Execution.fingerprint`, dataclasses field by field, sets sorted -- and
 SHA-256 hashes the canonical form.
 
 Records append with an explicit flush per line, so a crash loses at most
-the in-flight job.  A truncated trailing line (killed mid-write) is
-tolerated and dropped on reload.
+the in-flight job.  A truncated trailing line (killed mid-write) and any
+malformed record are tolerated and dropped on reload: the job re-runs.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 from ..events import Execution
 from ..obs import REGISTRY
 from ..relations import Relation
+from . import verdict_cache
 
 
 def _canon(obj) -> object:
@@ -95,6 +100,7 @@ class CheckpointStore:
         self.loaded = len(self._results)
 
     def _load(self) -> None:
+        code = verdict_cache.code_digest()
         for line in self.path.read_text().splitlines():
             line = line.strip()
             if not line:
@@ -105,6 +111,14 @@ class CheckpointStore:
                 # A crash mid-append leaves a truncated last line; the
                 # job it recorded simply re-runs.
                 continue
+            if (
+                code is None
+                or not isinstance(record, dict)
+                or record.get("code") != code
+                or not isinstance(record.get("digest"), str)
+                or "result" not in record
+            ):
+                continue  # malformed, or computed under other code
             digest = record["digest"]
             if digest not in self._results:
                 self._by_kind.setdefault(record.get("kind", "job"), []).append(
@@ -148,7 +162,12 @@ class CheckpointStore:
                         self._file.write("\n")
         self._file.write(
             json.dumps(
-                {"digest": digest, "kind": kind, "result": result},
+                {
+                    "code": verdict_cache.code_digest(),
+                    "digest": digest,
+                    "kind": kind,
+                    "result": result,
+                },
                 sort_keys=True,
             )
             + "\n"

@@ -17,8 +17,9 @@ The long-running drivers (``table1``, ``table2``, ``figure7``,
 parent each for the pipeline and observability groups): ``--workers``
 (multiprocessing fan-out), ``--checkpoint`` (JSONL file; a killed run
 restarted with the same path resumes instead of recomputing),
-``--cache`` (cross-run verdict-cache directory -- a warm rerun answers
-repeat model verdicts from disk), ``--stats [PATH]`` (dump the
+``--cache`` (cross-run shard-store directory -- a warm rerun of the same
+code replays every synthesis shard from disk; any source edit misses),
+``--stats [PATH]`` (dump the
 merged observability metrics as JSON, by default next to ``results/``),
 ``--trace [PATH]`` (Chrome trace-event JSON over the merged span
 forest, loadable in Perfetto, one lane per worker pid), and
@@ -107,8 +108,8 @@ def _pipeline_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "cross-run verdict-cache directory (default: REPRO_CACHE); "
-            "a warm rerun answers repeat model verdicts from disk"
+            "cross-run shard-store directory (default: REPRO_CACHE); "
+            "a warm rerun of the same code replays synthesis from disk"
         ),
     )
     return parser

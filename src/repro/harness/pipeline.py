@@ -8,7 +8,11 @@ shared cache layer:
 
 * **synthesis cache** -- Table 1, Figure 7, and the ablation all consume
   the same :func:`~repro.enumeration.synthesise` run; the pipeline
-  computes it once per ``(arch, max_events, time_budget)``.
+  computes it once per ``(arch, max_events, time_budget)``.  With a
+  ``cache`` directory, that synthesis also replays whole shards a
+  previous run of the same code recorded
+  (:mod:`repro.harness.verdict_cache`); individual model verdicts are
+  always computed.
 * **batched evaluation** -- jobs are submitted as a list and evaluated
   in order, either sequentially (the default) or fanned out across a
   ``multiprocessing`` pool (``workers > 1``, or the
@@ -109,42 +113,6 @@ def model_for(name: str, drop_axioms: tuple[str, ...] = ()) -> MemoryModel:
 # ---------------------------------------------------------------------------
 
 
-#: (model name, dropped axioms) → stable model digest (or None when the
-#: model cannot be digested and the verdict cache must be bypassed).
-_MODEL_DIGEST_CACHE: dict[tuple[str, tuple[str, ...]], str | None] = {}
-
-
-def _model_digest_for(name: str, drop_axioms: tuple[str, ...]) -> str | None:
-    key = (name, drop_axioms)
-    if key not in _MODEL_DIGEST_CACHE:
-        from ..ir import model_digest
-
-        _MODEL_DIGEST_CACHE[key] = model_digest(model_for(name, drop_axioms))
-    return _MODEL_DIGEST_CACHE[key]
-
-
-def _cached_verdict(kind: str, name: str, drop: tuple, execution):
-    """A model verdict, answered from the active verdict cache when the
-    model has a stable digest; computed (and recorded) otherwise."""
-    model = model_for(name, drop)
-    compute = (
-        model.consistent if kind == "consistent" else model.violated_axioms
-    )
-    cache = _verdict_cache.active()
-    if cache is None:
-        return compute(execution)
-    model_dig = _model_digest_for(name, drop)
-    if model_dig is None:
-        return compute(execution)
-    exec_dig = _verdict_cache.execution_digest(execution)
-    hit, verdict = cache.lookup(model_dig, exec_dig, kind)
-    if hit:
-        return bool(verdict) if kind == "consistent" else list(verdict)
-    verdict = compute(execution)
-    cache.record(model_dig, exec_dig, kind, verdict)
-    return verdict
-
-
 def run_job(job: tuple):
     """Evaluate one job tuple; the first element selects the kind.
 
@@ -152,17 +120,19 @@ def run_job(job: tuple):
     * ``("consistent", model_name, drop_axioms, execution)`` → bool
     * ``("violated", model_name, drop_axioms, execution)`` → list[str]
 
-    Model verdicts (``consistent``/``violated``) go through the
-    process-active verdict cache when one is configured; hardware
-    observability runs the operational machines and is never cached.
+    Verdicts are always computed: only a checkpoint answers a job
+    without running it.
     """
     kind = job[0]
     if kind == "observable":
         _, arch, program, intended_co = job
         return hardware_for(arch).observable(program, intended_co)
-    if kind in ("consistent", "violated"):
+    if kind == "consistent":
         _, name, drop, execution = job
-        return _cached_verdict(kind, name, drop, execution)
+        return model_for(name, drop).consistent(execution)
+    if kind == "violated":
+        _, name, drop, execution = job
+        return model_for(name, drop).violated_axioms(execution)
     raise ValueError(f"unknown job kind {kind!r}")
 
 
@@ -245,13 +215,11 @@ class _PoolTask:
         self.policy = policy
 
     def _delta(self) -> dict:
-        cache = _verdict_cache.active()
         return {
             "pid": os.getpid(),
             "metrics": REGISTRY.flush_delta(),
             "spans": TRACER.flush_roots(),
             "profile": PROFILER.flush_delta(),
-            "verdicts": cache.flush_pending() if cache is not None else (),
         }
 
     def __call__(self, packed):
@@ -263,19 +231,15 @@ class _PoolTask:
             return None, self._delta(), error
 
 
-def _merge_worker_delta(delta: dict, cache=None) -> None:
+def _merge_worker_delta(delta: dict) -> None:
     """Fold one worker payload into the parent's registry, tracer (spans
-    grafted under the open ``pipeline.batch`` span, tagged by pid),
-    profiler, and -- when the pipeline owns a verdict ``cache`` -- the
-    cache (the worker's freshly computed verdicts get persisted)."""
+    grafted under the open ``pipeline.batch`` span, tagged by pid) and
+    profiler."""
     REGISTRY.merge(delta["metrics"])
     spans = delta.get("spans")
     if spans:
         TRACER.graft(spans, tags={"pid": delta["pid"]})
     PROFILER.merge(delta.get("profile"))
-    verdicts = delta.get("verdicts")
-    if cache is not None and verdicts:
-        cache.absorb(verdicts)
 
 
 def _pool_worker_init() -> None:
@@ -285,13 +249,9 @@ def _pool_worker_init() -> None:
     and profiler samples; without a reset its first flush would
     re-report everything the parent had already accumulated.  (The
     profiler's *enabled* flag survives the reset via the
-    ``REPRO_PROFILE`` environment variable, which ``--profile`` sets;
-    the verdict cache is likewise named by ``REPRO_CACHE``: a forked
-    worker keeps the parent's loaded entries, read-only, and a spawned
-    one reloads them.)
+    ``REPRO_PROFILE`` environment variable, which ``--profile`` sets.)
     """
     reset_observability()
-    _verdict_cache.worker_init()
 
 
 class CheckPipeline:
@@ -312,12 +272,10 @@ class CheckPipeline:
             derives ``<checkpoint stem>.events.jsonl`` next to the
             checkpoint file when one is configured (no checkpoint, no
             log); ``False`` disables the log explicitly.
-        cache: optional directory for the cross-run verdict cache
+        cache: optional directory for the cross-run shard store
             (:mod:`repro.harness.verdict_cache`).  ``None`` reads
-            ``REPRO_CACHE``.  The parent opens it as the single writer
-            and exports ``REPRO_CACHE`` so pool workers read it too:
-            forked ones through the entries they inherit, spawned ones
-            by reloading it.
+            ``REPRO_CACHE``.  Only this (parent) process opens it, as
+            the single writer; pool workers never touch it.
     """
 
     def __init__(
@@ -349,14 +307,9 @@ class CheckPipeline:
             from .._env import env_str
 
             cache = env_str("REPRO_CACHE")
-        self._cache_env_set = False
-        if cache is not None:
-            self.verdict_cache = _verdict_cache.configure(cache, writer=True)
-            if os.environ.get("REPRO_CACHE") != str(cache):
-                os.environ["REPRO_CACHE"] = str(cache)
-                self._cache_env_set = True
-        else:
-            self.verdict_cache = None
+        self.verdict_cache = (
+            _verdict_cache.configure(cache) if cache is not None else None
+        )
         if runlog is None and checkpoint is not None:
             path = Path(checkpoint)
             runlog = path.with_name(path.stem + ".events.jsonl")
@@ -419,14 +372,8 @@ class CheckPipeline:
         if self.checkpoint is not None:
             self.checkpoint.close()
         if self.verdict_cache is not None:
-            if _verdict_cache.active() is self.verdict_cache:
-                _verdict_cache.deactivate()
-            else:
-                self.verdict_cache.close()
+            self.verdict_cache.close()
             self.verdict_cache = None
-            if self._cache_env_set:
-                os.environ.pop("REPRO_CACHE", None)
-                self._cache_env_set = False
         if self.runlog is not None:
             self.log_event("run.end", jobs=self._jobs_done)
             self.runlog.close()
@@ -457,7 +404,7 @@ class CheckPipeline:
         Runs through the work-stealing scheduler
         (:func:`repro.harness.scheduler.synthesise_sharded`): the
         enumeration fans out across this pipeline's workers and reuses
-        its checkpoint and verdict cache, with results byte-identical
+        its checkpoint and shard store, with results byte-identical
         to the sequential :func:`repro.enumeration.synthesise`.
         """
         key = (arch, max_events, time_budget)
@@ -571,7 +518,7 @@ class CheckPipeline:
         for index, (result, delta, error) in enumerate(
             self._pool.imap(task, [(submitted, item) for item in items])
         ):
-            _merge_worker_delta(delta, cache=self.verdict_cache)
+            _merge_worker_delta(delta)
             if error is not None:
                 raise error
             if on_result is not None:
@@ -592,10 +539,8 @@ class CheckPipeline:
             "fork" if "fork" in methods else "spawn"
         )
         if self.verdict_cache is not None:
-            # Forked workers inherit the parsed entries, and the segment
-            # handles, never to touch them: nothing of ours may sit in
-            # their buffers.
-            self.verdict_cache.load()
+            # Forked workers inherit the store's segment handle, never
+            # to touch it: nothing of ours may sit in its buffer.
             self.verdict_cache.flush()
         self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
 

@@ -21,19 +21,18 @@ design:
   resumed run's chunk boundaries never re-digest identically.
 * **Global filtering stays in the parent.**  Workers apply the
   *per-candidate* filters (model-inconsistent, baseline-consistent,
-  minimal) -- answering repeat verdicts from the verdict cache when one
-  is active -- and ship survivors; the order-dependent steps (canonical
+  minimal) and ship survivors; the order-dependent steps (canonical
   dedup, discovery order, the Allow weakening pass) run in the fold,
   where the global ``seen`` set lives.
-* **Whole shards are cached.**  With a verdict cache open, the parent
+* **Whole shards are cached.**  With a shard store open, the parent
   looks each shard up (:meth:`VerdictCache.shard_lookup`) before
   counting or scheduling it; a hit's stored payload -- counters,
   skeleton and completion counts, survivors in start order -- joins the
   fold as one range ``[0, completions)``, the way checkpointed chunks
-  do, and no count job, chunk or verdict lookup runs for it.  After a
-  bound that did not time out, every shard counted in this run (not
-  read back from a checkpoint) whose fresh chunks tile its whole range
-  is recorded.
+  do, and no count job or chunk runs for it.  After a bound that did
+  not time out, every other shard whose chunks -- resumed from a
+  checkpoint of the same code, or fresh -- tile its whole range is
+  recorded.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
@@ -64,7 +63,6 @@ from ..enumeration.sharding import (
     signature_label,
 )
 from ..enumeration.synthesis import SynthesisResult
-from ..ir import model_digest
 from ..models import get_model
 from ..obs import REGISTRY, TRACER
 from . import verdict_cache
@@ -88,7 +86,7 @@ MIN_CHUNK = 64
 #: built once per worker process per shard it touches.
 _SPACE_CACHE: dict[tuple, tuple[list, list[int]]] = {}
 
-#: target → (config, model, baseline, model digest, baseline digest).
+#: target → (config, model, baseline).
 _TARGET_CACHE: dict[str, tuple] = {}
 
 
@@ -97,14 +95,7 @@ def _target_context(target: str):
     if context is None:
         config = get_config(target)
         model = get_model(config.model_name)
-        baseline = model.baseline()
-        context = (
-            config,
-            model,
-            baseline,
-            model_digest(model),
-            model_digest(baseline),
-        )
+        context = (config, model, model.baseline())
         _TARGET_CACHE[target] = context
     return context
 
@@ -119,28 +110,6 @@ def _shard_space(target: str, bound: int, signature: Signature):
         space = (skeletons, cumulative)
         _SPACE_CACHE[key] = space
     return space
-
-
-def _cached_consistent(model, digest: str | None):
-    """``model.consistent`` routed through the active verdict cache.
-
-    Falls back to the bare method when no cache is active or the model
-    has no stable digest (never serve a verdict we cannot key safely).
-    """
-    cache = verdict_cache.active()
-    if cache is None or digest is None:
-        return model.consistent
-
-    def consistent(execution) -> bool:
-        exec_digest = verdict_cache.execution_digest(execution)
-        hit, verdict = cache.lookup(digest, exec_digest, "consistent")
-        if hit:
-            return bool(verdict)
-        verdict = model.consistent(execution)
-        cache.record(digest, exec_digest, "consistent", verdict)
-        return verdict
-
-    return consistent
 
 
 def run_shard_job(job: tuple):
@@ -166,10 +135,8 @@ def run_shard_job(job: tuple):
         raise ValueError(f"unknown shard job kind {kind!r}")
     _, target, bound, signature, start, stop = job
     signature = tuple(signature)
-    config, model, baseline, model_dig, baseline_dig = _target_context(target)
+    config, model, baseline = _target_context(target)
     skeletons, cumulative = _shard_space(target, bound, signature)
-    model_consistent = _cached_consistent(model, model_dig)
-    baseline_consistent = _cached_consistent(baseline, baseline_dig)
 
     from ..fuzz.corpus import execution_to_json
 
@@ -182,18 +149,14 @@ def run_shard_job(job: tuple):
     ):
         for x in complete_shard_range(skeletons, cumulative, start, stop):
             counters["candidates"] += 1
-            if model_consistent(x):
+            if model.consistent(x):
                 counters["pruned_consistent"] += 1
                 continue
-            if not baseline_consistent(x):
+            if not baseline.consistent(x):
                 counters["pruned_baseline"] += 1
                 continue  # not a transactional relaxation
             if not is_minimal_inconsistent(
-                x,
-                model,
-                config,
-                known_inconsistent=True,
-                consistent=model_consistent,
+                x, model, config, known_inconsistent=True
             ):
                 counters["pruned_nonminimal"] += 1
                 continue
@@ -351,9 +314,7 @@ class WorkStealingScheduler:
             job = inflight.pop(slot)
             idle.append(slot)
             if delta is not None:
-                _merge_worker_delta(
-                    delta, cache=self.pipeline.verdict_cache
-                )
+                _merge_worker_delta(delta)
             if error is not None:
                 raise error
             self._record(job, payload)
@@ -511,7 +472,7 @@ def _shard_keys(
     bound: int,
     signatures: list[Signature],
 ) -> list[str | None]:
-    """Each shard's record key; all ``None`` without a verdict cache."""
+    """Each shard's record key; all ``None`` without a shard store."""
     if pipeline.verdict_cache is None:
         return [None] * len(signatures)
     return [
@@ -523,16 +484,14 @@ def _record_shards(
     cache: "verdict_cache.VerdictCache",
     keys: list[str | None],
     counts: dict[int, dict],
-    fresh: list[dict],
+    computed: list[dict],
     index_of: dict[Signature, int],
 ) -> None:
-    """Record every shard counted in this run whose fresh chunk
-    payloads tile ``[0, completions)`` exactly, empty shards included.
-    Counts and chunks replayed from a checkpoint carry no code digest,
-    so the caller leaves out shards counted there: a later run records
-    them."""
+    """Record every counted shard whose chunk payloads -- resumed from
+    a checkpoint of the same code, or fresh -- tile ``[0, completions)``
+    exactly, empty shards included."""
     chunks: dict[int, list[dict]] = {}
-    for payload in fresh:
+    for payload in computed:
         chunks.setdefault(index_of[tuple(payload["sig"])], []).append(payload)
     for shard, count in counts.items():
         key = keys[shard]
@@ -593,12 +552,6 @@ def _sharded_bound(
         count_jobs = [
             ("synth_count", target, bound, signatures[s]) for s in missed
         ]
-        store = pipeline.checkpoint
-        checkpointed = {
-            shard
-            for shard, job in zip(missed, count_jobs)
-            if store is not None and job_digest(job) in store
-        }
         counts = dict(
             zip(
                 missed,
@@ -625,12 +578,7 @@ def _sharded_bound(
         if scheduler.timed_out:
             result.complete = False
         elif cache is not None:
-            counted = {
-                shard: count
-                for shard, count in counts.items()
-                if shard not in checkpointed
-            }
-            _record_shards(cache, keys, counted, fresh, index_of)
+            _record_shards(cache, keys, counts, resumed + fresh, index_of)
 
         replayed = [
             dict(

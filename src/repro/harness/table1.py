@@ -110,7 +110,8 @@ def run_table1(
     identical to the sequential path by construction.  A privately
     constructed pipeline is closed (worker pool drained) before return;
     with ``checkpoint``, a killed run restarts from the recorded jobs,
-    and ``cache`` names a cross-run verdict-cache directory.
+    and ``cache`` names a cross-run shard-store directory (a warm rerun
+    of the same code replays the synthesis from it).
     """
     if pipeline is None:
         with CheckPipeline(

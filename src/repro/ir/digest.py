@@ -1,9 +1,12 @@
 """Stable structural digests of hash-consed IR terms and plans.
 
-The verdict cache (:mod:`repro.harness.verdict_cache`) keys entries by
-``(model digest, canonical execution digest)`` and must stay valid
-*across interpreter runs*: the same model source must digest to the
-same hex string tomorrow.  Term ``uid``\\s are process-local (they
+A model digest names a model's semantics *across interpreter runs*:
+the same model source must digest to the same hex string tomorrow, so
+digests can be recorded as goldens and compared between models (two
+sources that lower to the same plan digest equally).  No cache is keyed
+on them: the cross-run shard store keys on the whole package source
+(:func:`repro.harness.verdict_cache.code_digest`), which also covers
+the code that evaluates a plan.  Term ``uid``\\s are process-local (they
 depend on construction order), so the digest is computed structurally
 -- each node hashes its operator, kind, and its children's digests --
 and memoised per ``uid`` so shared subterms (the whole point of
@@ -99,9 +102,9 @@ def plan_digest(plan: Plan) -> str:
 def model_digest(model) -> str | None:
     """A stable digest identifying a model's semantics, or ``None``.
 
-    ``None`` means "this model cannot be digested reliably" -- the
-    verdict cache must then bypass it rather than risk serving a stale
-    verdict.  IR-planned models digest via their plan; axiom-filtered
+    ``None`` means "this model cannot be digested reliably": it has no
+    plan, or adds opaque axioms.  IR-planned models digest via their
+    plan; axiom-filtered
     wrappers (:class:`repro.sim.FilteredModel`) digest as the base
     model's digest plus the dropped-axiom names, provided they add no
     opaque extra axioms.

@@ -70,7 +70,6 @@ def stats_snapshot() -> dict:
         "relations.closure_cache",
         "cat.compile_cache",
         "pipeline.checkpoint",
-        "verdict_cache",
         "verdict_cache.shards",
     )
     hit_rates = {}

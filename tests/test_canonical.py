@@ -1,7 +1,8 @@
 """Canonical keys: the row path against the brute-force reference, the
-isomorphism invariances dedup and the verdict cache rely on, and golden
-digests pinning the on-disk cache key."""
+isomorphism invariances dedup relies on, and golden digests pinning the
+key encoding."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import classics, figures
 from repro.enumeration import CONFIGS, enumerate_executions, get_config
+from repro.enumeration import canonical
 from repro.enumeration.canonical import (
     _encode,
     canonical_key,
@@ -20,7 +22,6 @@ from repro.enumeration.minimality import weakenings
 from repro.events import Event, Execution, ExecutionBuilder
 from repro.fuzz.corpus import execution_from_json
 from repro.fuzz.generator import sample_execution
-from repro.harness.verdict_cache import execution_digest
 
 
 def _outcome(fn, x):
@@ -193,7 +194,7 @@ class TestInvariance:
         txn_shift = data.draw(st.integers(min_value=0, max_value=50))
         y = _rename(x, perm, dict(zip(locs, fresh)), shift, txn_shift)
         assert canonical_key(y) == canonical_key(x)
-        assert execution_digest(y) == execution_digest(x)
+        assert _key_digest(y) == _key_digest(x)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -225,12 +226,17 @@ class TestInvariance:
             rf.append((w, r))
         y = x.replace(rf=rf)
         assert canonical_key(y) != canonical_key(x)
-        assert execution_digest(y) != execution_digest(x)
+        assert _key_digest(y) != _key_digest(x)
 
 
 # ---------------------------------------------------------------------------
-# Golden digests: the on-disk verdict cache is keyed on these
+# Golden digests: dedup and discovery order follow this encoding
 # ---------------------------------------------------------------------------
+
+
+def _key_digest(x: Execution) -> str:
+    """sha256 of the canonical key's repr: the key encoding, pinned."""
+    return hashlib.sha256(repr(canonical_key(x)).encode("utf-8")).hexdigest()
 
 
 def _rmw_with_deps() -> Execution:
@@ -274,8 +280,9 @@ def _figure7_first_forbid() -> Execution:
 
 
 class TestGoldenDigests:
-    """A change to the key encoding orphans (or aliases) every verdict
-    already on disk, so it must be made on purpose: update these."""
+    """A change to the key encoding can change which executions dedup
+    together and which representative is kept, so it must be made on
+    purpose: update these."""
 
     @pytest.mark.parametrize(
         "build, digest",
@@ -301,20 +308,30 @@ class TestGoldenDigests:
     )
     def test_digest(self, build, digest):
         x = build()
-        assert execution_digest(x) == digest
+        assert _key_digest(x) == digest
         assert canonical_key(x) == canonical_key_reference(x)
 
     def test_digest_is_memoised_per_execution(self, monkeypatch):
-        from repro.harness import verdict_cache
+        """A repeat key of one execution re-uses its skeleton's canonical
+        share and its rf/co encodings: no permutation work is redone."""
+        builds, encodes = [], []
+        build, rows_code = canonical._Canon.build, canonical._rows_code
 
-        calls = []
-        original = verdict_cache.canonical_key
+        def counting_build(skel):
+            builds.append(skel)
+            return build(skel)
 
-        def counting(x):
-            calls.append(x)
-            return original(x)
+        def counting_rows_code(rows, sigma):
+            encodes.append(rows)
+            return rows_code(rows, sigma)
 
-        monkeypatch.setattr(verdict_cache, "canonical_key", counting)
+        monkeypatch.setattr(
+            canonical._Canon, "build", staticmethod(counting_build)
+        )
+        monkeypatch.setattr(canonical, "_rows_code", counting_rows_code)
         x = classics.sb()
-        assert execution_digest(x) == execution_digest(x)
-        assert len(calls) == 1
+        first = _key_digest(x)
+        assert len(builds) == 1 and encodes
+        work = len(encodes)
+        assert _key_digest(x) == first
+        assert len(builds) == 1 and len(encodes) == work

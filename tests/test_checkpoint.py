@@ -18,6 +18,7 @@ import pytest
 from repro.harness import CheckPipeline
 from repro.harness.table1 import run_table1
 from repro.harness import pipeline as pipeline_module
+from repro.harness import verdict_cache
 from repro.harness.checkpoint import CheckpointStore, _canon, job_digest
 from repro.harness.pipeline import run_job
 from repro.litmus import execution_to_litmus
@@ -146,10 +147,50 @@ def test_store_tolerates_truncated_last_line(tmp_path):
     assert len(CheckpointStore(path)) == 3
 
 
+def _line(**record) -> str:
+    return json.dumps(dict(record, code=verdict_cache.code_digest())) + "\n"
+
+
 def test_store_tolerates_blank_lines(tmp_path):
     path = tmp_path / "store.jsonl"
-    path.write_text('\n{"digest": "d1", "kind": "job", "result": 7}\n\n')
+    path.write_text("\n" + _line(digest="d1", kind="job", result=7) + "\n")
     assert CheckpointStore(path).get("d1") == 7
+
+
+def test_store_skips_malformed_records(tmp_path):
+    """Parseable but malformed lines cost their job a re-run, never a
+    crash -- the shard store's posture."""
+    path = tmp_path / "store.jsonl"
+    path.write_text(
+        "{}\n"
+        "[1]\n"
+        + _line(digest="no-result", kind="job")
+        + _line(digest=["not", "a", "string"], result=1)
+        + _line(digest="d1", kind="job", result=7)
+        + '{"code": "c", "digest": "torn", "res'
+    )
+    store = CheckpointStore(path)
+    assert store.loaded == 1 and store.get("d1") == 7
+    assert "no-result" not in store and "torn" not in store
+    store.record("d2", 8)
+    store.close()
+    assert CheckpointStore(path).get("d2") == 8
+
+
+def test_store_ignores_records_of_other_code(tmp_path, monkeypatch):
+    path = tmp_path / "store.jsonl"
+    store = CheckpointStore(path)
+    store.record("d1", True)
+    store.close()
+    record = json.loads(path.read_text())
+    assert record["code"] == verdict_cache.code_digest()
+    with path.open("a") as f:
+        f.write(json.dumps({"digest": "unstamped", "result": 1}) + "\n")
+    assert len(CheckpointStore(path)) == 1
+    monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
+    assert len(CheckpointStore(path)) == 0
+    monkeypatch.setattr(verdict_cache, "code_digest", lambda: None)
+    assert len(CheckpointStore(path)) == 0
 
 
 # ---------------------------------------------------------------------------

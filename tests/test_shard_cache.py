@@ -1,12 +1,13 @@
-"""The shard layer of the verdict cache: whole shards replayed on a warm run.
+"""The shard store: whole shards replayed on a warm run.
 
 A warm synthesis rerun looks every shard up before counting or
 scheduling it; a hit's stored payload joins the fold like a checkpointed
 range.  The pins: the folded result is identical to the sequential
 enumerator's whether shards come from disk or not; a warm run does no
 verdict work at all; any change to what a shard depends on -- the code
-(models included), the bound, the signature -- misses; and damaged,
-partial, stale or double-counted records never reach the fold.
+(models included), the bound, the signature -- misses; damaged,
+partial, stale or double-counted records never reach the fold; and
+compaction keeps exactly the current code's whole records.
 """
 
 import json
@@ -38,7 +39,6 @@ def fresh_metrics():
     reset_observability()
     yield
     reset_observability()
-    verdict_cache.deactivate()
 
 
 def _shard_count(*bounds: int) -> int:
@@ -60,10 +60,10 @@ def _synth(root, workers: int = 1, bound: int = 3, **options):
         return p.synthesis("x86", bound)
 
 
-def _segment_bytes(root, prefix: str = "segment") -> dict:
+def _segment_bytes(root) -> dict:
     return {
         path.name: path.read_bytes()
-        for path in sorted(root.glob(f"{prefix}-*.jsonl"))
+        for path in sorted(root.glob("shards-*.jsonl"))
     }
 
 
@@ -92,21 +92,19 @@ class TestWarmRuns:
     def test_warm_run_does_no_verdict_work(self, tmp_path, legacy, workers):
         root = tmp_path / "c"
         _synth(root, workers)
-        verdicts = _segment_bytes(root)
-        assert verdicts
+        shards_on_disk = _segment_bytes(root)
+        assert shards_on_disk
         reset_observability()
         with CheckPipeline(workers=workers, cache=root, runlog=False) as p:
             _assert_identical(legacy, p.synthesis("x86", 3))
             assert p._pool is None
-            assert not p.verdict_cache._loaded  # segments never parsed
         counters = _counters()
         shards = _shard_count(2, 3)
         assert counters["verdict_cache.shards.lookups"] == shards
         assert counters["verdict_cache.shards.hits"] == shards
-        assert counters.get("verdict_cache.lookups", 0) == 0
         assert counters.get("scheduler.chunks", 0) == 0
         assert counters.get("verdict_cache.shards.appends", 0) == 0
-        assert _segment_bytes(root) == verdicts
+        assert _segment_bytes(root) == shards_on_disk
         assert (
             counters["enumeration.x86.bound3.candidates"]
             + counters["enumeration.x86.bound2.candidates"]
@@ -127,7 +125,9 @@ class TestWarmRuns:
 
         _synth(tmp_path / "c", bound=2)
         _synth(tmp_path / "c", bound=2)
-        assert stats_snapshot()["hit_rates"]["verdict_cache.shards"] == 1.0
+        hit_rates = stats_snapshot()["hit_rates"]
+        assert hit_rates["verdict_cache.shards"] == 1.0
+        assert "verdict_cache" not in hit_rates
 
 
 class TestKeys:
@@ -169,7 +169,7 @@ class TestKeys:
 
 
 class TestMisses:
-    def test_source_edit_misses_shards_but_verdicts_stay_warm(
+    def test_source_edit_misses_every_shard(
         self, tmp_path, legacy, monkeypatch
     ):
         root = tmp_path / "c"
@@ -177,12 +177,12 @@ class TestMisses:
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
         _assert_identical(legacy, _synth(root))
         counters = _counters()
+        shards = _shard_count(2, 3)
         assert counters["verdict_cache.shards.hits"] == 0
-        assert counters["verdict_cache.shards.misses"] == _shard_count(2, 3)
-        assert counters["verdict_cache.lookups"] > 0
-        assert (
-            counters["verdict_cache.hits"] == counters["verdict_cache.lookups"]
-        )
+        assert counters["verdict_cache.shards.misses"] == shards
+        # Every shard was recomputed in full and recorded anew.
+        assert counters["scheduler.chunks"] > 0
+        assert counters["verdict_cache.shards.appends"] == shards
 
     def test_unpinned_code_is_not_cached(self, tmp_path, legacy, monkeypatch):
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: None)
@@ -288,22 +288,26 @@ class TestCheckpointAndCompaction:
         assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
         assert counters.get("scheduler.chunks", 0) == 0
 
-    def test_checkpoint_resumed_shards_are_not_recorded(
-        self, tmp_path, legacy
-    ):
+    def test_checkpoint_resumed_shards_are_recorded(self, tmp_path, legacy):
         checkpoint = tmp_path / "synth.jsonl"
         _synth(None, checkpoint=checkpoint)
         cached = _synth(tmp_path / "c", checkpoint=checkpoint)
         _assert_identical(legacy, cached)
-        # Every count came back from the checkpoint, which carries no
-        # code digest: nothing is recorded, not even the empty shards.
-        assert not _shard_lines(tmp_path / "c")
-        assert _counters()["verdict_cache.shards.misses"] == _shard_count(2, 3)
+        # Every count and chunk came back from the checkpoint, which
+        # carries this code's digest: every shard is recorded without
+        # computing a chunk, the empty ones included.
+        counters = _counters()
+        shards = _shard_count(2, 3)
+        assert counters["verdict_cache.shards.misses"] == shards
+        assert counters.get("scheduler.chunks", 0) == 0
+        assert len(_shard_lines(tmp_path / "c")) == shards
+        _assert_identical(legacy, _synth(tmp_path / "c"))
+        assert _counters()["verdict_cache.shards.hits"] == shards
 
     def test_stale_checkpointed_count_is_not_recorded(
         self, tmp_path, legacy
     ):
-        # A checkpoint from older code claims one shard has half the
+        # A checkpoint from other code claims one shard has half the
         # completions it has now.
         signatures = list(shard_signatures(get_config("x86"), 3))
         counts = {
@@ -311,51 +315,88 @@ class TestCheckpointAndCompaction:
             for sig in signatures
         }
         stale = max(signatures, key=lambda sig: counts[sig]["completions"])
-        checkpoint = tmp_path / "synth.jsonl"
-        store = CheckpointStore(checkpoint)
-        store.record(
-            job_digest(("synth_count", "x86", 3, stale)),
-            dict(
+        job = ("synth_count", "x86", 3, stale)
+        record = {
+            "digest": job_digest(job),
+            "kind": "synth_count",
+            "result": dict(
                 counts[stale], completions=counts[stale]["completions"] // 2
             ),
-            kind="synth_count",
+        }
+        checkpoint = tmp_path / "synth.jsonl"
+        # Stamped with this code, the record would be served ...
+        checkpoint.write_text(
+            json.dumps(dict(record, code=verdict_cache.code_digest())) + "\n"
         )
-        store.close()
+        assert job_digest(job) in CheckpointStore(checkpoint)
+        # ... but it was computed under another code digest.
+        checkpoint.write_text(json.dumps(dict(record, code="other")) + "\n")
+        assert job_digest(job) not in CheckpointStore(checkpoint)
         root = tmp_path / "c"
-        _synth(root, checkpoint=checkpoint)
-        recorded = {json.loads(line)["key"] for line in _shard_lines(root)}
-        assert shard_key("x86", 3, stale) not in recorded
-        assert len(recorded) == _shard_count(2, 3) - 1
-        # Without the checkpoint, the stale shard is recomputed in full.
+        _assert_identical(legacy, _synth(root, checkpoint=checkpoint))
+        recorded = {
+            entry["key"]: entry["payload"]
+            for entry in map(json.loads, _shard_lines(root))
+        }
+        assert len(recorded) == _shard_count(2, 3)
+        assert (
+            recorded[shard_key("x86", 3, stale)]["completions"]
+            == counts[stale]["completions"]
+        )
         _assert_identical(legacy, _synth(root))
         counters = _counters()
-        assert counters["verdict_cache.shards.misses"] == 1
-        assert counters["verdict_cache.shards.appends"] == 1
+        assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
+        assert counters.get("verdict_cache.shards.appends", 0) == 0
 
     def test_compaction_keeps_shard_records_servable(self, tmp_path, legacy):
         root = tmp_path / "c"
         _synth(root)
-        shards = _segment_bytes(root, "shards")
         cache = VerdictCache(root, writer=True)
         cache.compact()
         cache.close()
-        assert _segment_bytes(root, "shards") == shards
+        assert len(list(root.glob("shards-*.jsonl"))) == 1
+        assert len(_shard_lines(root)) == _shard_count(2, 3)
         _assert_identical(legacy, _synth(root))
         counters = _counters()
         assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
-        assert counters.get("verdict_cache.lookups", 0) == 0
+        assert counters.get("scheduler.chunks", 0) == 0
 
+    def test_compaction_prunes_records_of_other_code(
+        self, tmp_path, legacy, monkeypatch
+    ):
+        root = tmp_path / "c"
+        _synth(root)
+        with monkeypatch.context() as edited:
+            edited.setattr(verdict_cache, "code_digest", lambda: "edited")
+            _synth(root)
+        shards = _shard_count(2, 3)
+        assert len(_shard_lines(root)) == 2 * shards
+        cache = VerdictCache(root, writer=True)
+        cache.compact()
+        cache.close()
+        records = [json.loads(line) for line in _shard_lines(root)]
+        assert len(records) == shards
+        assert {r["code"] for r in records} == {verdict_cache.code_digest()}
+        _assert_identical(legacy, _synth(root))
+        assert _counters()["verdict_cache.shards.hits"] == shards
 
-def _worker_cache_state(_item) -> dict:
-    """What a pool worker's active cache looks like (runs in the pool)."""
-    cache = verdict_cache.active()
-    return {
-        "loaded": cache._loaded,
-        "entries_id": id(cache._entries),
-        "size": len(cache),
-        "no_files": cache._file is None and cache._shard_file is None,
-        "no_shards": cache._shards is None,
-    }
+    def test_compaction_drops_a_torn_shard_line(self, tmp_path, legacy):
+        root = tmp_path / "c"
+        _synth(root)
+        (segment,) = root.glob("shards-*.jsonl")
+        lines = segment.read_text().splitlines()
+        torn = json.loads(lines[-1])["key"]
+        segment.write_text("\n".join(lines[:-1] + [lines[-1][:40]]))
+        cache = VerdictCache(root, writer=True)
+        cache.compact()
+        cache.close()
+        keys = [json.loads(line)["key"] for line in _shard_lines(root)]
+        assert len(keys) == _shard_count(2, 3) - 1
+        assert torn not in keys
+        _assert_identical(legacy, _synth(root))
+        counters = _counters()
+        assert counters["verdict_cache.shards.misses"] == 1
+        assert counters["verdict_cache.shards.appends"] == 1
 
 
 @pytest.mark.skipif(
@@ -363,9 +404,9 @@ def _worker_cache_state(_item) -> dict:
     reason="forked pool workers only",
 )
 def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
-    """When one shard misses, the parent parses the verdict segments just
-    before forking, so workers read the parent's entries -- the same
-    dict, not a re-parse -- and see no shard records."""
+    """When one shard misses, the parent forks workers to recompute it;
+    they never touch the store, so it ends with each shard recorded
+    exactly once and every record servable."""
     root = tmp_path / "c"
     _synth(root)
     (segment,) = root.glob("shards-*.jsonl")
@@ -379,16 +420,11 @@ def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
     reset_observability()
     with CheckPipeline(workers=2, cache=root, runlog=False) as p:
         _assert_identical(legacy, p.synthesis("x86", 3))
-        parent = p.verdict_cache
-        assert p._pool is not None and parent._loaded
-        states = p.map(_worker_cache_state, range(4))
+        assert p._pool is not None
     counters = _counters()
     assert counters["verdict_cache.shards.misses"] == 1
-    assert counters["verdict_cache.lookups"] > 0
-    assert counters["verdict_cache.hits"] == counters["verdict_cache.lookups"]
-    assert counters.get("verdict_cache.appends", 0) == 0
-    for state in states:
-        assert state["loaded"]
-        assert state["entries_id"] == id(parent._entries)
-        assert state["size"] == len(parent)
-        assert state["no_files"] and state["no_shards"]
+    assert counters["verdict_cache.shards.appends"] == 1
+    keys = [json.loads(line)["key"] for line in _shard_lines(root)]
+    assert sorted(keys) == sorted(r["key"] for r in records)
+    reader = VerdictCache(root)
+    assert all(reader.shard_lookup(key) is not None for key in keys)

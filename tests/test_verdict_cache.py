@@ -1,226 +1,206 @@
-"""The disk-backed verdict cache: hits, crash tolerance, compaction."""
+"""The disk-backed shard store: hits, crash tolerance, compaction."""
 
 import json
 import multiprocessing
 
 import pytest
 
-from repro.enumeration import enumerate_executions, get_config
+from repro.catalog import classics
+from repro.fuzz.corpus import execution_to_json
 from repro.harness import verdict_cache
 from repro.harness.pipeline import CheckPipeline
-from repro.harness.verdict_cache import VerdictCache, execution_digest
-from repro.ir import model_digest
-from repro.models import get_model
+from repro.harness.verdict_cache import VerdictCache, code_digest
+
+
+def _payload(pruned: int, survivors=()) -> dict:
+    """A well-formed shard payload: ``pruned`` consistent candidates
+    plus one candidate per survivor."""
+    survivors = list(survivors)
+    total = pruned + len(survivors)
+    return {
+        "skeletons": 1,
+        "completions": total,
+        "counters": {
+            "candidates": total,
+            "pruned_consistent": pruned,
+            "pruned_baseline": 0,
+            "pruned_nonminimal": 0,
+        },
+        "survivors": survivors,
+    }
 
 
 @pytest.fixture(scope="module")
-def executions():
-    return list(enumerate_executions(get_config("x86"), 2))
+def payloads() -> dict[str, dict]:
+    sb = execution_to_json(classics.sb())
+    mp = execution_to_json(classics.mp())
+    return {
+        "k0": _payload(3),
+        "k1": _payload(0, [sb]),
+        "k2": _payload(5, [sb, mp]),
+        "k3": _payload(0),
+    }
 
 
-@pytest.fixture(scope="module")
-def x86tm():
-    return get_model("x86tm")
+def _write(root, payloads: dict) -> None:
+    cache = VerdictCache(root, writer=True)
+    for key, payload in payloads.items():
+        cache.shard_record(key, payload)
+    cache.close()
 
 
-@pytest.fixture(autouse=True)
-def no_active_cache():
-    yield
-    verdict_cache.deactivate()
+def _served(root, keys) -> dict:
+    reader = VerdictCache(root)
+    return {key: reader.shard_lookup(key) for key in keys}
 
 
 class TestHits:
-    def test_hit_returns_identical_verdict(self, tmp_path, executions, x86tm):
+    def test_hit_returns_identical_verdict(self, tmp_path, payloads):
         cache = VerdictCache(tmp_path, writer=True)
-        digest = model_digest(x86tm)
-        for x in executions:
-            verdict = x86tm.consistent(x)
-            cache.record(digest, execution_digest(x), "consistent", verdict)
-        for x in executions:
-            hit, verdict = cache.lookup(
-                digest, execution_digest(x), "consistent"
-            )
-            assert hit
-            assert verdict == x86tm.consistent(x)
+        for key, payload in payloads.items():
+            cache.shard_record(key, payload)
+        for key, payload in payloads.items():
+            assert cache.shard_lookup(key) == payload
+        assert cache.shard_lookup("absent") is None
         cache.close()
 
-    def test_cross_run_persistence(self, tmp_path, executions, x86tm):
-        digest = model_digest(x86tm)
-        writer = VerdictCache(tmp_path, writer=True)
-        for x in executions:
-            writer.record(
-                digest, execution_digest(x), "consistent", x86tm.consistent(x)
-            )
-        writer.close()
-        # A fresh process-equivalent open sees every verdict.
-        reader = VerdictCache(tmp_path)
-        assert reader.loaded == len(writer)
-        for x in executions:
-            hit, verdict = reader.lookup(
-                digest, execution_digest(x), "consistent"
-            )
-            assert hit and verdict == x86tm.consistent(x)
-
-    def test_isomorphic_executions_share_an_entry(self, executions):
-        # The digest hashes the canonical form, so at least two of the
-        # raw 2-event executions collide onto one canonical key only if
-        # they are isomorphic -- and identical executions always do.
-        assert execution_digest(executions[0]) == execution_digest(
-            executions[0]
-        )
-
-    def test_kinds_are_separate_keys(self, tmp_path, executions):
-        cache = VerdictCache(tmp_path, writer=True)
-        xd = execution_digest(executions[0])
-        cache.record("m", xd, "consistent", False)
-        cache.record("m", xd, "violated", ["TxnOrder"])
-        assert cache.lookup("m", xd, "consistent") == (True, False)
-        assert cache.lookup("m", xd, "violated") == (True, ["TxnOrder"])
-        cache.close()
+    def test_cross_run_persistence(self, tmp_path, payloads):
+        _write(tmp_path, payloads)
+        # A fresh process-equivalent open serves every record as written.
+        assert _served(tmp_path, payloads) == payloads
+        (segment,) = tmp_path.glob("shards-*.jsonl")
+        lines = [json.loads(line) for line in segment.read_text().splitlines()]
+        assert [line["code"] for line in lines] == [code_digest()] * 4
 
 
 class TestCrashTolerance:
-    def _write_some(self, root, n=5):
-        cache = VerdictCache(root, writer=True)
-        for i in range(n):
-            cache.record("m", f"x{i}", "consistent", i % 2 == 0)
-        cache.close()
-        return cache
-
-    def test_torn_tail_is_skipped(self, tmp_path):
-        self._write_some(tmp_path)
-        segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    def test_torn_tail_is_skipped(self, tmp_path, payloads):
+        _write(tmp_path, payloads)
+        (segment,) = tmp_path.glob("shards-*.jsonl")
         with segment.open("a", encoding="utf-8") as f:
-            f.write('{"m": "m", "x": "torn", "k": "consi')  # killed mid-write
-        reloaded = VerdictCache(tmp_path)
-        assert reloaded.loaded == 5
-        assert reloaded.lookup("m", "torn", "consistent") == (False, None)
+            f.write('{"code": "c", "key": "torn", "payl')  # killed mid-write
+        served = _served(tmp_path, [*payloads, "torn"])
+        assert served.pop("torn") is None
+        assert served == payloads
 
-    def test_corrupt_lines_are_skipped(self, tmp_path):
-        self._write_some(tmp_path)
-        segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    def test_corrupt_lines_are_skipped(self, tmp_path, payloads):
+        _write(tmp_path, payloads)
+        (segment,) = tmp_path.glob("shards-*.jsonl")
         lines = segment.read_text().splitlines()
+        broken = json.loads(lines[1])
+        broken["payload"]["survivors"] = []  # no longer adds up
+        lines[1] = json.dumps(broken)
         lines[2] = "not json at all"
-        lines.insert(0, json.dumps({"m": "m"}))  # missing keys
-        lines.insert(0, json.dumps({"m": "m", "x": "x", "k": "bogus", "v": 1}))
+        good = {"key": "extra", "payload": _payload(1)}
+        lines += [
+            json.dumps({"code": code_digest(), "key": "bare"}),
+            json.dumps(dict(good, code="other code")),
+            json.dumps(good),  # no code stamp
+            json.dumps([1]),
+        ]
         segment.write_text("\n".join(lines) + "\n")
-        reloaded = VerdictCache(tmp_path)
-        assert reloaded.loaded == 4  # one real record lost, none invented
-        assert reloaded.lookup("m", "x0", "consistent") == (True, True)
+        served = _served(tmp_path, [*payloads, "bare", "extra"])
+        # Two real records lost, none invented.
+        assert served == {
+            "k0": payloads["k0"],
+            "k1": None,
+            "k2": None,
+            "k3": payloads["k3"],
+            "bare": None,
+            "extra": None,
+        }
 
     def test_missing_directory_is_empty_cache(self, tmp_path):
         cache = VerdictCache(tmp_path / "never-created")
-        assert len(cache) == 0
+        assert cache.shard_lookup("k0") is None
+        cache.close()
+        assert not (tmp_path / "never-created").exists()
 
 
 class TestCompaction:
     def test_compaction_merges_segments(self, tmp_path):
+        expected = {}
         for generation in range(3):
-            cache = VerdictCache(tmp_path, writer=True)
-            for i in range(4):
-                cache.record("m", f"g{generation}-x{i}", "consistent", True)
-            cache.close()
-        assert len(list(tmp_path.glob("segment-*.jsonl"))) == 3
+            batch = {f"g{generation}-{i}": _payload(i) for i in range(4)}
+            _write(tmp_path, batch)
+            expected.update(batch)
+        assert len(list(tmp_path.glob("shards-*.jsonl"))) == 3
         cache = VerdictCache(tmp_path, writer=True)
         final = cache.compact()
         assert final is not None
-        assert list(tmp_path.glob("segment-*.jsonl")) == [final]
-        assert VerdictCache(tmp_path).loaded == 12
+        assert list(tmp_path.glob("shards-*.jsonl")) == [final]
+        assert not list(tmp_path.glob("*.tmp"))
+        assert _served(tmp_path, expected) == expected
 
-    def test_compaction_is_idempotent(self, tmp_path):
+    def test_compaction_is_idempotent(self, tmp_path, payloads):
         cache = VerdictCache(tmp_path, writer=True)
-        for i in range(6):
-            cache.record("m", f"x{i}", "consistent", bool(i % 2))
+        for key, payload in payloads.items():
+            cache.shard_record(key, payload)
         first = cache.compact()
         before = first.read_text()
         second = cache.compact()
         assert second == first
         assert second.read_text() == before
 
-    def test_readers_may_not_compact(self, tmp_path):
+    def test_compaction_keeps_only_this_codes_records(
+        self, tmp_path, payloads, monkeypatch
+    ):
+        _write(tmp_path, payloads)
+        with monkeypatch.context() as edited:
+            edited.setattr(verdict_cache, "code_digest", lambda: "edited")
+            _write(tmp_path, {"stale": _payload(2)})
+        (segment, _) = sorted(tmp_path.glob("shards-*.jsonl"))
+        with segment.open("a", encoding="utf-8") as f:
+            f.write('{"code": "c", "key": "torn", "payl')
+        VerdictCache(tmp_path, writer=True).compact()
+        (final,) = tmp_path.glob("shards-*.jsonl")
+        records = [json.loads(line) for line in final.read_text().splitlines()]
+        assert sorted(r["key"] for r in records) == sorted(payloads)
+        assert {r["code"] for r in records} == {code_digest()}
+
+    def test_readers_may_not_compact(self, tmp_path, payloads):
         cache = VerdictCache(tmp_path)
         with pytest.raises(RuntimeError):
             cache.compact()
+        with pytest.raises(RuntimeError):
+            cache.shard_record("k0", payloads["k0"])
+        assert not list(tmp_path.glob("shards-*.jsonl"))
 
     def test_close_autocompacts_fragmented_cache(self, tmp_path):
+        expected = {}
         for generation in range(verdict_cache._COMPACT_SEGMENTS):
-            cache = VerdictCache(tmp_path, writer=True)
-            cache.record("m", f"x{generation}", "consistent", True)
-            cache.close()
-        assert len(list(tmp_path.glob("segment-*.jsonl"))) == 1
-        assert (
-            VerdictCache(tmp_path).loaded == verdict_cache._COMPACT_SEGMENTS
-        )
+            batch = {f"x{generation}": _payload(generation)}
+            _write(tmp_path, batch)
+            expected.update(batch)
+        assert len(list(tmp_path.glob("shards-*.jsonl"))) == 1
+        assert _served(tmp_path, expected) == expected
 
 
-class TestWorkerProtocol:
-    def test_nonwriter_records_go_to_pending(self, tmp_path):
-        cache = VerdictCache(tmp_path)
-        cache.record("m", "x", "consistent", True)
-        assert not list(tmp_path.glob("segment-*.jsonl"))
-        shipped = cache.flush_pending()
-        assert shipped == [
-            {"m": "m", "x": "x", "k": "consistent", "v": True}
-        ]
-        assert cache.flush_pending() == []
-
-    def test_parent_absorbs_worker_records(self, tmp_path):
-        worker = VerdictCache(tmp_path / "w")  # reader: nothing on disk
-        worker.record("m", "x", "consistent", False)
-        parent = VerdictCache(tmp_path / "p", writer=True)
-        parent.absorb(worker.flush_pending())
-        parent.absorb([{"bad": "record"}])  # tolerated, skipped
-        parent.close()
-        assert VerdictCache(tmp_path / "p").lookup(
-            "m", "x", "consistent"
-        ) == (True, False)
-
-
-def _worker_cache_state(_item) -> dict:
-    """What a pool worker's active cache looks like (runs in the pool)."""
-    cache = verdict_cache.active()
-    return {
-        "writer": cache.writer,
-        "no_file": cache._file is None,
-        "entries_id": id(cache._entries),
-        "hit": cache.lookup("m", "x3", "consistent"),
-        "size": len(cache),
-    }
+def _noop(item):
+    return item
 
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="forked pool workers only",
 )
-def test_forked_workers_reuse_the_parents_entries(tmp_path):
-    """A forked worker reads the entries the parent loaded -- the same
-    dict, not a re-parse -- without the parent's segment handle, and
-    leaves the parent's segment bytes alone."""
-    root = tmp_path / "verdicts"
-    seed = VerdictCache(root, writer=True)
-    for i in range(3):
-        seed.record("m", f"x{i}", "consistent", True)
-    seed.close()
+def test_forked_workers_never_write_the_parents_shard_lines(
+    tmp_path, payloads
+):
+    """The parent flushes its store before forking: a record buffered
+    when the pool starts reaches the segment exactly once, not once
+    more per worker."""
+    root = tmp_path / "shards"
     with CheckPipeline(workers=2, cache=root, runlog=False) as pipe:
-        parent = pipe.verdict_cache
-        for i in range(3, 6):  # buffered in the parent's open segment
-            parent.record("m", f"x{i}", "consistent", False)
-        states = pipe.map(_worker_cache_state, range(4))
-        segments = sorted(root.glob("segment-*.jsonl"))
-        written = {path: path.read_bytes() for path in segments}
+        pipe.verdict_cache.shard_record("k1", payloads["k1"])
+        assert pipe.map(_noop, range(4)) == list(range(4))
         pipe._pool.close()
         pipe._pool.join()
         pipe._pool = None
-        assert {
-            path: path.read_bytes() for path in root.glob("segment-*.jsonl")
-        } == written
-        for state in states:
-            assert state["writer"] is False
-            assert state["no_file"]
-            assert state["entries_id"] == id(parent._entries)
-            assert state["hit"] == (True, False)
-            assert state["size"] == 6
-    lines = b"".join(written.values()).decode().splitlines()
-    assert sorted(json.loads(line)["x"] for line in lines) == [
-        f"x{i}" for i in range(6)
+        pipe.verdict_cache.shard_record("k2", payloads["k2"])
+    lines = [
+        json.loads(line)["key"]
+        for segment in root.glob("shards-*.jsonl")
+        for line in segment.read_text().splitlines()
     ]
+    assert lines == ["k1", "k2"]
