@@ -10,7 +10,10 @@ the code that evaluates a plan.  Term ``uid``\\s are process-local (they
 depend on construction order), so the digest is computed structurally
 -- each node hashes its operator, kind, and its children's digests --
 and memoised per ``uid`` so shared subterms (the whole point of
-hash-consing) are digested once.
+hash-consing) are digested once.  ``union``/``inter`` children are kept
+in uid order by the builders, so their digests are sorted first: the
+result does not depend on which terms a process happened to build
+first.
 
 Fix groups hash their bodies with the recursive back-edges encoded as
 ``("fixref", index)`` markers rather than by following the cycle, which
@@ -29,6 +32,11 @@ from .terms import FixGroup, Term
 _TERM_MEMO: dict[int, str] = {}
 _GROUP_MEMO: dict[int, str] = {}
 
+#: Operators whose children are a set: the builders order them by uid
+#: (creation order, which varies with what a process built first), so
+#: their digests are sorted before hashing.
+_UNORDERED = frozenset({"union", "inter"})
+
 
 def _sha(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -45,11 +53,13 @@ def term_digest(term: Term) -> str:
         parts.append(group_digest(group))
         parts.append(str(index))
     else:
-        for arg in term.args:
-            if isinstance(arg, Term):
-                parts.append(term_digest(arg))
-            else:
-                parts.append(repr(arg))
+        children = [
+            term_digest(arg) if isinstance(arg, Term) else repr(arg)
+            for arg in term.args
+        ]
+        if term.op in _UNORDERED:
+            children.sort()
+        parts.extend(children)
     digest = _sha("\x1f".join(parts))
     _TERM_MEMO[term.uid] = digest
     return digest
@@ -71,13 +81,13 @@ def group_digest(group: FixGroup) -> str:
             # A fix node of a *different* (nested) group.
             inner, index = term.args
             return f"fix:{group_digest(inner)}:{index}"
-        inner_parts = [term.op, term.kind]
-        for arg in term.args:
-            if isinstance(arg, Term):
-                inner_parts.append(encode(arg))
-            else:
-                inner_parts.append(repr(arg))
-        return _sha("\x1f".join(inner_parts))
+        children = [
+            encode(arg) if isinstance(arg, Term) else repr(arg)
+            for arg in term.args
+        ]
+        if term.op in _UNORDERED:
+            children.sort()
+        return _sha("\x1f".join([term.op, term.kind, *children]))
 
     payload = "\x1e".join(
         f"{kind}\x1f{encode(body)}"
