@@ -32,11 +32,13 @@ def test_single_power_verdict_cost(benchmark):
 
 
 def test_single_cat_verdict_cost(benchmark):
-    """Micro-benchmark: the same check through the cat interpreter."""
-    from repro.cat import load_cat_model
+    """Micro-benchmark: the same check through the AST-walking cat
+    evaluator, over the model's parsed ``.cat`` source."""
+    from repro.cat import Evaluator
     from repro.catalog.figures import power_txn_ordering
+    from repro.models import get_model
 
-    model = load_cat_model("powertm")
+    source = get_model("powertm").model
     x = power_txn_ordering()
-    verdict = benchmark(lambda: model.consistent(x))
+    verdict = benchmark(lambda: all(Evaluator(x).run(source).values()))
     assert verdict is False

@@ -34,7 +34,7 @@ acyclic stronglift(hb, stxn) as TxnOrder
 
 
 def main() -> None:
-    broken = CatModel(parse(BROKEN_X86_TM), transactional=True)
+    broken = CatModel(parse(BROKEN_X86_TM))
     full = load_cat_model("x86tm")
     print(f"loaded: {full.name!r}")
     print(f"custom: {broken.name!r}")

@@ -17,7 +17,7 @@ Run:  python examples/cpp_transactions.py
 
 from repro.events import ACQ, ExecutionBuilder, NA, REL, RLX
 from repro.metatheory import compile_execution
-from repro.models import CppModel, get_model
+from repro.models import get_model
 from repro.models.isolation import strongly_isolated_atomic
 
 
@@ -57,22 +57,27 @@ def atomic_txn_with_interference():
     return b.build()
 
 
+def race_free(model, x) -> bool:
+    """The NoRace predicate of Fig. 9: ``cpptm.cat``'s ``races`` is empty."""
+    return model.relation("races", x).is_empty()
+
+
 def main() -> None:
-    model = CppModel(transactional=True)
+    model = get_model("cpptm")
 
     print("=== §7.2: atomic{ x=1; } || atomic_store(&x, 2) ===")
     x = racy_atomic_transaction()
     print(f"  consistent: {model.consistent(x)}")
-    print(f"  race-free:  {model.race_free(x)}   (paper: racy!)")
-    print(f"  racing pairs: {sorted(model.races(x).pairs)}")
+    print(f"  race-free:  {race_free(model, x)}   (paper: racy!)")
+    print(f"  racing pairs: {sorted(model.relation('races', x).pairs)}")
     print()
 
     print("=== transactional MP with non-atomic accesses ===")
     x = transactional_message_passing()
     print(f"  consistent: {model.consistent(x)}")
-    print(f"  race-free:  {model.race_free(x)} "
+    print(f"  race-free:  {race_free(model, x)} "
           "(tsw: conflicting transactions synchronise)")
-    print(f"  tsw edges: {sorted(model.tsw(x).pairs)}")
+    print(f"  tsw edges: {sorted(model.relation('tsw', x).pairs)}")
     print()
 
     print("=== Theorem 7.2: the dichotomy on a concrete execution ===")
@@ -80,7 +85,7 @@ def main() -> None:
     # the theorem says this is either a data race (program undefined) or
     # the transaction remains strongly isolated.
     x = atomic_txn_with_interference()
-    print(f"  race-free: {model.race_free(x)} "
+    print(f"  race-free: {race_free(model, x)} "
           "(the interference IS a race: non-atomic read vs. atomic write)")
     print(f"  atomic txn strongly isolated anyway: "
           f"{strongly_isolated_atomic(x)}")

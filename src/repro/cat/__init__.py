@@ -1,14 +1,18 @@
 """A .cat-style model language and interpreter.
 
 The paper's companion artifact ships its models in herd's ``.cat``
-format; this package provides the same for the reproduction: a lexer,
-parser and evaluator for a cat dialect, plus the five models of the
-paper as ``.cat`` files under ``repro/cat/models/``.
+format, and so does the reproduction: the bundled files under
+``repro/cat/models/`` are the only definitions of its ten models (see
+:mod:`repro.models.registry`).  This package provides a lexer, parser
+and two evaluators for the cat dialect: the lowering into the
+relational-algebra IR (:class:`CatModel`, what every consistency check
+runs) and an AST walker over ``Execution``'s pair-set relations
+(:class:`Evaluator`), which the test suite and the fuzzer use as the
+independent check of the lowering.
 
-The test suite checks that every bundled ``.cat`` model agrees with its
-native-Python twin on every catalog execution and on exhaustively
-enumerated executions -- two independent encodings of Figs. 4-9
-validating each other.
+Each bundled file defines a transactional model; its baseline is the
+same file with ``tfence``, ``stxn`` and ``stxnat`` bound to ``0`` and
+every check naming them dropped (:meth:`Model.baseline`).
 
 Dialect deviations from herd (documented design choices):
 
@@ -24,7 +28,12 @@ from .ast import Check, Expr, Let, Model
 from .errors import CatError, CatNameError, CatSyntaxError, CatTypeError
 from .eval import CatModel, Evaluator
 from .lexer import Token, tokenize
-from .loader import available_cat_models, load_cat_file, load_cat_model
+from .loader import (
+    available_cat_models,
+    bundled_model,
+    load_cat_file,
+    load_cat_model,
+)
 from .parser import parse
 
 __all__ = [
@@ -40,6 +49,7 @@ __all__ = [
     "Model",
     "Token",
     "available_cat_models",
+    "bundled_model",
     "load_cat_file",
     "load_cat_model",
     "parse",

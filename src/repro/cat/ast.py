@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+#: The transactional base relations.  A model's baseline binds them to
+#: ``0`` (see :meth:`Model.baseline`).
+TXN_RELATIONS = frozenset({"tfence", "stxn", "stxnat"})
 
 
 class Expr:
@@ -118,6 +123,19 @@ class Check:
     name: str
 
 
+def identifiers(expr: Expr) -> Iterator[str]:
+    """Every identifier an expression reads (with repeats)."""
+    if isinstance(expr, Ident):
+        yield expr.name
+    elif isinstance(expr, Call):
+        for argument in expr.arguments:
+            yield from identifiers(argument)
+    else:
+        for child in vars(expr).values():
+            if isinstance(child, Expr):
+                yield from identifiers(child)
+
+
 @dataclass(frozen=True)
 class Model:
     """A parsed cat model: a name and a list of statements."""
@@ -127,3 +145,46 @@ class Model:
 
     def axiom_names(self) -> list[str]:
         return [s.name for s in self.statements if isinstance(s, Check)]
+
+    @property
+    def is_transactional(self) -> bool:
+        """Does the model read a transactional relation it has not
+        bound itself?  A baseline binds all three first, so it is not."""
+        bound: set[str] = set()
+        for statement in self.statements:
+            if isinstance(statement, Check):
+                exprs, names = [statement.expr], []
+            else:
+                exprs = [b.value for b in statement.bindings]
+                names = [b.name for b in statement.bindings]
+                if statement.recursive:
+                    bound.update(names)
+            for expr in exprs:
+                if any(
+                    n in TXN_RELATIONS and n not in bound
+                    for n in identifiers(expr)
+                ):
+                    return True
+            bound.update(names)
+        return False
+
+    def baseline(self, name: str | None = None) -> "Model":
+        """The non-transactional model this one extends, named ``name``
+        (default: this model's name): ``tfence``,
+        ``stxn`` and ``stxnat`` are bound to ``0``, and every check whose
+        own expression names one of them is dropped.  The relations the
+        remaining checks read lose their transactional terms through the
+        IR's empty-operand rules (``r | 0 = r``, ``r ; 0 = 0``)."""
+        if not self.is_transactional:
+            return self
+        zero = Let(
+            tuple(LetBinding(n, EmptyRel()) for n in sorted(TXN_RELATIONS)),
+            recursive=False,
+        )
+        kept = tuple(
+            s
+            for s in self.statements
+            if isinstance(s, Let)
+            or TXN_RELATIONS.isdisjoint(identifiers(s.expr))
+        )
+        return Model(self.name if name is None else name, (zero, *kept))

@@ -13,19 +13,24 @@ recursion (ii/ic/ci/cc) executes.
 
 Two execution strategies share these semantics:
 
-* :class:`Evaluator` -- a straightforward AST walker, used for one-off
-  runs and as the readable reference.
+* :class:`Evaluator` -- a straightforward AST walker over
+  ``Execution``'s pair-set relations.  It never touches the IR, which
+  makes it the independent reference the lowered models are checked
+  against (``tests/test_cat_models_agree.py``, the fuzzer's ``cat``
+  column).
 * the **lowered** path used by :class:`CatModel` -- each model's AST is
   lowered once into the relational-algebra IR (:mod:`repro.ir`) by
   :func:`_compile_model` (cached per parsed model) and executed by the
-  same planner/executor as the native Python models.  Hash-consing
-  makes a ``.cat`` twin's terms unify with its Python twin's wherever
-  they are written the same way, so the two front ends literally share
-  derived-relation values, ``static:`` interning, and per-constraint
-  verdicts on each execution.
+  shared planner/executor.  A whole ``a | b | c`` chain lowers to one
+  n-ary union, so its skeleton-static operands are hoisted into one
+  shared node; hash-consing makes a model and its baseline share every
+  term they write the same way, and with it derived-relation values,
+  ``static:`` interning, and per-constraint verdicts on each execution.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..events import Execution
 from ..models.base import IRModel
@@ -278,6 +283,24 @@ def _base_term_env() -> dict[str, ir.Term]:
     return env
 
 
+def _union_chain(expr: Union) -> list[Expr]:
+    """The operands of a whole ``a | b | c`` chain, left to right.
+
+    The chain lowers to one n-ary :func:`ir.union`, which hoists all its
+    skeleton-static operands into one shared node; lowering the parser's
+    left-nested binary unions one at a time would hoist them in stages.
+    """
+    operands: list[Expr] = []
+    stack: list[Expr] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack += (node.right, node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
 def _lower_expr(expr: Expr, env: dict[str, ir.Term]) -> ir.Term:
     """Translate an expression into a hash-consed IR term.
 
@@ -293,7 +316,7 @@ def _lower_expr(expr: Expr, env: dict[str, ir.Term]) -> ir.Term:
     if isinstance(expr, EmptyRel):
         return ir.empty("rel")
     if isinstance(expr, Union):
-        return ir.union(_lower_expr(expr.left, env), _lower_expr(expr.right, env))
+        return ir.union(*[_lower_expr(e, env) for e in _union_chain(expr)])
     if isinstance(expr, Inter):
         return ir.inter(_lower_expr(expr.left, env), _lower_expr(expr.right, env))
     if isinstance(expr, Diff):
@@ -349,24 +372,32 @@ _CHECK_BUILDERS = {
     "empty": ir.empty_c,
 }
 
-#: Lowered plans, keyed by the (hashable, structurally-compared) parsed
+class Lowered(NamedTuple):
+    """A lowered model: its constraint plan and its named lets."""
+
+    plan: ir.Plan
+    lets: dict[str, ir.Term]
+
+
+#: Lowered models, keyed by the (hashable, structurally-compared) parsed
 #: model, so every CatModel over the same AST -- including repeated
-#: ``load_cat_model`` calls -- shares one plan, one term DAG, and
+#: parses of one file -- shares one plan, one term DAG, and
 #: therefore one set of per-execution caches.
-_COMPILED_CACHE: dict[Model, ir.Plan] = {}
+_COMPILED_CACHE: dict[Model, Lowered] = {}
 
 _COMPILE_LOOKUPS = REGISTRY.counter("cat.compile_cache.lookups")
 _COMPILE_HITS = REGISTRY.counter("cat.compile_cache.hits")
 _COMPILE_MISSES = REGISTRY.counter("cat.compile_cache.misses")
 
 
-def _compile_model(model: Model) -> ir.Plan:
+def _compile_model(model: Model) -> Lowered:
     """Lower a parsed model into an IR constraint plan (cached).
 
-    Terms are hash-consed globally, so wherever a ``.cat`` model writes
-    the same derived relation as a native Python model (or another cat
-    model), the two share one term -- and with it the per-execution
-    value memo, the ``static:`` interning, and the constraint verdict.
+    Terms are hash-consed globally, so wherever two models write the
+    same derived relation (a model and its baseline, say), they share
+    one term -- and with it the per-execution value memo, the
+    ``static:`` interning, and the constraint verdict.  A let that no
+    check reads is lowered but does not enter the plan.
     """
     _COMPILE_LOOKUPS.inc()
     cached = _COMPILED_CACHE.get(model)
@@ -375,11 +406,14 @@ def _compile_model(model: Model) -> ir.Plan:
         return cached
     _COMPILE_MISSES.inc()
     env = _base_term_env()
+    lets: dict[str, ir.Term] = {}
     constraints: list[ir.Constraint] = []
     try:
         for statement in model.statements:
             if isinstance(statement, Let):
                 _lower_let(statement, env)
+                for binding in statement.bindings:
+                    lets[binding.name] = env[binding.name]
             else:
                 constraints.append(
                     _CHECK_BUILDERS[statement.kind](
@@ -389,26 +423,40 @@ def _compile_model(model: Model) -> ir.Plan:
     except ir.IRTypeError as exc:
         # The IR builders use the evaluator's message texts verbatim.
         raise CatTypeError(str(exc)) from None
-    plan = ir.compile_model(model.name, constraints)
-    _COMPILED_CACHE[model] = plan
-    return plan
+    lowered = Lowered(ir.compile_model(model.name, constraints), lets)
+    _COMPILED_CACHE[model] = lowered
+    return lowered
 
 
 class CatModel(IRModel):
-    """A parsed cat model exposed through the MemoryModel interface, so
-    cat-defined and native models are interchangeable everywhere.
+    """A parsed cat model exposed through the MemoryModel interface.
 
     The AST is lowered to an IR plan once per parsed model (shared
     across instances over equal ASTs); consistency checks, axiom thunks
-    and diagnostics all run on the shared IR executor, exactly like the
-    native models'.
+    and diagnostics all run on the shared IR executor.  The model is
+    named by the file's title string.  ``baseline`` is the model
+    :meth:`baseline` returns; by default, the one :meth:`Model.baseline`
+    derives.
     """
 
-    def __init__(self, model: Model, transactional: bool = True):
+    def __init__(self, model: Model, baseline: "CatModel | None" = None):
         self.model = model
         self.name = model.name
-        self.is_transactional = transactional
-        self._plan = _compile_model(model)
+        self.is_transactional = model.is_transactional
+        self._plan, self._lets = _compile_model(model)
+        self._baseline = baseline
 
     def plan(self) -> ir.Plan:
         return self._plan
+
+    def lets(self) -> dict[str, ir.Term]:
+        return self._lets
+
+    def baseline(self) -> "CatModel":
+        if not self.is_transactional:
+            return self
+        if self._baseline is None:
+            self._baseline = CatModel(
+                self.model.baseline(f"{self.name} baseline")
+            )
+        return self._baseline

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 
+from .ast import Model
 from .eval import CatModel
 from .parser import parse
 
 MODELS_DIR = Path(__file__).parent / "models"
-
-_TRANSACTIONAL = {"tsc", "x86tm", "powertm", "armv8tm", "cpptm"}
 
 
 def available_cat_models() -> list[str]:
@@ -17,17 +17,26 @@ def available_cat_models() -> list[str]:
     return sorted(p.stem for p in MODELS_DIR.glob("*.cat"))
 
 
-def load_cat_model(name: str) -> CatModel:
-    """Parse a bundled model file into a runnable :class:`CatModel`."""
+@lru_cache(maxsize=None)
+def bundled_model(name: str) -> Model:
+    """The parsed bundled file ``name`` (parsed once per process)."""
     path = MODELS_DIR / f"{name}.cat"
     if not path.exists():
         raise KeyError(
             f"no bundled cat model {name!r}; available: "
             f"{', '.join(available_cat_models())}"
         )
-    return CatModel(
-        parse(path.read_text()), transactional=name in _TRANSACTIONAL
-    )
+    return parse(path.read_text())
+
+
+def load_cat_model(name: str) -> CatModel:
+    """A bundled model file as a runnable :class:`CatModel`: the
+    registry's model of that name, whose ``baseline()`` is the
+    registry's baseline."""
+    from ..models import get_model
+
+    bundled_model(name)  # unknown names fail with the list of files
+    return get_model(name)
 
 
 def load_cat_file(path: str | Path) -> CatModel:

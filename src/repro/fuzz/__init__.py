@@ -3,7 +3,7 @@
 Random well-formed executions (beyond the enumeration bounds) are run
 through every redundant verdict path the repo ships -- the generated
 IR runner stopping at the first failure and deciding every constraint,
-the Relation-level reference, cat twins, and the
+the Relation-level reference, the cat AST walker, and the
 simulated machines where a litmus conversion exists -- and any
 disagreement is delta-debugged down to a minimal witness and recorded
 in a replayable JSONL corpus.  See ``docs/fuzzing.md``.

@@ -12,8 +12,10 @@ cross-checked:
   keep their format);
 * **reference** -- per-constraint :func:`repro.ir.fallback_value`, the
   ``Relation``-level reference semantics;
-* **cat** -- the bundled ``.cat`` twin, lowered through the same IR but
-  from independently-written source.
+* **cat** -- the model's ``.cat`` source (with the baseline rule
+  applied for a baseline) run by the AST-walking
+  :class:`repro.cat.Evaluator` over ``Execution``'s pair-set relations,
+  never touching the IR.
 
 On top of that, where a litmus-program conversion exists, the simulated
 machines act as an *operational* oracle: the exhaustive TSX machine for
@@ -43,7 +45,7 @@ from ..harness.pipeline import hardware_for, model_for
 from ..litmus.convert import execution_to_litmus
 from ..obs import REGISTRY
 
-#: Every model with a bundled cat twin -- the full differential matrix.
+#: The transactional models and SC -- the full differential matrix.
 DIFF_MODELS = ("sc", "tsc", "x86tm", "powertm", "armv8tm", "cpptm")
 
 #: Generation arch -> (machine arch, model the machine oracles).
@@ -169,7 +171,7 @@ def _evaluate_case(case: FuzzCase) -> dict:
         compiled = bool(model.consistent(fresh_copy(x)))
         interp = list(model.violated_axioms(fresh_copy(x)))
         reference = _reference_violations(plan, fresh_copy(x))
-        cat = bool(_cat_model(name).consistent(fresh_copy(x)))
+        cat = _cat_verdict(name, fresh_copy(x))
         entry: dict = {
             "compiled": compiled,
             "interp": interp,
@@ -196,10 +198,11 @@ def _evaluate_case(case: FuzzCase) -> dict:
     return result
 
 
-def _cat_model(name: str):
-    from ..cat import load_cat_model
+def _cat_verdict(name: str, execution: Execution) -> bool:
+    """The AST walker's verdict on the registry model's source."""
+    from ..cat import Evaluator
 
-    return load_cat_model(name)
+    return all(Evaluator(execution).run(model_for(name).model).values())
 
 
 def diagnose(case: FuzzCase, result: dict) -> list[dict]:

@@ -1,7 +1,8 @@
 """A relational-algebra IR unifying every consistency path.
 
-Python model classes (:mod:`repro.models`) and parsed ``.cat`` files
-(:mod:`repro.cat`) both compile into this IR -- hash-consed terms
+Every model -- the bundled ``.cat`` files behind :mod:`repro.models`
+and any other parsed ``.cat`` file (:mod:`repro.cat`) -- compiles into
+this IR -- hash-consed terms
 (:mod:`~repro.ir.terms`), scheduled constraint plans
 (:mod:`~repro.ir.plan`) and a single bitset-row executor
 (:mod:`~repro.ir.executor`) -- so one engine, one cache discipline and

@@ -1,11 +1,10 @@
 """Hash-consed relational-algebra terms.
 
-Every model in the reproduction -- the Python model classes *and* the
-parsed ``.cat`` files -- describes the same thing: derived relations
-built from a fixed vocabulary of base relations and event sets, plus
-``acyclic``/``irreflexive``/``empty`` constraints over them (herding
-cats, Alglave et al. TOPLAS 2014).  This module is the shared term
-language both front ends compile into.
+Every model in the reproduction is a parsed ``.cat`` file describing
+derived relations built from a fixed vocabulary of base relations and
+event sets, plus ``acyclic``/``irreflexive``/``empty`` constraints over
+them (herding cats, Alglave et al. TOPLAS 2014).  This module is the
+term language :mod:`repro.cat` lowers them into.
 
 Terms are **hash-consed**: structurally identical subterms are the same
 object, discovered at construction time through a global intern table.
@@ -13,8 +12,8 @@ That one property carries the whole optimisation story:
 
 * common subexpressions are shared *across axioms and across models*
   for free (C++'s ``hb`` inside both HbCom and SeqCst, x86's ``hb``
-  inside Order and TxnOrder, a ``.cat`` twin's ``ppo`` unifying with
-  the Python model's) -- counted by ``ir.plan.cse_hits``;
+  inside Order and TxnOrder, Power's ``ppo`` shared by Power+TM and
+  its baseline) -- counted by ``ir.plan.cse_hits``;
 * every term gets a stable small integer ``uid``, which doubles as its
   mechanical :class:`~repro.relations.RelationContext` intern key
   (``static:ir.n{uid}``) -- no more hand-chosen key strings;
@@ -467,12 +466,17 @@ def diff(left: Term, right: Term) -> Term:
 
 def seq(*terms: Term) -> Term:
     """Relational composition, folded left-associatively (matching the
-    cat parser) so Python specs and lowered ``.cat`` twins CSE."""
+    cat parser).  A composition with an empty operand is empty, so a
+    model's baseline, which binds the transactional relations to ``0``,
+    drops the terms built on them (``rfe ; stxn ; [W]``)."""
     if not terms:
         raise ValueError("seq needs at least one term")
-    result = _need_rel(terms[0], ";")
-    for term in terms[1:]:
+    for term in terms:
         _need_rel(term, ";")
+    if any(term.op == "empty" for term in terms):
+        return empty("rel")
+    result = terms[0]
+    for term in terms[1:]:
         result = _nary_node("seq", (result, term), "rel", 3)
     return result
 
@@ -676,7 +680,7 @@ def _communication_terms() -> dict[str, Term]:
 
 
 #: Derived relation name → its term.  ``rel(name)`` returns these, so
-#: Python models and lowered ``.cat`` twins share them through CSE.
+#: every model shares them through CSE.
 DERIVED_RELATIONS: dict[str, Term] = _communication_terms()
 
 #: Every relation identifier :func:`rel` accepts: the leaves plus the

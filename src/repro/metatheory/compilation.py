@@ -48,7 +48,7 @@ from ..events import (
     Event,
     Execution,
 )
-from ..models import CppModel, get_model
+from ..models import get_model
 from ..models.base import MemoryModel
 
 TARGETS = ("x86", "power", "armv8")
@@ -183,7 +183,7 @@ def check_compilation(
     """Search for (X inconsistent-C++, race-free) with π(X) consistent
     on the target, up to a source-event bound."""
     cpp_config = get_config("cpp")
-    cpp_model = CppModel(transactional=True)
+    cpp_model = get_model("cpptm")
     target_model = target_model or get_model(f"{target}tm")
     start = time.monotonic()
     checked = 0
@@ -197,7 +197,7 @@ def check_compilation(
             checked += 1
             if cpp_model.consistent(x):
                 continue
-            if not cpp_model.race_free(x):
+            if not cpp_model.relation("races", x).is_empty():
                 continue  # racy source: target behaviour unconstrained
             compiled = compile_execution(x, target)
             if target_model.consistent(compiled.target):

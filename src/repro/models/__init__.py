@@ -1,26 +1,20 @@
-"""The paper's memory models: SC/TSC, x86, Power, ARMv8, C++ (§3, §5–7)."""
+"""The paper's memory models: SC/TSC, x86, Power, ARMv8, C++ (§3, §5–7).
 
-from .armv8 import ARMv8Model
-from .base import MemoryModel
-from .cpp import CppModel
+The models are defined by the bundled ``.cat`` files under
+``repro/cat/models/``; :func:`get_model` looks them up by name.
+"""
+
+from .base import IRModel, MemoryModel
 from .isolation import (
     strongly_isolated,
     strongly_isolated_atomic,
     weakly_isolated,
 )
-from .power import PowerModel
 from .registry import get_model, model_names
-from .sc import SCModel, TSCModel
-from .x86 import X86Model
 
 __all__ = [
-    "ARMv8Model",
-    "CppModel",
+    "IRModel",
     "MemoryModel",
-    "PowerModel",
-    "SCModel",
-    "TSCModel",
-    "X86Model",
     "get_model",
     "model_names",
     "strongly_isolated",

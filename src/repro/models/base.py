@@ -6,17 +6,17 @@ abstract :class:`MemoryModel` exposes the axiom vocabulary --
 :meth:`~MemoryModel.consistent` for the conjunction,
 :meth:`~MemoryModel.violated_axioms` for diagnostics.
 
-Every concrete model in the reproduction -- the six Python models *and*
-parsed ``.cat`` files -- is an :class:`IRModel`: it *declares* its
-axioms as a :class:`repro.ir.Plan` of relational-algebra terms and
-inherits all three methods as thin wrappers over the shared
-:mod:`repro.ir.executor`.  Derived relations are shared across axioms
-(and across models checking the same execution) through hash-consed
-terms memoised in the execution's
-:class:`~repro.relations.RelationContext`; skeleton-static subterms are
-adopted across a skeleton's rf/co completions automatically.  Because
-diagnostics and the hot path both read the executor's per-constraint
-verdicts, they can never disagree.
+Every concrete model in the reproduction is an :class:`IRModel`: the
+ten registry models are the bundled ``.cat`` files
+(:mod:`repro.models.registry`), lowered by :mod:`repro.cat` into a
+:class:`repro.ir.Plan` of relational-algebra terms, and all three
+methods are thin wrappers over the shared :mod:`repro.ir.executor`.
+Derived relations are shared across axioms (and across models checking
+the same execution) through hash-consed terms memoised in the
+execution's :class:`~repro.relations.RelationContext`; skeleton-static
+subterms are adopted across a skeleton's rf/co completions
+automatically.  Because diagnostics and the hot path both read the
+executor's per-constraint verdicts, they can never disagree.
 
 :class:`MemoryModel` itself stays IR-agnostic so that wrappers composing
 *other* models (e.g. :class:`repro.sim.FilteredModel`) can still supply
@@ -30,6 +30,7 @@ from typing import Callable
 
 from .. import ir
 from ..events import Execution
+from ..relations import Relation
 
 AxiomThunk = tuple[str, Callable[[], bool]]
 
@@ -73,14 +74,28 @@ class MemoryModel(abc.ABC):
 class IRModel(MemoryModel):
     """A model whose axioms are declared as an IR plan.
 
-    Subclasses implement :meth:`plan` (usually returning a module-level
-    ``lru_cache``'d spec, so the term DAG and its schedule are built
-    once per process); everything else is the shared executor.
+    Subclasses implement :meth:`plan` and :meth:`lets`; everything else
+    is the shared executor.
     """
 
     @abc.abstractmethod
     def plan(self) -> "ir.Plan":
         """The compiled constraint plan for this model."""
+
+    @abc.abstractmethod
+    def lets(self) -> dict[str, "ir.Term"]:
+        """The model's named derived relations (its ``let`` bindings)."""
+
+    def relation(self, name: str, execution: Execution) -> Relation:
+        """The value of the derived relation ``name`` on ``execution``
+        (C++'s ``hb``, Power's ``ppo``, ...), interned per execution."""
+        lets = self.lets()
+        if name not in lets:
+            raise KeyError(
+                f"{self.name} defines no relation {name!r}; "
+                f"defined: {', '.join(sorted(lets))}"
+            )
+        return ir.evaluate(lets[name], execution)
 
     def axiom_thunks(self, execution: Execution) -> list[AxiomThunk]:
         return ir.axiom_thunks(self.plan(), execution)

@@ -1,9 +1,9 @@
 """The lowered cat path: one AST→IR lowering per parsed model, running
 on the shared planner/executor.
 
-``tests/test_cat_models_agree.py`` pins the lowered evaluator's
-verdicts against the native models; these tests pin the *lowering*
-itself -- plan sharing, hash-cons unification with the Python twins,
+``tests/test_cat_models_agree.py`` pins the lowered models' verdicts
+against the AST-walking evaluator; these tests pin the *lowering*
+itself -- plan sharing, the registry plans being the lowered files,
 static classification, ``static:`` interning/adoption, let-rec kinds,
 and error behaviour.
 """
@@ -15,6 +15,7 @@ import pytest
 from repro import ir
 from repro.cat import load_cat_model, parse
 from repro.cat.eval import CatModel, _compile_model
+from repro.cat.loader import MODELS_DIR
 from repro.events import ExecutionBuilder
 from repro.models import get_model
 
@@ -29,11 +30,12 @@ def _execution():
 
 
 def test_compilation_shared_across_instances():
-    """Loading the same bundled model twice reuses one lowered plan
-    (and therefore one term DAG and one per-execution cache space)."""
-    first = load_cat_model("powertm")
-    second = load_cat_model("powertm")
-    assert first.plan() is second.plan()
+    """Two parses of the same bundled file reuse one lowered plan (and
+    therefore one term DAG and one per-execution cache space)."""
+    first = CatModel(parse((MODELS_DIR / "powertm.cat").read_text()))
+    second = CatModel(parse((MODELS_DIR / "powertm.cat").read_text()))
+    assert first is not second
+    assert first.plan() is second.plan() is load_cat_model("powertm").plan()
 
 
 def test_distinct_models_get_distinct_plans():
@@ -42,17 +44,62 @@ def test_distinct_models_get_distinct_plans():
     assert a.plan() is not b.plan()
 
 
-def test_cat_twin_terms_unify_with_python_models():
-    """Hash-consing makes the two encodings *literally share terms*:
-    the cat SC model's ``po | com`` is the same object as the Python
-    ``SCModel``'s, so their per-execution values and Order verdicts can
-    never diverge -- agreement is structural, not coincidental."""
-    cat_plan = load_cat_model("sc").plan()
-    native_plan = get_model("sc").plan()
-    assert cat_plan is not native_plan
-    assert cat_plan.constraints[0].term is native_plan.constraints[0].term
-    # ...and the shared (kind, term) pair shares one verdict-memo key.
-    assert cat_plan.constraints[0].vkey == native_plan.constraints[0].vkey
+#: Registry name → the bundled file defining it.
+_SOURCE = {
+    "tsc": "tsc", "sc": "tsc",
+    "x86tm": "x86tm", "x86": "x86tm",
+    "powertm": "powertm", "power": "powertm",
+    "armv8tm": "armv8tm", "armv8": "armv8tm",
+    "cpptm": "cpptm", "cpp": "cpptm",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOURCE))
+def test_registry_plan_is_the_lowered_file(name):
+    """The bundled files are the only model definitions: every registry
+    model's plan is the very plan lowered from a fresh parse of its file
+    (a baseline: with the baseline rule applied), shared through the
+    lowering cache."""
+    model = get_model(name)
+    source = parse((MODELS_DIR / f"{_SOURCE[name]}.cat").read_text())
+    transactional = _SOURCE[name] == name
+    if not transactional:
+        source = source.baseline(model.name)
+        assert get_model(_SOURCE[name]).baseline() is model
+    assert model.plan() is CatModel(source).plan()
+    assert model.is_transactional is transactional
+
+
+def test_baseline_rule():
+    """A baseline binds tfence/stxn/stxnat to 0 and drops exactly the
+    checks naming them; the lets the kept checks read lose their
+    transactional terms through the IR's empty-operand rules."""
+    source = parse(
+        '"m" let hb = po | tfence | (rf ; stxn ; [W]) '
+        "acyclic hb as Order "
+        "acyclic stronglift(com, stxn) as StrongIsol "
+        "empty rmw & stxnat as Atomic"
+    )
+    assert source.is_transactional
+    base = source.baseline("b")
+    assert (base.name, base.axiom_names()) == ("b", ["Order"])
+    assert not base.is_transactional
+    assert base.baseline() is base
+    model = CatModel(source)
+    (order,) = model.baseline().plan().constraints
+    assert order.term is ir.rel("po")
+    assert model.baseline() is model.baseline()
+    plain = CatModel(parse('"m" acyclic po as A'))
+    assert not plain.is_transactional and plain.baseline() is plain
+
+
+def test_relation_evaluates_named_lets():
+    model = CatModel(parse('"m" let ord = po | rf acyclic ord as A'))
+    x = _execution()
+    assert model.relation("ord", x) == x.po | x.rf
+    assert model.relation("ord", x) is model.relation("ord", x)
+    with pytest.raises(KeyError, match="defines no relation 'po'"):
+        model.relation("po", x)
 
 
 def test_static_classification():
@@ -71,7 +118,7 @@ def test_static_classification():
             "acyclic obs as C "
             "acyclic mixed as D"
         )
-    )
+    ).plan
     flags = {c.name: c.term.static for c in plan.constraints}
     assert flags == {"A": True, "B": True, "C": False, "D": False}
 
@@ -82,7 +129,7 @@ def test_dynamic_shadowing_revokes_staticness():
     rf/co and must not be interned under a static: key."""
     plan = _compile_model(
         parse('"m" let sloc = rf | co let q = sloc acyclic q as A')
-    )
+    ).plan
     (constraint,) = plan.constraints
     assert not constraint.term.static
     assert constraint.term.skey is None
@@ -135,8 +182,8 @@ def test_letrec_lowers_to_fix_group():
         '"m" let rec ii = rfi | ci and ci = ii ; po '
         "acyclic ii as A irreflexive ci as B"
     )
-    plan_a = _compile_model(parse(source))
-    plan_b = _compile_model(parse(source.replace('"m"', '"m2"')))
+    plan_a = _compile_model(parse(source)).plan
+    plan_b = _compile_model(parse(source.replace('"m"', '"m2"'))).plan
     a_ii, a_ci = (c.term for c in plan_a.constraints)
     assert a_ii.op == "fix" and a_ci.op == "fix"
     assert a_ii.group is a_ci.group

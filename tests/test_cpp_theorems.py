@@ -8,12 +8,18 @@ enumerated C++ executions up to a bound (the paper's own methodology for
 import pytest
 
 from repro.events import ExecutionBuilder, NA, RLX, SC
-from repro.models import CppModel, get_model
+from repro.cat import CatModel, bundled_model
+from repro.models import get_model
 from repro.models.isolation import strongly_isolated_atomic
 
 
+def race_free(model, x) -> bool:
+    """The NoRace predicate of Fig. 9: the model's ``races`` is empty."""
+    return model.relation("races", x).is_empty()
+
+
 class TestDerivedRelationSharing:
-    """Regression for the CppModel caching bug: derived relations used
+    """Regression for the C++ model caching bug: derived relations used
     to be memoised in a throwaway call-local Memo, so hb/psc were
     recomputed on every consistent() call.  With the IR executor they
     are memoised per execution under their hash-consed term, shared
@@ -34,7 +40,7 @@ class TestDerivedRelationSharing:
         build samples every node block it runs)."""
         from repro.obs import PROFILER
 
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         x = self._execution()
         PROFILER.reset()
         PROFILER.enable()
@@ -57,18 +63,18 @@ class TestDerivedRelationSharing:
         """hb/sw materialise once per execution: repeated calls return
         the identical Relation object, across model instances too (the
         term DAG, not the model object, is the cache key)."""
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         x = self._execution()
-        first = model.hb(x)
-        assert model.hb(x) is first
+        first = model.relation("hb", x)
+        assert model.relation("hb", x) is first
         assert all(t() for _, t in model.axiom_thunks(x))
-        assert model.hb(x) is first
-        assert CppModel(transactional=True).hb(x) is first
-        assert model.sw(x) is model.sw(x)
+        assert model.relation("hb", x) is first
+        assert CatModel(bundled_model("cpptm")).relation("hb", x) is first
+        assert model.relation("sw", x) is model.relation("sw", x)
         # The baseline's hb is a different term with its own slot.
-        baseline = CppModel(transactional=False)
-        assert baseline.hb(x) is baseline.hb(x)
-        assert baseline.hb(x) is not first
+        baseline = get_model("cpp")
+        assert baseline.relation("hb", x) is baseline.relation("hb", x)
+        assert baseline.relation("hb", x) is not first
 
     def test_variant_keys_do_not_alias(self):
         """TM and baseline hb differ on transactional executions and
@@ -83,10 +89,10 @@ class TestDerivedRelationSharing:
             r1 = t1.read("x", tags={NA})
         b.rf(w1, r1)
         x = b.build()
-        tm = CppModel(transactional=True)
-        base = CppModel(transactional=False)
-        hb_tm = tm.hb(x)
-        hb_base = base.hb(x)
+        tm = get_model("cpptm")
+        base = get_model("cpp")
+        hb_tm = tm.relation("hb", x)
+        hb_base = base.relation("hb", x)
         assert hb_tm is not hb_base
         assert hb_base.pairs <= hb_tm.pairs
 
@@ -98,7 +104,7 @@ def test_theorem_7_2_strong_isolation_for_atomic_transactions(cpp_executions_3):
     The theorem (like its proof, which appeals to HbCom) is about
     *consistent* executions; race-freedom is only meaningful there.
     """
-    model = CppModel(transactional=True)
+    model = get_model("cpptm")
     checked = 0
     for x in cpp_executions_3:
         if not x.atomic_txns:
@@ -108,7 +114,7 @@ def test_theorem_7_2_strong_isolation_for_atomic_transactions(cpp_executions_3):
         # last).
         if not model.consistent(x):
             continue
-        if not model.race_free(x):
+        if not race_free(model, x):
             continue
         checked += 1
         assert strongly_isolated_atomic(x), x.describe()
@@ -118,7 +124,7 @@ def test_theorem_7_2_strong_isolation_for_atomic_transactions(cpp_executions_3):
 def test_theorem_7_3_transactional_drf_guarantee(cpp_executions_3):
     """Race-free C++-consistent executions with only atomic transactions
     and only SC atomics are TSC-consistent."""
-    model = CppModel(transactional=True)
+    model = get_model("cpptm")
     tsc = get_model("tsc")
     checked = 0
     for x in cpp_executions_3:
@@ -131,7 +137,7 @@ def test_theorem_7_3_transactional_drf_guarantee(cpp_executions_3):
         if x.atomics - x.sc_events:
             continue
         # no data races:
-        if not model.race_free(x):
+        if not race_free(model, x):
             continue
         checked += 1
         assert tsc.consistent(x), (
@@ -157,10 +163,10 @@ class TestSection72Examples:
 
     def test_atomic_txn_with_plain_store_is_racy(self):
         x = self._atomic_txn_vs_atomic_store()
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         assert model.consistent(x)
-        assert not model.race_free(x)
-        race = model.races(x)
+        assert not race_free(model, x)
+        race = model.relation("races", x)
         assert len(race) > 0
 
     def test_same_program_with_atomic_accesses_is_race_free(self):
@@ -171,7 +177,7 @@ class TestSection72Examples:
         w2 = t1.write("x", tags={RLX})
         b.co(w1, w2)
         x = b.build()
-        assert CppModel(transactional=True).race_free(x)
+        assert race_free(get_model("cpptm"), x)
 
 
 class TestSynchronisation:
@@ -185,10 +191,10 @@ class TestSynchronisation:
         b.rf(wy, ry)
         b.rf(wx, rx)
         x = b.build()
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         assert model.consistent(x)
-        assert model.race_free(x)
-        assert (wy, ry) in model.sw(x)
+        assert race_free(model, x)
+        assert (wy, ry) in model.relation("sw", x)
 
     def test_relaxed_message_passing_is_racy(self):
         b = ExecutionBuilder()
@@ -200,8 +206,8 @@ class TestSynchronisation:
         b.rf(wy, ry)
         b.rf(wx, rx)
         x = b.build()
-        model = CppModel(transactional=True)
-        assert not model.race_free(x)
+        model = get_model("cpptm")
+        assert not race_free(model, x)
 
     def test_transactional_synchronisation_orders_conflicting_txns(self):
         """§7.2: conflicting transactions synchronise in ecom order, so
@@ -217,10 +223,11 @@ class TestSynchronisation:
         b.rf(wy, ry)
         b.rf(wx, rx)
         x = b.build()
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         assert model.consistent(x)
-        assert model.race_free(x)
-        assert (wx, rx) in model.tsw(x) and (wy, ry) in model.tsw(x)
+        assert race_free(model, x)
+        tsw = model.relation("tsw", x)
+        assert (wx, rx) in tsw and (wy, ry) in tsw
 
     def test_sc_fences_restore_sb_order(self):
         """SB with seq_cst fences is forbidden by SeqCst (psc_F)."""
@@ -235,7 +242,7 @@ class TestSynchronisation:
         t1.fence(CPPF, tags={SC})
         t1.read("x", tags={RLX})
         x = b.build()
-        model = CppModel(transactional=True)
+        model = get_model("cpptm")
         assert "SeqCst" in model.violated_axioms(x)
 
     def test_sc_accesses_restore_sb_order(self):
@@ -246,7 +253,7 @@ class TestSynchronisation:
         t1.write("y", tags={SC})
         t1.read("x", tags={SC})
         x = b.build()
-        assert "SeqCst" in CppModel(transactional=True).violated_axioms(x)
+        assert "SeqCst" in get_model("cpptm").violated_axioms(x)
 
     def test_relaxed_sb_allowed(self):
         b = ExecutionBuilder()
@@ -256,7 +263,7 @@ class TestSynchronisation:
         t1.write("y", tags={RLX})
         t1.read("x", tags={RLX})
         x = b.build()
-        assert CppModel(transactional=True).consistent(x)
+        assert get_model("cpptm").consistent(x)
 
     def test_no_thin_air_forbids_rlx_lb_with_po_rf_cycle(self):
         b = ExecutionBuilder()
@@ -268,4 +275,4 @@ class TestSynchronisation:
         b.rf(w0, r1)
         b.rf(w1, r0)
         x = b.build()
-        assert "NoThinAir" in CppModel(transactional=True).violated_axioms(x)
+        assert "NoThinAir" in get_model("cpptm").violated_axioms(x)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.enumeration import get_config, weakenings
 from repro.events import Execution, Event, is_well_formed
-from repro.models.cpp import CppModel
+from repro.models import get_model
 
 LOCS = ("x", "y")
 
@@ -165,6 +165,6 @@ def test_weakenings_preserve_well_formedness(x):
 @settings(max_examples=40)
 @given(executions())
 def test_cpp_conflicts_symmetric_closure(x):
-    model = CppModel(transactional=True)
-    cnf = model.conflicts(x)
+    model = get_model("cpptm")
+    cnf = model.relation("cnf", x)
     assert cnf == cnf.inverse()

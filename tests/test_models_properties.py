@@ -9,12 +9,7 @@ verification.
 
 import pytest
 
-from repro.models import (
-    CppModel,
-    get_model,
-    strongly_isolated,
-    weakly_isolated,
-)
+from repro.models import get_model, strongly_isolated, weakly_isolated
 
 
 @pytest.fixture(
@@ -40,7 +35,7 @@ def test_tm_consistent_implies_strongly_isolated(target, request):
 def test_cpp_consistent_implies_weakly_isolated(cpp_executions_3):
     """§7.2's ☑-marked claim: WeakIsol follows from the other C++
     axioms (for relaxed transactions)."""
-    model = CppModel(transactional=True)
+    model = get_model("cpptm")
     for x in cpp_executions_3:
         if x.txn_of and model.consistent(x):
             assert weakly_isolated(x), x.describe()
@@ -105,10 +100,10 @@ def test_sc_consistent_implies_hw_consistent(sc_executions_3):
 
 def test_conflicts_covered_by_extended_communication(cpp_executions_3):
     """§7.2's ☑-marked identity: cnf = ecom ∪ ecom⁻¹."""
-    model = CppModel(transactional=True)
+    model = get_model("cpptm")
     for x in cpp_executions_3:
-        cnf = model.conflicts(x)
-        ecom = model.ecom(x)
+        cnf = model.relation("cnf", x)
+        ecom = model.relation("ecom", x)
         covered = ecom | ecom.inverse()
         assert cnf.pairs <= covered.pairs, x.describe()
 

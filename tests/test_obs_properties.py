@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cat import load_cat_model
+from repro.cat import CatModel, bundled_model
 from repro.enumeration import enumerate_executions, get_config
 from repro.harness import CheckPipeline
 from repro.harness.table1 import run_table1
@@ -69,7 +69,7 @@ def test_cache_accounting_balances_after_real_workload(
     power = get_model("power")
     for x in x86_executions[:200]:
         power.consistent(x)
-    load_cat_model("x86tm")
+    CatModel(bundled_model("x86tm"))
     with CheckPipeline(checkpoint=tmp_path / "acct.jsonl") as pipe:
         pipe.consistency_batch("x86tm", x86_executions[:20])
         pipe.consistency_batch("x86tm", x86_executions[:20])  # replay
