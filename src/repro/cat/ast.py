@@ -170,11 +170,14 @@ class Model:
 
     def baseline(self, name: str | None = None) -> "Model":
         """The non-transactional model this one extends, named ``name``
-        (default: this model's name): ``tfence``,
-        ``stxn`` and ``stxnat`` are bound to ``0``, and every check whose
-        own expression names one of them is dropped.  The relations the
-        remaining checks read lose their transactional terms through the
-        IR's empty-operand rules (``r | 0 = r``, ``r ; 0 = 0``)."""
+        (default: this model's name).
+
+        ``tfence``, ``stxn`` and ``stxnat`` are bound to ``0``, and every
+        check whose own expression names one of them is dropped.  The
+        relations the remaining checks read lose their transactional
+        terms through the IR's empty-operand rules (``r | 0 = r``,
+        ``r ; 0 = 0``).
+        """
         if not self.is_transactional:
             return self
         zero = Let(

@@ -88,7 +88,8 @@ class IRModel(MemoryModel):
 
     def relation(self, name: str, execution: Execution) -> Relation:
         """The value of the derived relation ``name`` on ``execution``
-        (C++'s ``hb``, Power's ``ppo``, ...), interned per execution."""
+        (C++'s ``hb``, Power's ``ppo``, ...; a frozenset for a
+        set-valued let), interned per execution."""
         lets = self.lets()
         if name not in lets:
             raise KeyError(
