@@ -47,4 +47,6 @@ def get_model(name: str) -> MemoryModel:
         return _load(key)[0]
     if key in _BASELINES:
         return _load(_BASELINES[key])[1]
-    raise KeyError(f"unknown model {name!r}; known: {', '.join(model_names())}")
+    raise KeyError(
+        f"unknown model {name!r}; known: {', '.join(model_names())}"
+    )
