@@ -48,3 +48,8 @@ def power_synthesis():
 @pytest.fixture(scope="session")
 def armv8_synthesis():
     return synthesise("armv8", 3)
+
+
+@pytest.fixture(scope="session")
+def cpp_synthesis():
+    return synthesise("cpp", 3)

@@ -1,4 +1,4 @@
-"""Table 1 goldens for Power and ARMv8 at bound 3.
+"""Table 1 goldens for Power, ARMv8 and C++ at bound 3.
 
 Next to the x86 paper-count asserts in ``test_table1_x86.py``, these pin
 the whole Power and ARMv8 rows: the rendered table (with the wall-clock
@@ -10,6 +10,10 @@ over each suite's ordered canonical keys, the digest
 At bound 3 the two architectures synthesise the same isomorphism
 classes in the same order, so their suite digests coincide; the renders
 differ in the machine that validated them.
+
+C++ has no simulated machine, so its row is the paper's synthesis-only
+row: Forbid and Allow counts per event count, plus the candidate count
+and the suite digest.
 """
 
 from __future__ import annotations
@@ -67,3 +71,41 @@ def test_table1_golden(arch, request):
     assert _suite_digest(synthesis) == SUITE_SHA256[arch]
     table = run_table1(arch, 3, synthesis=synthesis)
     assert _masked(table.render()) == RENDER[arch]
+
+
+CPP_SUITE_SHA256 = (
+    "b1d7b530b068b10406e1432e59e71842dcaf9881bdaf58a557fe7423f2ec2bb7"
+)
+
+CPP_RENDER = """\
+Table 1 -- cpp (no simulated machine)
+ |E|  Forbid T   Allow T
+   2         0         6
+   3         4        12
+Total (cpp): Forbid 4, Allow 18 (257950 candidates)"""
+
+
+def _counts_render(synthesis) -> str:
+    forbid = synthesis.forbidden_by_size()
+    allow = synthesis.allowed_by_size()
+    lines = [
+        f"Table 1 -- {synthesis.target} (no simulated machine)",
+        f"{'|E|':>4} {'Forbid T':>9} {'Allow T':>9}",
+    ]
+    for size in sorted(set(forbid) | set(allow)):
+        lines.append(
+            f"{size:>4} {len(forbid.get(size, ())):>9}"
+            f" {len(allow.get(size, ())):>9}"
+        )
+    lines.append(
+        f"Total ({synthesis.target}): Forbid {len(synthesis.forbidden)},"
+        f" Allow {len(synthesis.allowed)}"
+        f" ({synthesis.candidates_examined} candidates)"
+    )
+    return "\n".join(lines)
+
+
+def test_table1_golden_cpp(cpp_synthesis):
+    assert cpp_synthesis.max_events == 3 and cpp_synthesis.complete
+    assert _suite_digest(cpp_synthesis) == CPP_SUITE_SHA256
+    assert _counts_render(cpp_synthesis) == CPP_RENDER
