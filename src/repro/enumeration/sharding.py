@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from typing import Iterator
 
@@ -107,6 +108,76 @@ def _decode(index: int, sizes: list[int]) -> list[int]:
     return digits
 
 
+def _group_parts(skeleton: Skeleton) -> tuple:
+    return (
+        skeleton.events,
+        skeleton.threads,
+        skeleton.addr,
+        skeleton.ctrl,
+        skeleton.data,
+        skeleton.rmw,
+    )
+
+
+class _Group:
+    """What a run of skeletons differing only in their transaction
+    layout shares: one :class:`SkeletonCompleter` (the row bundle, co
+    rows and transaction-free memos) and the rf/co choice space."""
+
+    def __init__(self, skeleton: Skeleton):
+        self.parts = _group_parts(skeleton)
+        reads, read_options, writes_by_loc, locs = _choice_space(skeleton)
+        self.reads = reads
+        self.read_options = read_options
+        # One rf block holds every co choice, in ``itertools.product``
+        # order (the innermost digits of the completion index).
+        self.co_choices = list(
+            itertools.product(
+                *(itertools.permutations(writes_by_loc[loc]) for loc in locs)
+            )
+        )
+        self.rf_sizes = [len(options) for options in read_options]
+        self.completer = SkeletonCompleter(
+            events=skeleton.events,
+            threads=skeleton.threads,
+            addr=skeleton.addr,
+            ctrl=skeleton.ctrl,
+            data=skeleton.data,
+            rmw=skeleton.rmw,
+            txn_of=skeleton.txn_of,
+            atomic_txns=skeleton.atomic_txns,
+        )
+
+    def holds(self, skeleton: Skeleton) -> bool:
+        """Whether ``skeleton`` is another layout of this group.
+        :func:`~repro.enumeration.shapes._elaborate_structure` yields a
+        group's layouts over the very same objects, so identity is
+        enough (and never wrong: identical objects are equal)."""
+        return all(map(operator.is_, self.parts, _group_parts(skeleton)))
+
+    def completions(self, start: int, stop: int) -> Iterator[Execution]:
+        """Completions ``start <= index < stop`` of the current layout."""
+        block = len(self.co_choices)
+        stop = min(stop, block * math.prod(self.rf_sizes))
+        start = max(0, start)
+        completer = self.completer
+        for rf_index in range(start // block, (stop - 1) // block + 1):
+            rf_digits = _decode(rf_index, self.rf_sizes)
+            rf_choice = [
+                self.read_options[i][digit]
+                for i, digit in enumerate(rf_digits)
+            ]
+            completer.start_rf(
+                (src, r)
+                for src, r in zip(rf_choice, self.reads)
+                if src is not None
+            )
+            lo = max(start - rf_index * block, 0)
+            hi = min(stop - rf_index * block, block)
+            for co_orders in self.co_choices[lo:hi]:
+                yield completer.complete(co_orders)
+
+
 def complete_skeleton_range(
     skeleton: Skeleton, start: int, stop: int
 ) -> Iterator[Execution]:
@@ -119,46 +190,7 @@ def complete_skeleton_range(
     the full product keeps a tail range cheap: whole rf blocks before
     ``start`` are skipped by arithmetic, not enumerated.
     """
-    reads, read_options, writes_by_loc, locs = _choice_space(skeleton)
-    # One rf block holds every co choice, in ``itertools.product`` order
-    # (the innermost digits of the completion index).
-    co_choices = list(
-        itertools.product(
-            *(itertools.permutations(writes_by_loc[loc]) for loc in locs)
-        )
-    )
-    rf_sizes = [len(options) for options in read_options]
-    block = len(co_choices)
-    total = block * math.prod(rf_sizes)
-    start = max(0, start)
-    stop = min(stop, total)
-    if start >= stop:
-        return
-
-    completer = SkeletonCompleter(
-        events=skeleton.events,
-        threads=skeleton.threads,
-        addr=skeleton.addr,
-        ctrl=skeleton.ctrl,
-        data=skeleton.data,
-        rmw=skeleton.rmw,
-        txn_of=skeleton.txn_of,
-        atomic_txns=skeleton.atomic_txns,
-    )
-    for rf_index in range(start // block, (stop - 1) // block + 1):
-        rf_digits = _decode(rf_index, rf_sizes)
-        rf_choice = [
-            read_options[i][digit] for i, digit in enumerate(rf_digits)
-        ]
-        completer.start_rf(
-            (src, r)
-            for src, r in zip(rf_choice, reads)
-            if src is not None
-        )
-        lo = max(start - rf_index * block, 0)
-        hi = min(stop - rf_index * block, block)
-        for co_orders in co_choices[lo:hi]:
-            yield completer.complete(co_orders)
+    return _Group(skeleton).completions(start, stop)
 
 
 def complete_shard_range(
@@ -171,18 +203,26 @@ def complete_shard_range(
 
     ``cumulative[i]`` is the total completion count of skeletons
     ``0..i`` inclusive (as built by :func:`cumulative_counts`); the
-    shard-global index space is their concatenation.
+    shard-global index space is their concatenation.  Consecutive
+    skeletons of one transaction group are completed by one
+    :class:`_Group`, so each rf/co choice's transaction-free values are
+    computed once for all of the group's layouts; a range starting
+    inside a group starts a fresh one.
     """
     if not skeletons or start >= stop:
         return
     first = bisect_right(cumulative, start)
+    group = None
     for index in range(first, len(skeletons)):
         base = cumulative[index - 1] if index > 0 else 0
         if base >= stop:
             break
-        yield from complete_skeleton_range(
-            skeletons[index], start - base, stop - base
-        )
+        skeleton = skeletons[index]
+        if group is not None and group.holds(skeleton):
+            group.completer.start_txn(skeleton.txn_of, skeleton.atomic_txns)
+        else:
+            group = _Group(skeleton)
+        yield from group.completions(start - base, stop - base)
 
 
 def cumulative_counts(counts: list[int]) -> list[int]:

@@ -580,6 +580,9 @@ class Execution:
         # row bundle pickles without its caches: see SkeletonRows.)
         state = self.__dict__.copy()
         state.pop("_ir_state", None)
+        # Likewise the memo shared with the execution's siblings under
+        # other transaction layouts: a copy judges on its own.
+        state.pop("_ir_shared", None)
         return state
 
     # ------------------------------------------------------------------
@@ -626,6 +629,15 @@ class SkeletonCompleter:
     total order, so no closure runs) and kept per co choice, which
     recurs under every rf choice.
 
+    One completer can serve a whole *group*: skeletons differing only in
+    their transaction layout.  :meth:`start_txn` moves it to the next
+    layout, whose bundle is a transaction variant of the first
+    (:meth:`SkeletonRows.with_transactions`).  Every completion also
+    gets the IR's transaction-free memo for its rf/co choice
+    (``_ir_shared``), one dict per choice for the completer's lifetime,
+    so node values and verdicts that read no transaction relation are
+    computed once for all layouts of the group.
+
     Usage::
 
         completer = SkeletonCompleter(events, threads, addr, ctrl,
@@ -634,6 +646,8 @@ class SkeletonCompleter:
             completer.start_rf(rf_pairs)
             for co_orders in ...:  # one tuple of writes per location
                 execution = completer.complete(co_orders)
+        completer.start_txn(other_txn_of, other_atomic_txns)
+        ...  # the same rf/co loops for the next layout
     """
 
     def __init__(
@@ -663,6 +677,7 @@ class SkeletonCompleter:
             events, threads, deps, txn_of, atomic_txns, uni, shared=True
         )
         self._uni = uni
+        self._first = skel
         #: Every completion's __dict__ starts as a copy of this.
         self._parts = {
             "events": events,
@@ -673,12 +688,29 @@ class SkeletonCompleter:
             "atomic_txns": atomic_txns,
             "_skel": skel,
         }
-        self._rf_rows = skel.zero
         self._co_rows: dict[tuple, tuple[int, ...]] = {}
+        #: rf rows → co orders → the transaction-free memo.
+        self._memos: dict[tuple, dict[tuple, dict]] = {}
+        self.start_rf(())
+
+    def start_txn(
+        self, txn_of: Mapping[int, int], atomic_txns: Iterable[int]
+    ) -> None:
+        """Move to another transaction layout of the same skeleton for
+        the completions that follow."""
+        txn_of = dict(txn_of)
+        atomic_txns = frozenset(atomic_txns)
+        self._parts = {
+            **self._parts,
+            "txn_of": txn_of,
+            "atomic_txns": atomic_txns,
+            "_skel": self._first.with_transactions(txn_of, atomic_txns),
+        }
 
     def start_rf(self, rf_pairs: Iterable[tuple[int, int]]) -> None:
         """Fix the rf choice for the completions that follow."""
         self._rf_rows = pair_rows(rf_pairs, self._uni)
+        self._rf_memos = self._memos.setdefault(self._rf_rows, {})
 
     def complete(self, co_orders: tuple[tuple[int, ...], ...]) -> Execution:
         """One completion of the current rf choice; ``co_orders`` gives
@@ -693,9 +725,13 @@ class SkeletonCompleter:
                     rows[index[w]] = later
                     later |= 1 << index[w]
             co_rows = self._co_rows[co_orders] = tuple(rows)
+        memo = self._rf_memos.get(co_orders)
+        if memo is None:
+            memo = self._rf_memos[co_orders] = {}
         execution = Execution.__new__(Execution)
         own = execution.__dict__
         own.update(self._parts)
         own["_rf_rows"] = self._rf_rows
         own["_co_rows"] = co_rows
+        own["_ir_shared"] = memo
         return execution

@@ -19,8 +19,13 @@ each built on first demand and then kept:
 
 Candidate enumeration (:class:`~repro.events.execution.SkeletonCompleter`)
 builds one bundle per skeleton and hands it to every completion, which
-then carries only its own ``rf`` and ``co`` rows.  An execution built
-through the public constructor gets a private bundle on first use.  The
+then carries only its own ``rf`` and ``co`` rows.  Skeletons that differ
+only in their transaction layout form a *group*: the bundle of each
+further layout is a variant (:meth:`SkeletonRows.with_transactions`)
+that shares everything the layout does not decide and keeps its own
+transaction rows (:data:`TXN_RELATIONS`), transaction facts and
+canonical-key share.  An execution built through the public constructor
+gets a private bundle on first use.  The
 :class:`~repro.relations.Relation` values ``Execution.po``,
 ``Execution.sloc``, ... are views over these rows (:meth:`view`).
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..relations import Relation, RelationContext
+from ..relations import Relation
 from ..relations.relation import _Universe, _universe, compose_rows
 from .event import DMB, DMBLD, DMBST, FENCE, ISB, ISYNC, LWSYNC, MFENCE, SYNC
 
@@ -96,6 +101,17 @@ def aligned_rows(relation: Relation, uni: _Universe):
 #: The dependency relations a bundle is given rows for.
 DEPENDENCIES = ("addr", "ctrl", "data", "rmw")
 
+#: The static relations built from the transaction layout: every other
+#: static relation is shared by all layouts of one skeleton.
+TXN_RELATIONS = frozenset({"stxn", "stxnat", "tfence"})
+
+
+def _txn_facts(txn_of: dict[int, int], atomic_txns: frozenset[int]) -> dict:
+    return {
+        "txn": tuple(sorted(txn_of.items())),
+        "atxn": tuple(sorted(atomic_txns)),
+    }
+
 
 def _rebuild(events, threads, deps, txn_of, atomic_txns, eids, shared):
     return SkeletonRows(
@@ -110,9 +126,15 @@ class SkeletonRows:
     ``deps`` maps ``addr``/``ctrl``/``data``/``rmw`` to their rows over
     ``uni`` (``None`` when the relation mentions events outside it).
     ``shared`` bundles -- the ones a completer hands to many executions
-    -- carry their own :class:`RelationContext` as the store for
-    interned static plan nodes; a private bundle leaves that store to
-    its execution's own context (``context`` is ``None``).
+    -- carry the stores for interned static plan nodes: ``store`` for
+    transaction-free nodes, shared by every layout of the group, and
+    ``txn_store`` for the nodes this layout decides.  A private bundle
+    leaves both to its execution's own context (they are ``None``).
+
+    Likewise the transaction relations' rows live in ``txn_rows`` and
+    every other static relation's in ``rows``.  A transaction variant
+    (:meth:`with_transactions`) shares ``rows``, ``masks``, ``store``
+    and the Relation views of rows with the bundle it was made from.
     """
 
     __slots__ = (
@@ -125,8 +147,10 @@ class SkeletonRows:
         "zero",
         "id_rows",
         "uid",
-        "context",
+        "store",
+        "txn_store",
         "rows",
+        "txn_rows",
         "masks",
         "facts",
         "canon",
@@ -151,11 +175,14 @@ class SkeletonRows:
         self.uni = uni
         self.n, self.zero, self.id_rows = _consts(uni)
         self.uid = id(uni) if uni.interned else -next(_UID_FALLBACK)
-        self.context = RelationContext(None) if shared else None
+        self.store: dict | None = {} if shared else None
+        self.txn_store: dict | None = {} if shared else None
         #: static base relation name → rows, or ``None`` when the
         #: skeleton mentions events outside the universe; filled in on
-        #: first demand by :meth:`static_rows`.
+        #: first demand by :meth:`static_rows` (``txn_rows`` for
+        #: :data:`TXN_RELATIONS`).
         self.rows: dict[str, tuple[int, ...] | None] = dict(deps)
+        self.txn_rows: dict[str, tuple[int, ...] | None] = {}
         #: event-set name → mask, filled in by the IR executor.
         self.masks: dict[str, int] = {}
         #: The skeleton facts each static leaf is a function of, by the
@@ -169,8 +196,7 @@ class SkeletonRows:
             ),
             "kinds": tuple(e.kind for e in events),
             "tags": tuple(tuple(sorted(e.tags)) for e in events),
-            "txn": tuple(sorted(txn_of.items())),
-            "atxn": tuple(sorted(atomic_txns)),
+            **_txn_facts(txn_of, atomic_txns),
             **deps,
         }
         #: The skeleton's share of its completions' canonical keys,
@@ -194,9 +220,30 @@ class SkeletonRows:
                 self.txn_of,
                 self.atomic_txns,
                 self.uni.frozen,
-                self.context is not None,
+                self.store is not None,
             ),
         )
+
+    def with_transactions(
+        self, txn_of: dict[int, int], atomic_txns: frozenset[int]
+    ) -> "SkeletonRows":
+        """The bundle of the same skeleton under another transaction
+        layout: it shares this bundle's universe, non-transaction rows,
+        masks, views and transaction-free static store, and builds its
+        own transaction rows, store and canonical-key share."""
+        variant = SkeletonRows.__new__(SkeletonRows)
+        for name in (
+            "events", "threads", "uni", "n", "zero", "id_rows", "uid",
+            "store", "rows", "masks", "_views",
+        ):
+            setattr(variant, name, getattr(self, name))
+        variant.txn_of = txn_of
+        variant.atomic_txns = atomic_txns
+        variant.txn_store = None if self.store is None else {}
+        variant.txn_rows = {}
+        variant.facts = {**self.facts, **_txn_facts(txn_of, atomic_txns)}
+        variant.canon = None
+        return variant
 
     # ------------------------------------------------------------------
     # Static base relations as rows
@@ -205,13 +252,14 @@ class SkeletonRows:
     def static_rows(self, name: str):
         """The rows of static base relation ``name`` over the universe,
         or ``None`` when the skeleton mentions events outside it."""
-        rows = self.rows.get(name, self)
+        table = self.txn_rows if name in TXN_RELATIONS else self.rows
+        rows = table.get(name, self)
         if rows is self:
             try:
                 rows = self._build(name, self.uni)
             except KeyError:
                 rows = None
-            self.rows[name] = rows
+            table[name] = rows
         return rows
 
     def view(self, name: str) -> Relation:

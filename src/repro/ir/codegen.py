@@ -34,6 +34,13 @@ Three kinds of function are emitted:
   group by Kleene iteration from the kind-appropriate bottoms, interned
   across executions on ``("irfix", group, n, *input values)``.
 
+Every memo access is routed by the term's :attr:`~repro.ir.terms.Term.txn`
+flag: node values, verdicts and fix-group results of transaction-free
+terms go to the memo half all transaction layouts of one rf/co choice
+share (``shared``), the others to the execution's own (``vals``);
+static leaves and static nodes likewise come from the group's stores
+(``_L``, ``_SC``) or the layout's (``_TR``, ``_TS``).
+
 Static nodes resolve through the per-skeleton store and the global
 intern table (a hit in the store is read inline).  The emitted code
 grows with the *tree* expansion of a plan (guarded blocks are re-emitted
@@ -54,12 +61,16 @@ from .terms import FixGroup, Term, derived_name
 
 #: Per-call locals a compiled function may read, in binding order.
 _LOCALS = (
+    ("vals", "st.vals"),
+    ("shared", "st.shared"),
     ("_Z", "st.zero"),
     ("_N", "st.n"),
     ("_U", "st.uni"),
     ("_F", "st.uni.full_mask"),
     ("_L", "st.skel.rows"),
-    ("_SC", "st.static._cache"),
+    ("_TR", "st.skel.txn_rows"),
+    ("_SC", "st.static"),
+    ("_TS", "st.txn_static"),
 )
 
 #: (term uid, profile) → its compiled evaluator (see
@@ -108,6 +119,13 @@ class _Emitter:
     def name(self, t: Term) -> str:
         return f"v{t.uid}"
 
+    @staticmethod
+    def memo(t: Term) -> str:
+        """The local naming the memo half that holds ``t``'s entries:
+        the execution's own for transactional terms, else the one its
+        transaction layouts share."""
+        return "vals" if t.txn else "shared"
+
     def calls(self, t: Term) -> bool:
         """Whether ``t`` is emitted as a call to its own evaluator."""
         return t is not self.inline and not t.intern_root and _outlined(t)
@@ -142,18 +160,22 @@ class _Emitter:
             # mask) takes the counted path.  Values are otherwise
             # truthy: row tuples are never empty.
             self.ns[f"_t{t.uid}"] = t
-            self.w(ind, f"{name} = _SC.get({t.skey!r}) or _s(st, _t{t.uid})")
+            store = "_TS" if t.txn else "_SC"
+            self.w(
+                ind, f"{name} = {store}.get({t.skey!r}) or _s(st, _t{t.uid})"
+            )
         elif self.calls(t):
             # One shared evaluator per term, memoised in the execution's
             # node memo: every plan checking the execution computes the
             # node once, and its code is emitted once, not at every
             # demand site.
             self.ns[f"_d{t.uid}"] = _node_function(t, self.ns, self.profile)
+            memo = self.memo(t)
             if not self.profile:
-                self.w(ind, f"{name} = vals.get({t.uid}) or _d{t.uid}(st)")
+                self.w(ind, f"{name} = {memo}.get({t.uid}) or _d{t.uid}(st)")
                 return
             self.ns[f"_t{t.uid}"] = t
-            self.w(ind, f"{name} = vals.get({t.uid}, _M)")
+            self.w(ind, f"{name} = {memo}.get({t.uid}, _M)")
             self.w(ind, f"if {name} is _M:")
             self.w(ind + 1, f"{name} = _d{t.uid}(st)")
             self.w(ind, "else:")
@@ -168,7 +190,7 @@ class _Emitter:
             elif leaf in ("rf", "co"):
                 fast = f"st.{leaf}"
             else:
-                fast = f"_L.get({leaf!r})"
+                fast = f"{'_TR' if t.txn else '_L'}.get({leaf!r})"
             self.w(ind, f"{name} = {fast} or _b(st, {leaf!r})")
         elif op == "set":
             self.w(ind, f"{name} = _m(st, {t.args[0]!r})")
@@ -339,9 +361,11 @@ def build(plan: Plan, helpers: dict, profile: bool = False):
 
     ``helpers`` supplies the executor's primitives (leaf fetchers, row
     kernels, counters, profiler hooks).  The runner decides constraints
-    in scheduled order, skipping any whose verdict ``st.vals`` already
-    holds and recording the rest there; it returns ``False`` at the
-    first failure unless ``full`` asks it to decide every constraint.
+    in scheduled order, skipping any whose verdict the execution's
+    verdict memo already holds and recording the rest there (in the
+    memo half :meth:`_Emitter.memo` picks for the constraint's term); it
+    returns ``False`` at the first failure unless ``full`` asks it to
+    decide every constraint.
     """
     ns = dict(helpers)
     em = _Emitter(ns, profile=profile)
@@ -359,11 +383,12 @@ def build(plan: Plan, helpers: dict, profile: bool = False):
                 f"with _pcon({plan.name!r}, {constraint.name!r}),"
                 f" _tm({timer!r}).time():",
             )
-        em.w(ind, f"ok = vals.get({vk})")
+        memo = em.memo(constraint.term)
+        em.w(ind, f"ok = {memo}.get({vk})")
         em.w(ind, "if ok is None:")
         em.ensure(constraint.term, ind + 1)
         verdict = _VERDICTS[constraint.kind].format(em.name(constraint.term))
-        em.w(ind + 1, f"ok = vals[{vk}] = {verdict}")
+        em.w(ind + 1, f"ok = {memo}[{vk}] = {verdict}")
         em.w(1, "if not ok:")
         if position + 1 < len(scheduled):
             em.w(2, "if not full:")
@@ -403,14 +428,17 @@ def _inline_size(t: Term) -> int:
 
 def _node_function(t: Term, helpers: dict, profile: bool = False):
     """Compile ``t`` into ``evaluate(st) -> value``, which computes the
-    term from its children and stores it in ``st.vals`` under its uid
-    (the node memo)."""
+    term from its children and stores it in the execution's node memo
+    under its uid."""
     key = (t.uid, profile)
     fn = _NODES.get(key)
     if fn is None:
         em = _Emitter(dict(helpers), inline=t, profile=profile)
         em.ensure(t, 1)
-        tail = [f"    vals[{t.uid}] = v{t.uid}", f"    return v{t.uid}"]
+        tail = [
+            f"    {em.memo(t)}[{t.uid}] = v{t.uid}",
+            f"    return v{t.uid}",
+        ]
         fn = _NODES[key] = _function(em, tail, f"<ir-node {t.uid}>")
     return fn
 
@@ -426,14 +454,15 @@ def _group_function(group: FixGroup, helpers: dict, profile: bool):
         ns["_it"] = _iteration_function(group, helpers, profile)
         em = _Emitter(ns, profile=profile)
         gkey = ("g", group.uid)
-        em.w(1, f"r = vals.get({gkey!r})")
+        memo = em.memo(group.fixes[0])
+        em.w(1, f"r = {memo}.get({gkey!r})")
         em.w(1, "if r is None:")
         for t in group.inputs:
             em.ensure(t, 2)
         args = "".join(f", {em.name(t)}" for t in group.inputs)
         em.w(
             2,
-            f"r = vals[{gkey!r}] = _gi(('irfix', {group.uid}, _N{args}),"
+            f"r = {memo}[{gkey!r}] = _gi(('irfix', {group.uid}, _N{args}),"
             f" lambda: _it(st{args}))",
         )
         fn = _GROUPS[key] = _function(
@@ -488,7 +517,7 @@ def _function(
     em: _Emitter, tail: list[str], filename: str, params: str = "st"
 ):
     body = "\n".join(em.lines + tail)
-    preamble = [f"def _fn({params}):", "    vals = st.vals"]
+    preamble = [f"def _fn({params}):"]
     # Bind only the locals the body reads (the calls are per candidate;
     # a substring hit on a longer name merely binds an unused local).
     for local, value in _LOCALS:

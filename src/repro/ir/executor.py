@@ -18,11 +18,12 @@ structure:
 * **per-execution memo** -- outlined node values are stored under their
   term ``uid`` in the execution's evaluation state, so axioms (and
   different models checking the same execution) share them;
-* **per-skeleton statics** -- maximal static nodes are fetched through
-  ``static.get("static:ir.n{uid}", ...)`` on a store shared by every
-  completion of one skeleton (the bundle's own context; for an
-  execution built alone, its context, whose ``static:`` keys
-  :meth:`Execution.adopt_skeleton_caches` copies);
+* **per-skeleton statics** -- maximal static nodes live under
+  ``"static:ir.n{uid}"`` in a store shared by every completion of one
+  skeleton (the bundle's ``store``; for an execution built alone, its
+  context, whose ``static:`` keys
+  :meth:`Execution.adopt_skeleton_caches` copies), filled on a miss
+  from the next layer;
 * **cross-execution interning** -- a static node's value is a pure
   function of the skeleton facts its leaves derive from, so it is
   resolved through :func:`~repro.relations.context.global_intern` keyed
@@ -33,6 +34,20 @@ structure:
 * **verdict caches** -- acyclicity goes through
   :func:`acyclic_rows_cached`, and per-constraint verdicts are memoised
   per execution.
+
+The first two layers and the verdict memo are split in two halves by
+:attr:`Term.txn <repro.ir.terms.Term.txn>`.  Synthesis enumerates a
+skeleton's transaction layouts innermost, each with the same rf/co
+choices, and a term that reads no transaction relation has the same
+value under all of them.  So a completion's transaction-free node
+values and verdicts go to a memo its
+:class:`~repro.events.execution.SkeletonCompleter` shares between the
+completions of one rf/co choice under every layout of the group
+(``_State.shared``), and its transaction-free static nodes, leaves and
+masks to the group's bundle; only transactional entries stay with the
+execution (``_State.vals``) and its layout's bundle.  The baseline
+model reads no transaction relation, so it judges each rf/co choice of
+a group once.  An execution built alone shares with itself.
 
 Entry points:
 
@@ -45,7 +60,7 @@ Entry points:
   compiled evaluator of its term, so dropped axioms stay unevaluated;
 * :func:`evaluate` materialises one term the same way.
 
-All four read and record the same per-execution verdicts, skipping any
+All four read and record the same verdict memo, skipping any
 constraint already decided.
 
 Executions whose primitive relations name events outside their
@@ -82,6 +97,7 @@ from ..relations.relation import (
 )
 from . import codegen
 from .plan import Constraint, Plan
+from ..events.rows import TXN_RELATIONS
 from .terms import _LEAF_SDEPS, Term, derived_name
 
 _SHORT_CIRCUITS = REGISTRY.counter("ir.exec.constraint_short_circuits")
@@ -126,23 +142,34 @@ class _State:
 
     Leaves come straight from the execution's rows: ``rf`` and ``co``
     from the execution, everything static from its skeleton's
-    :class:`~repro.events.rows.SkeletonRows` bundle."""
+    :class:`~repro.events.rows.SkeletonRows` bundle.
+
+    Every memo comes in two halves, split by :attr:`Term.txn`: values of
+    transactional terms live in ``vals`` and ``txn_static``, which are
+    this execution's (and this layout's) own; values of transaction-free
+    terms live in ``shared`` and ``static``, which a completion shares
+    with the completions of the same rf/co choice (and skeleton) under
+    the group's other transaction layouts.  An execution built alone
+    shares with itself: both halves are the same dicts."""
 
     __slots__ = (
-        "x", "skel", "static", "rf", "co", "uni", "n", "zero", "id_rows",
-        "vals", "_rels",
+        "x", "skel", "static", "txn_static", "rf", "co", "uni", "n",
+        "zero", "id_rows", "vals", "shared", "_rels",
     )
 
     def __init__(self, x):
         skel = x._skel
         self.x = x
         self.skel = skel
-        #: Where interned static nodes live: the skeleton's shared store
-        #: for a completion, else the execution's own context (whose
-        #: ``static:`` keys ``adopt_skeleton_caches`` copies).
-        self.static = skel.context
-        if self.static is None:
-            self.static = RelationContext.of(x)
+        #: Where interned static nodes live: the skeleton group's shared
+        #: stores for a completion, else the execution's own context
+        #: (whose ``static:`` keys ``adopt_skeleton_caches`` copies).
+        static = skel.store
+        if static is None:
+            static = RelationContext.of(x)._cache
+        self.static = static
+        txn_static = skel.txn_store
+        self.txn_static = static if txn_static is None else txn_static
         self.rf = x._rf_rows
         self.co = x._co_rows
         self.uni = skel.uni
@@ -152,9 +179,15 @@ class _State:
         #: tuple keys).  Values persist for the execution's lifetime,
         #: so every plan touching the same term shares one evaluation.
         self.vals: dict = {}
+        shared = x.__dict__.get("_ir_shared")
+        self.shared: dict = self.vals if shared is None else shared
         #: term uid → materialised Relation/frozenset (for `evaluate`);
         #: built lazily, most states never materialise anything.
         self._rels: dict | None = None
+
+    def memo(self, t: Term) -> dict:
+        """The node/verdict memo half holding ``t``'s entries."""
+        return self.vals if t.txn else self.shared
 
     @property
     def rels(self) -> dict:
@@ -193,10 +226,11 @@ def _base_rows(st: _State, name: str):
         return st.id_rows
     else:
         skel = st.skel
-        rows = skel.rows.get(name)
+        table = skel.txn_rows if name in TXN_RELATIONS else skel.rows
+        rows = table.get(name)
         if rows is None:  # not built for this skeleton yet, or misaligned
             rows = _intern_leaf(skel, name, lambda: skel.static_rows(name))
-            skel.rows[name] = rows
+            table[name] = rows
     if rows is None:
         raise _Misaligned(name)
     return rows
@@ -229,10 +263,14 @@ def _mask_of(st: _State, name: str) -> int:
 
 
 def _static_fetch(st: _State, t: Term):
-    # Routed through the static store (counted as a context lookup),
-    # then through the global intern table keyed on the skeleton facts
-    # the node is a pure function of.
-    return st.static.get(t.skey, lambda: _intern_static(st, t))
+    # The static store half holding the node, filled on a miss from the
+    # global intern table keyed on the skeleton facts the node is a pure
+    # function of (generated code reads a store hit inline).
+    store = st.txn_static if t.txn else st.static
+    value = store.get(t.skey)
+    if value is None:
+        value = store[t.skey] = _intern_static(st, t)
+    return value
 
 
 def _intern_static(st: _State, t: Term):
@@ -319,7 +357,7 @@ def _run(plan: Plan, st: _State, full: bool) -> bool:
 def _value(st: _State, t: Term):
     """``t``'s rows (or mask) on ``st``'s execution: from the node memo,
     the static store, or the term's compiled evaluator."""
-    v = st.vals.get(t.uid, _MISS)
+    v = st.memo(t).get(t.uid, _MISS)
     if v is not _MISS:
         if PROFILER.enabled:
             PROFILER.hit(t)
@@ -338,7 +376,7 @@ def _verdict(st: _State, constraint: Constraint) -> bool:
         ok = not _has_reflexive(rows)
     else:
         ok = not any(rows)
-    st.vals[constraint.vkey] = ok
+    st.memo(constraint.term)[constraint.vkey] = ok
     return ok
 
 
@@ -497,8 +535,9 @@ def violated_axioms(plan: Plan, x) -> list[str]:
     except _Misaligned:
         _FALLBACKS.inc()
         return [c.name for c in plan.constraints if not _fallback_check(c, x)]
-    vals = st.vals
-    return [c.name for c in plan.constraints if not vals[c.vkey]]
+    return [
+        c.name for c in plan.constraints if not st.memo(c.term)[c.vkey]
+    ]
 
 
 def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
@@ -509,7 +548,7 @@ def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
 
     def thunk_for(constraint: Constraint):
         def thunk() -> bool:
-            ok = st.vals.get(constraint.vkey)
+            ok = st.memo(constraint.term).get(constraint.vkey)
             if ok is None:
                 try:
                     ok = _decide(st, plan, constraint)

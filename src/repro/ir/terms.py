@@ -19,6 +19,12 @@ That one property carries the whole optimisation story:
   (``static:ir.n{uid}``) -- no more hand-chosen key strings;
 * per-execution memoisation is a dict keyed by ``uid``.
 
+Transactional classification.  A term is *transactional* (``txn``)
+when one of its leaves reads the transaction layout (``stxn``,
+``stxnat``, ``tfence``).  A transaction-free term has the same value
+under every transaction layout of one skeleton and rf/co choice, so the
+executor keeps its memo entries where all those layouts share them.
+
 Static classification.  A term is *static* when its value is fixed by
 the candidate skeleton (program order, locations, fences, transaction
 structure) and *dynamic* when it depends on the ``rf``/``co`` choice.
@@ -156,6 +162,27 @@ _LEAF_SDEPS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The skeleton facts describing transactions.  A term reading a leaf
+#: derived from them (``stxn``, ``stxnat``, ``tfence``) is
+#: *transactional* (:attr:`Term.txn`).
+_TXN_FACTS = frozenset({"txn", "atxn"})
+
+
+def _reads_txn(leaves: tuple["Term", ...]) -> bool:
+    """Whether any leaf depends on the transaction layout; a leaf whose
+    dependencies are unknown counts as transactional."""
+    for leaf in leaves:
+        if leaf.op not in ("base", "set"):
+            continue
+        name = leaf.args[0]
+        if name in DYNAMIC_RELATIONS:
+            continue
+        deps = _LEAF_SDEPS.get(name)
+        if deps is None or not _TXN_FACTS.isdisjoint(deps):
+            return True
+    return False
+
+
 def _sdeps_of(leaves: tuple["Term", ...]) -> tuple[str, ...]:
     deps: set[str] = set()
     for leaf in leaves:
@@ -190,6 +217,7 @@ class Term:
         "internable",
         "intern_root",
         "sdeps",
+        "txn",
         "group",
     )
 
@@ -205,6 +233,7 @@ class Term:
     internable: bool
     intern_root: bool
     sdeps: tuple[str, ...]
+    txn: bool
     group: "FixGroup | None"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -272,6 +301,9 @@ def _mk(
     # Leaf terms are their own leaf set (patched after creation because
     # the tuple must contain the term itself).
     term.leaves = (term,) if leaves is None else leaves
+    # Transaction-free terms take the same value under every transaction
+    # layout of a skeleton, so the executor shares their memo entries.
+    term.txn = _reads_txn(term.leaves)
     # Base leaves and vars are cheap to (re)read; everything else static
     # earns a mechanical context intern key.
     term.internable = static and op not in ("base", "set", "empty", "var")

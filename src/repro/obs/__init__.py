@@ -65,7 +65,6 @@ def stats_snapshot() -> dict:
     snapshot = REGISTRY.snapshot()
     cache_prefixes = (
         "relations.global_intern",
-        "relations.context",
         "relations.acyclic_cache",
         "relations.closure_cache",
         "cat.compile_cache",

@@ -59,18 +59,13 @@ def global_intern(key: tuple, compute: Callable[[], object]) -> object:
     return value
 
 
-_CTX_LOOKUPS = REGISTRY.counter("relations.context.lookups")
-_CTX_HITS = REGISTRY.counter("relations.context.hits")
-_CTX_MISSES = REGISTRY.counter("relations.context.misses")
-
-
 class RelationContext:
     """Interned per-execution cache of derived relational values.
 
-    A skeleton's row bundle (:class:`repro.events.rows.SkeletonRows`)
-    also keeps one, with no execution, as the store for the IR's
-    interned static plan nodes that all of its completions share; only
-    :meth:`get` is used on it.
+    For an execution built alone, the IR executor also keeps the
+    execution's interned static plan nodes in ``_cache`` (under their
+    ``static:`` keys); completions keep theirs in their skeleton's row
+    bundle (:class:`repro.events.rows.SkeletonRows`).
     """
 
     __slots__ = ("execution", "_cache")
@@ -92,17 +87,6 @@ class RelationContext:
             ctx = cls(execution)
             execution.__dict__["_relation_context"] = ctx
         return ctx
-
-    def get(self, key: str, compute: Callable[[], object]) -> object:
-        """Generic memo slot (used by models sharing work across axioms)."""
-        _CTX_LOOKUPS.inc()
-        cache = self._cache
-        if key not in cache:
-            _CTX_MISSES.inc()
-            cache[key] = compute()
-        else:
-            _CTX_HITS.inc()
-        return cache[key]
 
     # ------------------------------------------------------------------
     # Canonical relations over the execution's universe

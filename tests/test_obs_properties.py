@@ -32,7 +32,6 @@ from repro.obs.tracing import Tracer
 
 CACHE_PREFIXES = (
     "relations.global_intern",
-    "relations.context",
     "relations.acyclic_cache",
     "relations.closure_cache",
     "cat.compile_cache",
