@@ -131,6 +131,23 @@ class TestShardedSynthesis:
             with CheckPipeline(workers=workers) as pipeline:
                 _assert_identical(legacy, pipeline.synthesis("x86", 3))
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "power",
+            pytest.param("armv8", marks=pytest.mark.slow),
+            pytest.param("cpp", marks=pytest.mark.slow),
+        ],
+    )
+    def test_every_target_matches_sequential(self, target):
+        # x86 has the fewest transaction groups; these targets have the
+        # most, and chunk boundaries split them differently at each
+        # worker count.
+        sequential = synthesise(target, 3)
+        for workers in (1, 2):
+            with CheckPipeline(workers=workers) as pipeline:
+                _assert_identical(sequential, pipeline.synthesis(target, 3))
+
     def test_no_steals_at_one_worker(self):
         reset_observability()
         with CheckPipeline(workers=1) as pipeline:
