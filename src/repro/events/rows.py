@@ -252,7 +252,7 @@ class SkeletonRows:
     def static_rows(self, name: str):
         """The rows of static base relation ``name`` over the universe,
         or ``None`` when the skeleton mentions events outside it."""
-        table = self.txn_rows if name in TXN_RELATIONS else self.rows
+        table = self.row_table(name)
         rows = table.get(name, self)
         if rows is self:
             try:
@@ -261,6 +261,11 @@ class SkeletonRows:
                 rows = None
             table[name] = rows
         return rows
+
+    def row_table(self, name: str) -> dict:
+        """The dict holding static relation ``name``'s rows: this
+        layout's own ``txn_rows`` or the group's ``rows``."""
+        return self.txn_rows if name in TXN_RELATIONS else self.rows
 
     def view(self, name: str) -> Relation:
         """Static base relation ``name`` as a :class:`Relation`.  A

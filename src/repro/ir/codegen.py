@@ -157,8 +157,8 @@ class _Emitter:
         op = t.op
         if t.intern_root and t is not self.inline:
             # Per-skeleton store first; a miss (or a falsy empty-set
-            # mask) takes the counted path.  Values are otherwise
-            # truthy: row tuples are never empty.
+            # mask) takes the executor's fetch, which fills the store.
+            # Values are otherwise truthy: row tuples are never empty.
             self.ns[f"_t{t.uid}"] = t
             store = "_TS" if t.txn else "_SC"
             self.w(

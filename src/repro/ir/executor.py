@@ -97,7 +97,6 @@ from ..relations.relation import (
 )
 from . import codegen
 from .plan import Constraint, Plan
-from ..events.rows import TXN_RELATIONS
 from .terms import _LEAF_SDEPS, Term, derived_name
 
 _SHORT_CIRCUITS = REGISTRY.counter("ir.exec.constraint_short_circuits")
@@ -226,7 +225,7 @@ def _base_rows(st: _State, name: str):
         return st.id_rows
     else:
         skel = st.skel
-        table = skel.txn_rows if name in TXN_RELATIONS else skel.rows
+        table = skel.row_table(name)
         rows = table.get(name)
         if rows is None:  # not built for this skeleton yet, or misaligned
             rows = _intern_leaf(skel, name, lambda: skel.static_rows(name))
