@@ -1,16 +1,13 @@
 """Normalized ``REPRO_*`` environment variables.
 
 Every knob the harness reads from the environment goes through
-:func:`env_str` / :func:`env_int` / :func:`env_float`, under one
-consistent naming scheme:
+:func:`env_str` / :func:`env_int`, under one consistent naming
+scheme:
 
 ====================== =======================================
 name                   meaning
 ====================== =======================================
 ``REPRO_WORKERS``      pipeline fan-out width
-``REPRO_RETRIES``      per-job retry count
-``REPRO_BACKOFF``      retry backoff base (seconds)
-``REPRO_SOFT_TIMEOUT`` slow-job flagging threshold (seconds)
 ``REPRO_SEED``         fuzz / random-runner campaign seed
 ``REPRO_CACHE``        shard-store directory
 ``REPRO_PROFILE``      enable the IR plan profiler
@@ -31,7 +28,3 @@ def env_int(name: str, default: int) -> int:
     value = env_str(name)
     return int(value) if value else default
 
-
-def env_float(name: str, default: float | None) -> float | None:
-    value = env_str(name)
-    return float(value) if value else default

@@ -575,7 +575,7 @@ class Execution:
         # rebuilds via _State(x), whose constructor reads execution
         # attributes -- during *unpickling* the owning execution is
         # still half-built, so a worker process would die mid-load
-        # (and a dead pool worker hangs imap forever).  It is a pure
+        # (and a dead pool worker hangs next_result forever).  It is a pure
         # cache; the receiving process rebuilds it on first use.  (The
         # row bundle pickles without its caches: see SkeletonRows.)
         state = self.__dict__.copy()

@@ -26,6 +26,7 @@ The loop:
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,10 +89,6 @@ class FuzzConfig:
     #: input corpus whose executions seed the mutation pool.
     seed_corpus: str | None = None
     sim_event_limit: int = 6
-    #: JSONL checkpoint file for the pipeline (resume support).
-    checkpoint: str | None = None
-    #: cross-run shard-store directory (fuzz cases are never stored).
-    cache: str | None = None
 
     def resolved_seed(self) -> int:
         if self.seed is not None:
@@ -200,6 +197,27 @@ def _witness_record(
     return record
 
 
+def _run_batches(
+    pipeline: CheckPipeline, fn, total: int, generate, fold
+) -> int:
+    """Generate a batch of :data:`_BATCH` items, map ``fn`` over it,
+    fold the ordered results back, repeat until ``total`` items.
+
+    ``generate(start, count)`` runs in the parent after every earlier
+    batch's ``fold(start, items, results)``, so it sees their coverage
+    and mutation-pool updates.  Emits the campaign's done/total
+    ``run.heartbeat``; returns the number of items processed.
+    """
+    done = 0
+    started = time.monotonic()
+    while done < total:
+        items = generate(done, min(_BATCH, total - done))
+        fold(done, items, pipeline.map(fn, items))
+        done += len(items)
+        pipeline.heartbeat(done, total, started)
+    return done
+
+
 def run_fuzz(config: FuzzConfig, pipeline: CheckPipeline | None = None) -> FuzzReport:
     """One deterministic fuzzing campaign; see the module docstring."""
     seed = config.resolved_seed()
@@ -226,12 +244,7 @@ def run_fuzz(config: FuzzConfig, pipeline: CheckPipeline | None = None) -> FuzzR
             runlog = corpus_path.with_name(
                 corpus_path.stem + ".events.jsonl"
             )
-        pipeline = CheckPipeline(
-            workers=config.workers,
-            runlog=runlog,
-            checkpoint=config.checkpoint,
-            cache=config.cache,
-        )
+        pipeline = CheckPipeline(workers=config.workers, runlog=runlog)
     writer = CorpusWriter(config.corpus) if config.corpus else None
     pipeline.log_event(
         "fuzz.start",
@@ -292,8 +305,8 @@ def run_fuzz(config: FuzzConfig, pipeline: CheckPipeline | None = None) -> FuzzR
                     if len(pool) > _POOL_LIMIT:
                         pool.pop(0)
 
-        report.cases = pipeline.map_batched(
-            evaluate_case, generate, config.budget, _BATCH, fold
+        report.cases = _run_batches(
+            pipeline, evaluate_case, config.budget, generate, fold
         )
     finally:
         if writer is not None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from ..enumeration import SynthesisResult
 from ..obs import TRACER
-from .pipeline import CheckPipeline
+from .pipeline import CheckPipeline, run_job
 
 
 @dataclass
@@ -94,17 +94,20 @@ def _run_ablation(
         target=target, total_tests=len(synthesis.forbidden)
     )
 
-    violated_per_test = pipeline.violated_axioms_batch(
-        model_name, synthesis.forbidden
+    violated_per_test = pipeline.map(
+        run_job, [("violated", model_name, (), x) for x in synthesis.forbidden]
     )
     probes = [
         (index, axiom)
         for index, violated in enumerate(violated_per_test)
         for axiom in violated
     ]
-    probe_verdicts = pipeline.run_jobs(
-        ("consistent", model_name, (axiom,), synthesis.forbidden[index])
-        for index, axiom in probes
+    probe_verdicts = pipeline.map(
+        run_job,
+        [
+            ("consistent", model_name, (axiom,), synthesis.forbidden[index])
+            for index, axiom in probes
+        ],
     )
     escapes_per_test: dict[int, list[str]] = {}
     for (index, axiom), escaped in zip(probes, probe_verdicts):

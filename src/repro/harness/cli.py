@@ -13,21 +13,22 @@ Usage::
     repro-harness stats results/metrics-table1.json
 
 The long-running drivers (``table1``, ``table2``, ``figure7``,
-``ablation``) and ``fuzz`` share one flag vocabulary (one argparse
-parent each for the pipeline and observability groups): ``--workers``
-(multiprocessing fan-out), ``--checkpoint`` (JSONL file; a killed run
-restarted with the same path resumes instead of recomputing),
-``--cache`` (cross-run shard-store directory -- a warm rerun of the same
-code replays every synthesis shard from disk; any source edit misses),
-``--stats [PATH]`` (dump the
-merged observability metrics as JSON, by default next to ``results/``),
+``ablation``) and ``fuzz`` share one flag vocabulary (argparse parents
+for the pipeline and observability groups): ``--workers``
+(multiprocessing fan-out), ``--stats [PATH]`` (dump the merged
+observability metrics as JSON, by default next to ``results/``),
 ``--trace [PATH]`` (Chrome trace-event JSON over the merged span
 forest, loadable in Perfetto, one lane per worker pid), and
 ``--profile [PATH]`` (per-IR-plan-node cost attribution: hot-node
 table + planner-calibration report on stderr, samples as JSON;
 ``--profile-dot PREFIX`` additionally writes one annotated Graphviz
-file per profiled model).  The ``stats`` subcommand pretty-prints a
-stats dump.
+file per profiled model).  The drivers also take ``--checkpoint``
+(JSONL file; a killed run restarted with the same path resumes
+instead of recomputing) and ``--cache`` (cross-run shard-store
+directory -- a warm rerun of the same code replays every synthesis
+shard from disk; any source edit misses); ``fuzz`` runs no synthesis
+and takes neither.  The ``stats`` subcommand pretty-prints a stats
+dump.
 """
 
 from __future__ import annotations
@@ -88,14 +89,22 @@ def _observability_parent() -> argparse.ArgumentParser:
     return parser
 
 
-def _pipeline_parent() -> argparse.ArgumentParser:
-    """The shared ``--workers/--checkpoint/--cache`` pipeline flags."""
+def _workers_parent() -> argparse.ArgumentParser:
+    """The ``--workers`` fan-out flag (``fuzz`` takes only this one)."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="worker processes (default: REPRO_WORKERS or 1)",
+    )
+    return parser
+
+
+def _pipeline_parent() -> argparse.ArgumentParser:
+    """The drivers' ``--workers/--checkpoint/--cache`` pipeline flags."""
+    parser = argparse.ArgumentParser(
+        add_help=False, parents=[_workers_parent()]
     )
     parser.add_argument(
         "--checkpoint",
@@ -419,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fz = sub.add_parser(
         "fuzz",
         help="differential conformance fuzzing across verdict paths",
-        parents=shared,
+        parents=[_workers_parent(), obs_parent],
     )
     p_fz.add_argument(
         "--arch",
@@ -544,8 +553,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 mode=args.mode,
                 seed_corpus=args.seed_corpus,
-                checkpoint=args.checkpoint,
-                cache=args.cache,
             )
         )
         print(report.render())

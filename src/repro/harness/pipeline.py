@@ -13,26 +13,27 @@ shared cache layer:
   previous run of the same code recorded
   (:mod:`repro.harness.verdict_cache`); individual model verdicts are
   always computed.
-* **batched evaluation** -- jobs are submitted as a list and evaluated
-  in order, either sequentially (the default) or fanned out across a
-  ``multiprocessing`` pool (``workers > 1``, or the
-  ``REPRO_WORKERS`` environment variable).  Results are
-  returned in submission order, so verdicts are identical either way.
-* **checkpoint/resume** -- with a ``checkpoint`` path, every completed
-  job appends one JSONL record keyed by its stable digest
-  (:func:`~repro.harness.checkpoint.job_digest`); a restarted run skips
-  the recorded jobs and re-evaluates only the remainder, incrementally
-  (records land as each job finishes, not when the batch does).
-* **retry/backoff + observability** -- failing jobs retry with
-  exponential backoff, slow jobs are flagged against a soft timeout,
-  and per-job wall time, queue wait, and worker utilization land in
-  :data:`repro.obs.REGISTRY` (both as timers and as log2 histograms
-  with p50/p90/p99).  Pool workers accumulate per-process and ship
-  deltas back with each result -- merge-on-join -- and the payload now
-  carries the worker's finished span trees and profiler samples too:
-  each job's span is grafted under the parent's open ``pipeline.batch``
-  span tagged with the worker pid, so ``--stats`` and ``--trace``
-  finally show where worker time goes.
+* **one submission primitive** -- :meth:`CheckPipeline.submit` queues
+  a job and :meth:`CheckPipeline.next_result` returns the next finished
+  one, inline (the default) or from a ``multiprocessing`` pool
+  (``workers > 1``, or the ``REPRO_WORKERS`` environment variable).
+  The work-stealing scheduler drives them directly;
+  :meth:`CheckPipeline.map` is the ordered map the drivers and the
+  fuzzer use on top of them, so verdicts are identical either way.
+* **checkpoint/resume** -- with a ``checkpoint`` path, every job
+  :meth:`~CheckPipeline.map` completes appends one JSONL record keyed by
+  its stable digest (:func:`~repro.harness.checkpoint.job_digest`); a
+  restarted run skips the recorded jobs and re-evaluates only the
+  remainder, incrementally (records land as each job finishes, not
+  when the batch does).
+* **observability** -- per-job wall time, queue wait, and worker
+  utilization land in :data:`repro.obs.REGISTRY` (both as timers and as
+  log2 histograms with p50/p90/p99).  Pool workers accumulate
+  per-process and ship deltas back with each result -- merge-on-join --
+  and the payload carries the worker's finished span trees and profiler
+  samples too: each job's span is grafted under the parent's open span
+  tagged with the worker pid, so ``--stats`` and ``--trace`` show where
+  worker time goes.
 * **run-event log** -- with a checkpoint configured (or an explicit
   ``runlog`` path) the pipeline appends JSONL progress events
   (``run.start``/``run.batch``/``run.heartbeat``/``run.end`` with
@@ -47,11 +48,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .._env import env_float, env_int
+from .._env import env_int, env_str
 from ..enumeration import SynthesisResult
 from ..models import get_model
 from ..models.base import MemoryModel
@@ -137,109 +139,73 @@ def run_job(job: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Instrumented, retrying job invocation (sequential path and pool workers)
+# Instrumented job invocation (inline path and pool workers)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JobPolicy:
-    """Retry and soft-timeout policy for one pipeline's jobs.
-
-    ``retries`` failing attempts re-run with exponential backoff
-    (``backoff * 2**attempt`` seconds); a job slower than
-    ``soft_timeout`` seconds is *flagged* (counter
-    ``pipeline.jobs.soft_timeouts``), not killed -- verdicts stay
-    deterministic, and the flag tells the operator which batches need a
-    tighter bound or more workers.
-    """
-
-    retries: int = 0
-    backoff: float = 0.05
-    soft_timeout: float | None = None
-
-
-def _job_span_name(fn: Callable, item) -> str:
-    """A stable span name for one job: the job-tuple kind when there is
-    one, the mapped function's name otherwise (fuzz cases)."""
+def _job_kind(fn: Callable, item) -> str:
+    """A stable name for one job -- its span is ``job:<kind>``, its
+    checkpoint record's ``kind`` is ``<kind>``: the job-tuple kind when
+    there is one, the function's name otherwise (fuzz cases)."""
     if isinstance(item, tuple) and item and isinstance(item[0], str):
-        return f"job:{item[0]}"
-    return f"job:{getattr(fn, '__name__', 'call')}"
+        return item[0]
+    return getattr(fn, "__name__", "call")
 
 
-def _invoke_with_policy(fn: Callable, item, submitted: float, policy: JobPolicy):
-    """One instrumented job evaluation: queue wait, retries, wall time.
+def _invoke(fn: Callable, item, submitted: float):
+    """One instrumented job evaluation: queue wait and wall time.
 
-    Each job runs inside its own span -- a child of the open
-    ``pipeline.batch`` span on the sequential path, a root span in a
-    pool worker (shipped to the parent with the job's result).
+    Each job runs inside its own span -- a child of the caller's open
+    span on the inline path, a root span in a pool worker (shipped to
+    the parent with the job's result).
     """
     start = time.monotonic()
     wait = start - submitted
     REGISTRY.timer("pipeline.job.queue_wait_seconds").observe(wait)
     REGISTRY.histogram("pipeline.job.queue_wait_seconds").observe(wait)
-    attempt = 0
-    with TRACER.span(_job_span_name(fn, item)):
-        while True:
-            try:
-                result = fn(item)
-                break
-            except Exception:
-                if attempt >= policy.retries:
-                    REGISTRY.counter("pipeline.jobs.failed").inc()
-                    raise
-                REGISTRY.counter("pipeline.jobs.retries").inc()
-                time.sleep(policy.backoff * (2**attempt))
-                attempt += 1
+    with TRACER.span(f"job:{_job_kind(fn, item)}"):
+        try:
+            result = fn(item)
+        except Exception:
+            REGISTRY.counter("pipeline.jobs.failed").inc()
+            raise
     elapsed = time.monotonic() - start
     REGISTRY.timer("pipeline.job.seconds").observe(elapsed)
     REGISTRY.histogram("pipeline.job.seconds").observe(elapsed)
     REGISTRY.counter("pipeline.jobs.completed").inc()
-    if policy.soft_timeout is not None and elapsed > policy.soft_timeout:
-        REGISTRY.counter("pipeline.jobs.soft_timeouts").inc()
     return result
 
 
-class _PoolTask:
-    """The picklable callable shipped to pool workers.
+def _run_in_worker(fn: Callable, item, submitted: float) -> tuple:
+    """One job in a pool worker, as ``(result, delta, error)``.
 
-    Returns ``(result, delta, error)`` where ``delta`` bundles the
-    worker's metrics delta, its finished span trees, its profiler
-    samples, and its pid, so the parent can merge all of them even when
-    the job failed; the parent re-raises ``error`` after merging.
+    ``delta`` bundles the worker's metrics delta, its finished span
+    trees, its profiler samples, and its pid, so the parent can merge
+    all of them even when the job failed; the parent re-raises
+    ``error`` after merging.
     """
-
-    __slots__ = ("fn", "policy")
-
-    def __init__(self, fn: Callable, policy: JobPolicy):
-        self.fn = fn
-        self.policy = policy
-
-    def _delta(self) -> dict:
-        return {
-            "pid": os.getpid(),
-            "metrics": REGISTRY.flush_delta(),
-            "spans": TRACER.flush_roots(),
-            "profile": PROFILER.flush_delta(),
-        }
-
-    def __call__(self, packed):
-        submitted, item = packed
-        try:
-            result = _invoke_with_policy(self.fn, item, submitted, self.policy)
-            return result, self._delta(), None
-        except Exception as error:
-            return None, self._delta(), error
+    try:
+        result, error = _invoke(fn, item, submitted), None
+    except Exception as caught:
+        result, error = None, caught
+    delta = {
+        "pid": os.getpid(),
+        "metrics": REGISTRY.flush_delta(),
+        "spans": TRACER.flush_roots(),
+        "profile": PROFILER.flush_delta(),
+    }
+    return result, delta, error
 
 
-def _merge_worker_delta(delta: dict) -> None:
+def _merge_worker_delta(delta: dict | None) -> None:
     """Fold one worker payload into the parent's registry, tracer (spans
-    grafted under the open ``pipeline.batch`` span, tagged by pid) and
-    profiler."""
+    grafted under the open span, tagged by pid) and profiler."""
+    if delta is None:
+        return
     REGISTRY.merge(delta["metrics"])
-    spans = delta.get("spans")
-    if spans:
-        TRACER.graft(spans, tags={"pid": delta["pid"]})
-    PROFILER.merge(delta.get("profile"))
+    if delta["spans"]:
+        TRACER.graft(delta["spans"], tags={"pid": delta["pid"]})
+    PROFILER.merge(delta["profile"])
 
 
 def _pool_worker_init() -> None:
@@ -255,19 +221,16 @@ def _pool_worker_init() -> None:
 
 
 class CheckPipeline:
-    """Evaluates batches of checking jobs through shared caches.
+    """Evaluates checking jobs through shared caches.
 
     Args:
         workers: fan-out width.  ``None`` reads ``REPRO_WORKERS``
-            (defaulting to sequential); ``0``/``1`` force sequential
+            (defaulting to sequential); ``0``/``1`` force inline
             evaluation; larger values use a ``multiprocessing`` pool.
-        checkpoint: optional path to a JSONL checkpoint file.  Completed
-            jobs append one record each; a restarted pipeline pointed at
-            the same file skips them (see :mod:`repro.harness.checkpoint`).
-        retries / retry_backoff / soft_timeout: per-job
-            :class:`JobPolicy` knobs.  ``None`` reads the
-            ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` /
-            ``REPRO_SOFT_TIMEOUT`` environment variables.
+        checkpoint: optional path to a JSONL checkpoint file.  Jobs
+            :meth:`map` completes append one record each; a restarted
+            pipeline pointed at the same file skips them (see
+            :mod:`repro.harness.checkpoint`).
         runlog: optional path for the JSONL run-event log.  ``None``
             derives ``<checkpoint stem>.events.jsonl`` next to the
             checkpoint file when one is configured (no checkpoint, no
@@ -282,30 +245,16 @@ class CheckPipeline:
         self,
         workers: int | None = None,
         checkpoint: str | Path | None = None,
-        retries: int | None = None,
-        retry_backoff: float | None = None,
-        soft_timeout: float | None = None,
         runlog: str | Path | None | bool = None,
         cache: str | Path | None = None,
     ):
         if workers is None:
             workers = env_int("REPRO_WORKERS", 1)
         self.workers = max(1, workers)
-        if retries is None:
-            retries = env_int("REPRO_RETRIES", 0)
-        if retry_backoff is None:
-            retry_backoff = env_float("REPRO_BACKOFF", 0.05)
-        if soft_timeout is None:
-            soft_timeout = env_float("REPRO_SOFT_TIMEOUT", None)
-        self.policy = JobPolicy(
-            retries=retries, backoff=retry_backoff, soft_timeout=soft_timeout
-        )
         self.checkpoint = (
             CheckpointStore(checkpoint) if checkpoint is not None else None
         )
         if cache is None:
-            from .._env import env_str
-
             cache = env_str("REPRO_CACHE")
         self.verdict_cache = (
             _verdict_cache.configure(cache) if cache is not None else None
@@ -318,12 +267,16 @@ class CheckPipeline:
         self._last_heartbeat = time.monotonic()
         self._synthesis_cache: dict[tuple, SynthesisResult] = {}
         self._pool = None
+        # Submitted jobs not yet returned by next_result: queued
+        # (tag, fn, item, submitted) tuples inline; (tag, packed result)
+        # pairs the pool's result thread posts to _finished otherwise.
+        self._pending = 0
+        self._inline: deque = deque()
+        self._finished = None
         REGISTRY.gauge("pipeline.workers").set(self.workers)
         self.log_event(
             "run.start",
             workers=self.workers,
-            retries=self.policy.retries,
-            soft_timeout=self.policy.soft_timeout,
             checkpoint=str(checkpoint) if checkpoint is not None else None,
             cache=str(cache) if cache is not None else None,
             profile=PROFILER.enabled,
@@ -334,7 +287,7 @@ class CheckPipeline:
         if self.runlog is not None:
             self.runlog.event(type, **fields)
 
-    def _heartbeat(self, done: int, total: int, started: float) -> None:
+    def heartbeat(self, done: int, total: int, started: float) -> None:
         """Emit a throttled ``run.heartbeat`` with rate and ETA while a
         batch (or batched campaign) drains."""
         if self.runlog is None:
@@ -416,121 +369,13 @@ class CheckPipeline:
             )
         return self._synthesis_cache[key]
 
-    # -- batched evaluation ----------------------------------------------
-
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> list:
-        """Ordered map over independent items, optionally fanned out.
-
-        ``fn`` must be a module-level callable when ``workers > 1``
-        (pool workers import it by qualified name).  ``on_result`` fires
-        in submission order as each result lands -- the checkpoint hook,
-        so completed work survives a crash mid-batch.
-        """
-        items = list(items)
-        with TRACER.span("pipeline.batch"), REGISTRY.timed(
-            "pipeline.batch.seconds"
-        ):
-            busy_before = REGISTRY.timer("pipeline.job.seconds").total
-            batch_start = time.monotonic()
-            if self.workers <= 1 or len(items) <= 1:
-                results = []
-                for index, item in enumerate(items):
-                    result = _invoke_with_policy(
-                        fn, item, time.monotonic(), self.policy
-                    )
-                    if on_result is not None:
-                        on_result(index, result)
-                    results.append(result)
-                    self._heartbeat(index + 1, len(items), batch_start)
-            else:
-                results = self._map_pool(fn, items, on_result)
-            wall = time.monotonic() - batch_start
-            if wall > 0 and items:
-                busy = REGISTRY.timer("pipeline.job.seconds").total - busy_before
-                REGISTRY.gauge("pipeline.worker_utilization").set(
-                    min(1.0, busy / (wall * self.workers))
-                )
-        self._jobs_done += len(items)
-        if items:
-            self.log_event(
-                "run.batch",
-                jobs=len(items),
-                seconds=round(wall, 4),
-                rate_per_s=round(len(items) / wall, 3) if wall > 0 else None,
-            )
-        return results
-
-    def map_batched(
-        self,
-        fn: Callable,
-        generate: Callable[[int, int], Sequence],
-        total: int,
-        batch_size: int,
-        on_batch: Callable[[int, Sequence, list], None],
-    ) -> int:
-        """Feedback loop: generate a batch, map it, fold, repeat.
-
-        For drivers whose inputs depend on earlier outputs (the fuzzer's
-        coverage-guided mutation pool): ``generate(start, count)``
-        produces the next batch in the parent, the batch fans out
-        through :meth:`map`, then ``on_batch(start, items, results)``
-        folds the ordered results back before the next batch is
-        generated.  ``batch_size`` must not depend on the worker count,
-        or the generation sequence (and anything derived from it, like a
-        fuzz corpus) stops being reproducible across ``--workers``
-        settings.  Returns the number of items processed.
-        """
-        produced = 0
-        started = time.monotonic()
-        while produced < total:
-            count = min(batch_size, total - produced)
-            items = list(generate(produced, count))
-            if not items:
-                break
-            results = self.map(fn, items)
-            on_batch(produced, items, results)
-            produced += len(items)
-            self._heartbeat(produced, total, started)
-        return produced
-
-    def _map_pool(
-        self,
-        fn: Callable,
-        items: list,
-        on_result: Callable[[int, object], None] | None,
-    ) -> list:
-        """Fan ``items`` out across the worker pool, in order.
-
-        Uses ``imap`` (not ``map``) so results stream back as they
-        complete: each one is checkpointed and its worker's metrics
-        delta merged immediately.  A job error is re-raised in the
-        parent *after* the merge, with every earlier result recorded.
-        """
-        self._ensure_pool()
-        submitted = time.monotonic()
-        task = _PoolTask(fn, self.policy)
-        results = []
-        for index, (result, delta, error) in enumerate(
-            self._pool.imap(task, [(submitted, item) for item in items])
-        ):
-            _merge_worker_delta(delta)
-            if error is not None:
-                raise error
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-            self._heartbeat(index + 1, len(items), submitted)
-        return results
+    # -- job submission --------------------------------------------------
 
     def _ensure_pool(self) -> None:
         if self._pool is not None:
             return
         import multiprocessing
+        import queue
 
         # Jobs reference hardware/models by name, so both start
         # methods are safe; prefer fork for lower start-up cost.
@@ -543,114 +388,130 @@ class CheckPipeline:
             # to touch it: nothing of ours may sit in its buffer.
             self.verdict_cache.flush()
         self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
+        self._finished = queue.SimpleQueue()
 
-    def submit(self, fn: Callable, item, callback: Callable) -> None:
-        """Asynchronously evaluate one job (the scheduler's dispatch).
+    def submit(self, fn: Callable, item, tag=None) -> None:
+        """Queue one job, ``fn(item)``; :meth:`next_result` returns
+        ``(tag, value)`` once it has finished.
 
-        ``callback`` receives the packed ``(result, delta, error)``
-        triple -- ``delta`` is ``None`` on the sequential path, a
-        worker delta otherwise.  On a pool pipeline the callback fires
-        on the pool's result-handler thread, so it must only hand the
-        triple off (the scheduler queues it back to its own thread);
-        sequential pipelines invoke it inline, before returning.
-        Job errors are *delivered*, not raised: the caller decides
-        where to re-raise.
+        ``fn`` must be a module-level callable when ``workers > 1``
+        (pool workers import it by qualified name).  Inline pipelines
+        run the job when :meth:`next_result` reaches it.
         """
+        self._pending += 1
+        submitted = time.monotonic()
         if self.workers <= 1:
-            try:
-                result = _invoke_with_policy(
-                    fn, item, time.monotonic(), self.policy
-                )
-                callback((result, None, None))
-            except Exception as error:
-                callback((None, None, error))
+            self._inline.append((tag, fn, item, submitted))
             return
         self._ensure_pool()
-        task = _PoolTask(fn, self.policy)
+
+        def finished(packed) -> None:  # on the pool's result thread
+            self._finished.put((tag, packed))
+
         self._pool.apply_async(
-            task,
-            ((time.monotonic(), item),),
-            callback=callback,
-            error_callback=lambda error: callback((None, None, error)),
+            _run_in_worker,
+            (fn, item, submitted),
+            callback=finished,
+            error_callback=lambda error: finished((None, None, error)),
         )
 
-    def map_checkpointed(
-        self,
-        fn: Callable,
-        items: Sequence,
-        kind: str = "map",
-        encode: Callable = lambda result: result,
-        decode: Callable = lambda record: record,
-    ) -> list:
-        """:meth:`map` with per-item checkpoint records.
+    def next_result(self) -> tuple:
+        """The next finished job as ``(tag, value)``.
 
-        Each item is digested (:func:`~repro.harness.checkpoint.
-        job_digest`); items whose digests are already in the store are
-        answered from disk (``decode`` of the stored record), the rest
-        are evaluated and recorded (``encode`` must make the result
-        JSON-serialisable).  Without a checkpoint this is plain
-        :meth:`map`.
+        Inline, this runs the oldest queued job; with a pool it blocks
+        until a worker finishes one (completion order) and merges the
+        worker's metrics, spans and profile delta on this thread.  A
+        job's error is re-raised here; the pipeline then discards every
+        other outstanding job (an inline queue is dropped unrun, pool
+        jobs are waited for), so it is idle and reusable afterwards.
+        """
+        if not self._pending:
+            raise RuntimeError("next_result() with no job submitted")
+        self._pending -= 1
+        try:
+            if self._inline:
+                tag, fn, item, submitted = self._inline.popleft()
+                return tag, _invoke(fn, item, submitted)
+            tag, (value, delta, error) = self._finished.get()
+            _merge_worker_delta(delta)
+            if error is not None:
+                raise error
+            return tag, value
+        except Exception:
+            self._discard_pending()
+            raise
+
+    def _discard_pending(self) -> None:
+        self._inline.clear()
+        while self._pending:
+            self._pending -= 1
+            if self.workers > 1:
+                _, (_, delta, _) = self._finished.get()
+                _merge_worker_delta(delta)
+
+    def map(self, fn: Callable, items: Iterable) -> list:
+        """``[fn(item) for item in items]`` through :meth:`submit`.
+
+        With a checkpoint configured, items whose
+        :func:`~repro.harness.checkpoint.job_digest` is recorded are
+        answered from the store, and each other result is recorded
+        (``kind``: :func:`_job_kind`) as it lands, so a crash mid-batch
+        loses only the jobs in flight; results must then be
+        JSON-serialisable.  Results come back in submission order.
         """
         items = list(items)
-        store = self.checkpoint
-        if store is None:
-            return self.map(fn, items)
-        digests = [job_digest(item) for item in items]
         results: list = [None] * len(items)
-        pending: list[int] = []
-        for index, digest in enumerate(digests):
-            if digest in store:
-                results[index] = decode(store.get(digest))
-            else:
-                pending.append(index)
-        hits = len(items) - len(pending)
-        REGISTRY.counter("pipeline.checkpoint.lookups").inc(len(items))
-        REGISTRY.counter("pipeline.checkpoint.hits").inc(hits)
-        REGISTRY.counter("pipeline.checkpoint.misses").inc(len(pending))
-
-        def record(position: int, result) -> None:
-            index = pending[position]
-            store.record(digests[index], encode(result), kind)
-            results[index] = result
-
+        pending = list(range(len(items)))
+        store = self.checkpoint
+        if store is not None:
+            digests = [job_digest(item) for item in items]
+            pending = []
+            for index, digest in enumerate(digests):
+                if digest in store:
+                    results[index] = store.get(digest)
+                else:
+                    pending.append(index)
+            REGISTRY.counter("pipeline.checkpoint.lookups").inc(len(items))
+            REGISTRY.counter("pipeline.checkpoint.hits").inc(
+                len(items) - len(pending)
+            )
+            REGISTRY.counter("pipeline.checkpoint.misses").inc(len(pending))
+            if not pending:
+                return results
+        with TRACER.span("pipeline.batch"), REGISTRY.timed(
+            "pipeline.batch.seconds"
+        ):
+            busy_before = REGISTRY.timer("pipeline.job.seconds").total
+            started = time.monotonic()
+            # A pool takes the whole batch at once; inline, each job is
+            # queued just before it runs, so queue wait stays dispatch
+            # latency.
+            backlog = iter(pending)
+            ahead = len(pending) if self.workers > 1 else 1
+            for index in islice(backlog, ahead):
+                self.submit(fn, items[index], index)
+            for done in range(1, len(pending) + 1):
+                index, result = self.next_result()
+                if store is not None:
+                    store.record(
+                        digests[index], result, _job_kind(fn, items[index])
+                    )
+                results[index] = result
+                for following in islice(backlog, 1):
+                    self.submit(fn, items[following], following)
+                self.heartbeat(done, len(pending), started)
+            wall = time.monotonic() - started
+            if wall > 0 and pending:
+                busy = REGISTRY.timer("pipeline.job.seconds").total - busy_before
+                REGISTRY.gauge("pipeline.worker_utilization").set(
+                    min(1.0, busy / (wall * self.workers))
+                )
+        self._jobs_done += len(pending)
         if pending:
-            self.map(fn, [items[i] for i in pending], on_result=record)
+            self.log_event(
+                "run.batch",
+                jobs=len(pending),
+                seconds=round(wall, 4),
+                rate_per_s=round(len(pending) / wall, 3) if wall > 0 else None,
+            )
         return results
-
-    def run_jobs(self, jobs: Iterable[tuple]) -> list:
-        """Evaluate job tuples (see :func:`run_job`) in submission order.
-
-        With a checkpoint configured, previously completed jobs are
-        answered from the store and only the remainder is evaluated.
-        """
-        jobs = list(jobs)
-        kind = jobs[0][0] if jobs else "job"
-        return self.map_checkpointed(run_job, jobs, kind=kind)
-
-    def observable_batch(
-        self, arch: str, tests: Sequence[tuple[object, dict | None]]
-    ) -> list[bool]:
-        """Batch of ``(program, intended_co)`` hardware validations."""
-        return self.run_jobs(
-            ("observable", arch, program, intended_co)
-            for program, intended_co in tests
-        )
-
-    def consistency_batch(
-        self,
-        model_name: str,
-        executions: Sequence,
-        drop_axioms: tuple[str, ...] = (),
-    ) -> list[bool]:
-        """Batch of model-consistency checks, models referenced by name."""
-        return self.run_jobs(
-            ("consistent", model_name, drop_axioms, x) for x in executions
-        )
-
-    def violated_axioms_batch(
-        self, model_name: str, executions: Sequence
-    ) -> list[list[str]]:
-        """Batch of violated-axiom queries."""
-        return self.run_jobs(
-            ("violated", model_name, (), x) for x in executions
-        )

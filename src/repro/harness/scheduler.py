@@ -45,9 +45,7 @@ per-shard summary.  A shard replayed from the cache adds to its
 
 from __future__ import annotations
 
-import queue
 import time
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ..enumeration.canonical import canonical_key
@@ -287,11 +285,8 @@ class WorkStealingScheduler:
 
     def run(self) -> list[dict]:
         """Drain every interval; returns the chunk payloads (unsorted)."""
-        from .pipeline import _merge_worker_delta
-
-        results: queue.Queue = queue.Queue()
-        inflight: dict[object, tuple] = {}
-        idle = list(range(self.pipeline.workers))
+        workers = self.pipeline.workers
+        idle = list(range(workers))
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 self.timed_out = True
@@ -304,19 +299,11 @@ class WorkStealingScheduler:
                         # interval too small to steal -- keep trying them.
                         continue
                     idle.remove(slot)
-                    inflight[slot] = job
-                    self.pipeline.submit(
-                        run_shard_job, job, partial(_deliver, results, slot)
-                    )
-            if not inflight:
-                break
-            slot, (payload, delta, error) = _take(results)
-            job = inflight.pop(slot)
+                    self.pipeline.submit(run_shard_job, job, (slot, job))
+            if len(idle) == workers:
+                break  # nothing in flight
+            (slot, job), payload = self.pipeline.next_result()
             idle.append(slot)
-            if delta is not None:
-                _merge_worker_delta(delta)
-            if error is not None:
-                raise error
             self._record(job, payload)
             _fold_shard_metrics(self.target, self.bound, payload)
             self.payloads.append(payload)
@@ -335,22 +322,6 @@ def _fold_shard_metrics(target: str, bound: int, payload: dict) -> None:
     REGISTRY.counter(f"{base}.survivors").inc(len(payload["survivors"]))
     if "seconds" in payload:
         REGISTRY.timer(f"{base}.seconds").observe(payload["seconds"])
-
-
-def _deliver(results: queue.Queue, slot, packed) -> None:
-    """The submit callback: hand the packed triple to the scheduler's
-    thread (runs on the pool's result-handler thread)."""
-    results.put((slot, packed))
-
-
-def _take(results: queue.Queue):
-    """One completed (slot, packed-result) pair.
-
-    Sequential pipelines invoke the callback inline, so the queue is
-    never empty when this is reached; pool pipelines block here until a
-    worker finishes.
-    """
-    return results.get()
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +523,7 @@ def _sharded_bound(
         count_jobs = [
             ("synth_count", target, bound, signatures[s]) for s in missed
         ]
-        counts = dict(
-            zip(
-                missed,
-                pipeline.map_checkpointed(
-                    run_shard_job, count_jobs, kind="synth_count"
-                ),
-            )
-        )
+        counts = dict(zip(missed, pipeline.map(run_shard_job, count_jobs)))
         REGISTRY.counter(f"{prefix}.skeletons").inc(
             sum(count["skeletons"] for count in counts.values())
             + sum(payload["skeletons"] for payload in stored.values())

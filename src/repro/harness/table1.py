@@ -24,7 +24,7 @@ from pathlib import Path
 from ..enumeration import SynthesisResult
 from ..litmus import execution_to_litmus
 from ..obs import TRACER
-from .pipeline import CheckPipeline, hardware_for
+from .pipeline import CheckPipeline, hardware_for, run_job
 
 
 @dataclass
@@ -158,10 +158,10 @@ def _run_table1(
             execution_to_litmus(x, f"{arch}-allow-{size}-{i}")
             for i, x in enumerate(allow_by_size.get(size, []))
         ]
-        verdicts = pipeline.observable_batch(
-            arch,
+        verdicts = pipeline.map(
+            run_job,
             [
-                (test.program, test.intended_co)
+                ("observable", arch, test.program, test.intended_co)
                 for test in forbid_tests + allow_tests
             ],
         )

@@ -58,9 +58,10 @@ class Table2Result:
         return "\n".join(lines)
 
 
-def _run_row(spec: tuple) -> Table2Row:
-    """Evaluate one (independent) Table 2 row; top-level so the batched
-    pipeline can fan rows out across worker processes."""
+def _run_row(spec: tuple) -> dict:
+    """Evaluate one (independent) Table 2 row, as the fields of its
+    :class:`Table2Row` (JSON-ready for the checkpoint); top-level so
+    the pipeline can fan rows out across worker processes."""
     kind = spec[0]
     if kind == "monotonicity":
         _, target, bound, time_budget = spec
@@ -69,7 +70,7 @@ def _run_row(spec: tuple) -> Table2Row:
         if mono.counterexample:
             x, c = mono.counterexample
             note = f"{c.description} (|E|={len(x)})"
-        return Table2Row(
+        row = Table2Row(
             property_name="Monotonicity",
             target=target,
             bound=f"{bound} events",
@@ -78,10 +79,10 @@ def _run_row(spec: tuple) -> Table2Row:
             counterexample_found=not mono.holds,
             note=note,
         )
-    if kind == "compilation":
+    elif kind == "compilation":
         _, target, bound, time_budget = spec
         comp = check_compilation(target, bound, time_budget=time_budget)
-        return Table2Row(
+        row = Table2Row(
             property_name="Compilation",
             target=f"C++/{target}",
             bound=f"{bound} events",
@@ -89,7 +90,7 @@ def _run_row(spec: tuple) -> Table2Row:
             complete=comp.complete,
             counterexample_found=not comp.sound,
         )
-    if kind == "elision":
+    elif kind == "elision":
         _, arch, _bound, time_budget = spec
         elision = check_lock_elision(arch, time_budget=time_budget)
         note = ""
@@ -101,7 +102,7 @@ def _run_row(spec: tuple) -> Table2Row:
                 + " || "
                 + "+".join(op.kind for op in ce.body1)
             )
-        return Table2Row(
+        row = Table2Row(
             property_name="Lock elision",
             target=arch,
             bound="body menu",
@@ -110,7 +111,9 @@ def _run_row(spec: tuple) -> Table2Row:
             counterexample_found=not elision.sound,
             note=note,
         )
-    raise ValueError(f"unknown row kind {kind!r}")
+    else:
+        raise ValueError(f"unknown row kind {kind!r}")
+    return dataclasses.asdict(row)
 
 
 def run_table2(
@@ -158,12 +161,6 @@ def run_table2(
     )
     pipeline.log_event("driver.start", driver="table2", rows=len(specs))
     with TRACER.span("table2"):
-        rows = pipeline.map_checkpointed(
-            _run_row,
-            specs,
-            kind="table2-row",
-            encode=dataclasses.asdict,
-            decode=lambda encoded: Table2Row(**encoded),
-        )
+        rows = pipeline.map(_run_row, specs)
     pipeline.log_event("driver.end", driver="table2")
-    return Table2Result(rows=rows)
+    return Table2Result(rows=[Table2Row(**row) for row in rows])

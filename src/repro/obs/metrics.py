@@ -5,7 +5,7 @@ enumerator all record into one process-global :data:`REGISTRY` (exposed
 via :mod:`repro.obs`).  Five metric kinds cover every call site:
 
 * **counters** -- monotone event counts (cache hits/misses, candidates
-  examined, retries);
+  examined, failed jobs);
 * **timers** -- accumulated durations with call counts and maxima
   (per-job wall time, queue wait, per-bound synthesis time);
 * **gauges** -- last-written values (worker count, utilization);

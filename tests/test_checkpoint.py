@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import CheckPipeline
+from repro.harness import table1 as table1_module
 from repro.harness.table1 import run_table1
-from repro.harness import pipeline as pipeline_module
 from repro.harness import verdict_cache
 from repro.harness.checkpoint import CheckpointStore, _canon, job_digest
 from repro.harness.pipeline import run_job
@@ -225,25 +225,23 @@ def test_crash_midbatch_then_resume_is_identical(
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-    uninterrupted = CheckPipeline(workers=1).run_jobs(x86_jobs)
+    uninterrupted = CheckPipeline(workers=1).map(run_job, x86_jobs)
 
     path = tmp_path / f"crash-{workers}.jsonl"
     monkeypatch.setitem(_BOMB_FUSE, "remaining", len(x86_jobs) // 2)
-    monkeypatch.setattr(pipeline_module, "run_job", _bomb_run_job)
     with pytest.raises(RuntimeError, match="simulated crash"):
         with CheckPipeline(workers=workers, checkpoint=path) as dying:
-            dying.run_jobs(x86_jobs)
+            dying.map(_bomb_run_job, x86_jobs)
 
     recorded = CheckpointStore(path)
     assert 0 < len(recorded) < len(x86_jobs)
 
-    monkeypatch.setattr(pipeline_module, "run_job", run_job)
     with CheckPipeline(workers=1, checkpoint=path) as resumed_pipe:
-        resumed = resumed_pipe.run_jobs(x86_jobs)
+        resumed = resumed_pipe.map(run_job, x86_jobs)
     assert json.dumps(resumed) == json.dumps(uninterrupted)
     # and every job is now on disk, so a further resume is pure replay
     with CheckPipeline(workers=1, checkpoint=path) as replay_pipe:
-        assert json.dumps(replay_pipe.run_jobs(x86_jobs)) == json.dumps(
+        assert json.dumps(replay_pipe.map(run_job, x86_jobs)) == json.dumps(
             uninterrupted
         )
 
@@ -271,12 +269,12 @@ def test_table1_killed_and_resumed_matches_uninterrupted(
 
     path = tmp_path / "table1.jsonl"
     monkeypatch.setitem(_BOMB_FUSE, "remaining", 5)
-    monkeypatch.setattr(pipeline_module, "run_job", _bomb_run_job)
+    monkeypatch.setattr(table1_module, "run_job", _bomb_run_job)
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_table1("x86", 3, synthesis=x86_synthesis, checkpoint=path)
     assert len(CheckpointStore(path)) > 0
 
-    monkeypatch.setattr(pipeline_module, "run_job", run_job)
+    monkeypatch.setattr(table1_module, "run_job", run_job)
     reset_observability()
     resumed = run_table1("x86", 3, synthesis=x86_synthesis, checkpoint=path)
     assert _row_tuples(resumed) == _row_tuples(uninterrupted)

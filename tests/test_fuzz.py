@@ -36,6 +36,10 @@ from repro.fuzz import (
     splice_thread,
 )
 
+from repro.fuzz.engine import _BATCH, _run_batches
+from repro.harness import CheckPipeline
+from repro.obs import REGISTRY
+
 ARCHES = ("x86", "power", "armv8", "cpp", "sc")
 
 
@@ -206,6 +210,48 @@ def test_smoke_campaign_is_clean(tmp_path):
     assert report.cases == 24
     assert report.coverage["verdict_patterns"] >= 1
     assert corpus.read_text() == ""  # clean campaign, verifiably empty
+
+
+def _double_item(item):
+    return item * 2
+
+
+def test_batch_loop_generate_sees_every_earlier_fold():
+    """The campaign loop is generate -> map -> fold: each generate()
+    call sees the folds of every earlier batch, batches arrive in
+    order, and the last one is cut to the budget."""
+    folded: list[int] = []
+    generated_at: list[int] = []
+
+    def generate(start, count):
+        generated_at.append(len(folded))
+        return [start + i for i in range(count)]
+
+    def fold(start, items, results):
+        assert results == [item * 2 for item in items]
+        folded.extend(results)
+
+    total = 2 * _BATCH + 3
+    with CheckPipeline(workers=1) as pipe:
+        done = _run_batches(pipe, _double_item, total, generate, fold)
+    assert done == total
+    assert folded == [i * 2 for i in range(total)]
+    # generate() for batch k saw exactly k full batches folded.
+    assert generated_at == [0, _BATCH, 2 * _BATCH]
+
+
+def test_campaign_count_is_exact_off_a_batch_multiple():
+    """A budget that is not a multiple of the batch size evaluates
+    exactly that many cases, no more."""
+    budget = _BATCH + 5
+    before = REGISTRY.counter("fuzz.cases").value
+    report = run_fuzz(
+        FuzzConfig(
+            arch="x86", seed=3, budget=budget, corpus=None, shrink=False
+        )
+    )
+    assert report.cases == budget
+    assert REGISTRY.counter("fuzz.cases").value - before == budget
 
 
 def test_back_to_back_campaigns_are_identical(tmp_path):

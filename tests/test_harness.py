@@ -178,6 +178,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "no longer disagrees" in out
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--cache"])
+    def test_fuzz_rejects_synthesis_flags(self, capsys, flag):
+        """fuzz runs no synthesis and checkpoints nothing, so it takes
+        neither --checkpoint nor --cache: argparse refuses them."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fuzz", "--budget", "1", flag, "F"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_fuzz_replay_unknown_digest(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cat import CatModel, bundled_model
 from repro.enumeration import enumerate_executions, get_config
-from repro.harness import CheckPipeline
+from repro.harness import CheckPipeline, run_job
 from repro.harness.table1 import run_table1
 from repro.models import get_model
 from repro.obs import REGISTRY, TRACER, reset_observability, stats_snapshot
@@ -70,8 +70,9 @@ def test_cache_accounting_balances_after_real_workload(
         power.consistent(x)
     CatModel(bundled_model("x86tm"))
     with CheckPipeline(checkpoint=tmp_path / "acct.jsonl") as pipe:
-        pipe.consistency_batch("x86tm", x86_executions[:20])
-        pipe.consistency_batch("x86tm", x86_executions[:20])  # replay
+        jobs = [("consistent", "x86tm", (), x) for x in x86_executions[:20]]
+        pipe.map(run_job, jobs)
+        pipe.map(run_job, jobs)  # replay
     exercised = 0
     for prefix in CACHE_PREFIXES:
         lookups, hits, misses = (

@@ -8,6 +8,7 @@ import pytest
 from repro.harness import CheckPipeline
 from repro.harness.ablation import run_ablation
 from repro.harness.table1 import run_table1
+from repro.harness.checkpoint import CheckpointStore
 from repro.harness.pipeline import hardware_for, model_for, run_job
 from repro.litmus import execution_to_litmus
 
@@ -48,8 +49,9 @@ def test_observable_batch_matches_direct_loop(pipeline, x86_synthesis):
     direct = [
         hardware.observable(t.program, t.intended_co) for t in tests
     ]
-    batched = pipeline.observable_batch(
-        "x86", [(t.program, t.intended_co) for t in tests]
+    batched = pipeline.map(
+        run_job,
+        [("observable", "x86", t.program, t.intended_co) for t in tests],
     )
     assert batched == direct
 
@@ -115,11 +117,11 @@ def test_pipeline_multiprocess_fanout_matches_sequential(x86_synthesis):
         execution_to_litmus(x, f"t{i}")
         for i, x in enumerate(x86_synthesis.forbidden)
     ]
-    jobs = [(t.program, t.intended_co) for t in tests]
+    jobs = [("observable", "x86", t.program, t.intended_co) for t in tests]
     with CheckPipeline(workers=1) as sequential_pipe:
-        sequential = sequential_pipe.observable_batch("x86", jobs)
+        sequential = sequential_pipe.map(run_job, jobs)
     with CheckPipeline(workers=2) as fanned_pipe:
-        fanned = fanned_pipe.observable_batch("x86", jobs)
+        fanned = fanned_pipe.map(run_job, jobs)
     assert fanned == sequential
 
 
@@ -129,11 +131,10 @@ def test_consistency_batch_fanout_matches_sequential(x86_synthesis):
     _fork_or_skip()
     executions = (x86_synthesis.forbidden + x86_synthesis.allowed)[:24]
     for model_name in ("x86tm", "x86", "powertm", "armv8tm", "cpptm"):
-        sequential = CheckPipeline(workers=1).consistency_batch(
-            model_name, executions
-        )
+        jobs = [("consistent", model_name, (), x) for x in executions]
+        sequential = CheckPipeline(workers=1).map(run_job, jobs)
         with CheckPipeline(workers=2) as fanned:
-            assert fanned.consistency_batch(model_name, executions) == sequential
+            assert fanned.map(run_job, jobs) == sequential
 
 
 def test_table1_fanout_matches_sequential(x86_synthesis):
@@ -169,33 +170,35 @@ def _double_second(job):
     return job[1] * 2
 
 
-def test_map_batched_feeds_results_back_between_batches():
-    """map_batched is a feedback loop: each generate() call must see
-    the folds of every earlier batch, batches arrive in order, and the
-    item count is exact even when the budget is not a batch multiple."""
-    pipe = CheckPipeline(workers=1)
-    folded: list[int] = []
-    generated_at: list[int] = []
-
-    def generate(start, count):
-        generated_at.append(len(folded))
-        return [start + i for i in range(count)]
-
-    def fold(start, items, results):
-        assert results == [item * 2 for item in items]
-        folded.extend(results)
-
-    total = pipe.map_batched(_double_item, generate, 10, 4, fold)
-    assert total == 10
-    assert folded == [i * 2 for i in range(10)]
-    # generate() for batch k saw exactly k full batches folded.
-    assert generated_at == [0, 4, 8]
+def _triple(item):
+    return item * 3
 
 
-def test_map_batched_stops_on_empty_generation():
-    pipe = CheckPipeline(workers=1)
-    assert pipe.map_batched(_double_item, lambda s, c: [], 10, 4, lambda *a: None) == 0
+@pytest.mark.parametrize("workers", [1, 2])
+def test_submit_next_result_returns_every_tag(workers):
+    """next_result hands back each submitted job once, with its tag;
+    with nothing submitted it refuses rather than blocking."""
+    if workers > 1:
+        _fork_or_skip()
+    with CheckPipeline(workers=workers) as pipe:
+        for i in range(6):
+            pipe.submit(_double_second, ("pair", i), tag=f"t{i}")
+        finished = dict(pipe.next_result() for _ in range(6))
+        assert finished == {f"t{i}": i * 2 for i in range(6)}
+        with pytest.raises(RuntimeError):
+            pipe.next_result()
 
 
-def _double_item(item):
-    return item * 2
+def test_map_records_each_job_under_its_kind(tmp_path):
+    """A checkpointed map records a job-tuple's first element as the
+    record kind, the function name otherwise; a rerun replays them."""
+    path = tmp_path / "kinds.jsonl"
+    with CheckPipeline(workers=1, checkpoint=path) as pipe:
+        assert pipe.map(_double_second, [("pair", 1), ("pair", 2)]) == [2, 4]
+        assert pipe.map(_triple, [3]) == [9]
+    store = CheckpointStore(path)
+    assert store.by_kind("pair") == [2, 4]
+    assert store.by_kind("_triple") == [9]
+    with CheckPipeline(workers=1, checkpoint=path) as pipe:
+        assert pipe.map(_triple, [3, 4]) == [9, 12]
+    assert CheckpointStore(path).by_kind("_triple") == [9, 12]

@@ -24,7 +24,9 @@ from repro.enumeration import (
 )
 from repro.enumeration.complete import complete_skeleton
 from repro.enumeration.shapes import enumerate_skeletons
+from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
+from repro.harness.scheduler import run_shard_job, synthesise_sharded
 from repro.obs import REGISTRY, reset_observability
 
 
@@ -204,6 +206,59 @@ class TestShardedSynthesis:
         assert counters["verdict_cache.shards.hits"] == lookups
         assert counters.get("scheduler.chunks", 0) == 0
         reset_observability()
+
+
+class ShardBomb(RuntimeError):
+    """What the one bombed shard job raises."""
+
+
+#: ``(signature, start)`` of the chunk :func:`_bomb_shard_job` fails.
+_BOMB_CHUNK: dict = {}
+
+
+def _bomb_shard_job(job):
+    """``run_shard_job``, except that one chunk raises.  Module-level
+    so the pool pickles it by name; forked workers inherit the fuse."""
+    if job[0] == "synth_chunk" and (tuple(job[3]), job[4]) == _BOMB_CHUNK[
+        "at"
+    ]:
+        raise ShardBomb(f"chunk at {job[4]}")
+    return run_shard_job(job)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shard_job_error_surfaces_on_caller_thread(
+    monkeypatch, config, workers
+):
+    """A shard job raising inside synthesise_sharded re-raises the
+    original exception on the calling thread, after the failing job's
+    metrics delta is merged; the pipeline then closes without hanging."""
+    import threading
+
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+    signature = next(
+        sig
+        for sig in shard_signatures(config, 2)
+        if sum(shard_completion_counts(shard_skeletons(config, sig)))
+    )
+    # Each nonempty shard's first chunk starts at 0 exactly once.
+    monkeypatch.setitem(_BOMB_CHUNK, "at", (signature, 0))
+    monkeypatch.setattr(scheduler, "run_shard_job", _bomb_shard_job)
+    reset_observability()
+    pipeline = CheckPipeline(workers=workers)
+    with pytest.raises(ShardBomb, match="chunk at 0"):
+        synthesise_sharded("x86", 2, pipeline=pipeline)
+    assert REGISTRY.counter("pipeline.jobs.failed").value == 1
+    closer = threading.Thread(target=pipeline.close, daemon=True)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    assert pipeline._pool is None
+    reset_observability()
 
 
 class TestStatsRender:
