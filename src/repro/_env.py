@@ -9,7 +9,7 @@ name                   meaning
 ====================== =======================================
 ``REPRO_WORKERS``      pipeline fan-out width
 ``REPRO_SEED``         fuzz / random-runner campaign seed
-``REPRO_CACHE``        shard-store directory
+``REPRO_CACHE``        default store directory (``repro.api``)
 ``REPRO_PROFILE``      enable the IR plan profiler
 ====================== =======================================
 """

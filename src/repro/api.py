@@ -9,8 +9,8 @@ capability happens to live in this month:
 * :func:`check` -- judge one execution under one model;
 * :func:`synthesize` -- the Forbid/Allow conformance suites, through
   the sharded work-stealing scheduler (byte-identical at any worker
-  count), with optional checkpoint/resume and a cross-run shard store
-  that a rerun of the same code replays;
+  count), with an optional cross-run store that a killed run resumes
+  from and a rerun of the same code replays;
 * :func:`run_table` -- any of the paper's artifact drivers
   (``"table1"``, ``"table2"``, ``"figure7"``, ``"ablation"``) under
   one set of keyword arguments.
@@ -49,6 +49,13 @@ _TABLES = {
 }
 
 
+def _cache(cache: str | Path | None) -> str | Path | None:
+    """``cache``, or the ``REPRO_CACHE`` directory when it is ``None``."""
+    from ._env import env_str
+
+    return cache if cache is not None else env_str("REPRO_CACHE") or None
+
+
 def load_model(name: str) -> "MemoryModel":
     """The memory model registered under ``name``.
 
@@ -79,24 +86,21 @@ def synthesize(
     *,
     workers: int | None = None,
     cache: str | Path | None = None,
-    checkpoint: str | Path | None = None,
     time_budget: float | None = None,
 ) -> "SynthesisResult":
     """The Forbid/Allow conformance suites for ``target`` up to ``bound``.
 
     Runs the sharded work-stealing scheduler: the result is
     byte-identical at every ``workers`` count (and to the sequential
-    enumerator), only wall-clock varies.  ``cache`` points at a
-    cross-run shard-store directory: a rerun of the same code replays
-    every shard from it without judging a candidate, and any source
-    edit makes it miss.  ``checkpoint`` names a JSONL file a killed run
-    resumes from.
+    enumerator), only wall-clock varies.  ``cache`` (default:
+    ``REPRO_CACHE``) points at a cross-run store directory: a killed
+    run restarted on it resumes, a rerun of the same code replays every
+    shard from it without judging a candidate, and any source edit
+    makes it miss.
     """
     from .harness.pipeline import CheckPipeline
 
-    with CheckPipeline(
-        workers=workers, checkpoint=checkpoint, cache=cache
-    ) as pipeline:
+    with CheckPipeline(workers=workers, cache=_cache(cache)) as pipeline:
         return pipeline.synthesis(target, bound, time_budget)
 
 
@@ -106,7 +110,6 @@ def run_table(
     arch: str = "x86",
     bound: int | None = None,
     workers: int | None = None,
-    checkpoint: str | Path | None = None,
     cache: str | Path | None = None,
     time_budget: float | None = None,
 ):
@@ -116,7 +119,8 @@ def run_table(
     ``table`` is ``"table1"``, ``"table2"``, ``"figure7"`` or
     ``"ablation"``.  ``bound`` defaults per driver (table1/figure7: 4,
     ablation: 3); ``arch``/``bound``/``time_budget`` are ignored by
-    ``table2``, which fixes its own bounds.
+    ``table2``, which fixes its own bounds.  ``workers`` and ``cache``
+    are as for :func:`synthesize`.
     """
     try:
         module_name, fn_name = _TABLES[table]
@@ -128,7 +132,7 @@ def run_table(
 
     module = importlib.import_module(f".harness.{module_name}", __package__)
     fn = getattr(module, fn_name)
-    common = {"workers": workers, "checkpoint": checkpoint, "cache": cache}
+    common = {"workers": workers, "cache": _cache(cache)}
     if table == "table1":
         return fn(arch, bound or 4, time_budget, **common)
     if table == "table2":

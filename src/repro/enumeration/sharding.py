@@ -16,7 +16,7 @@ innermost -- the iteration order of
 :func:`~repro.enumeration.complete.complete_skeleton`).  A work unit is
 then just ``(signature, start, stop)``: self-describing, splittable at
 any index (how idle workers steal half of a remaining range), and
-resumable (a checkpoint stores completed ranges as plain data).
+resumable (the cross-run store records completed ranges as plain data).
 
 :func:`completion_count` prices a skeleton arithmetically --
 ``Π (1 + |writes at the read's location|) × Π |writes at loc|!`` --

@@ -56,7 +56,6 @@ def run_ablation(
     synthesis: SynthesisResult | None = None,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
-    checkpoint: str | Path | None = None,
     cache: str | Path | None = None,
 ) -> AblationResult:
     """Attribute each synthesised Forbid test to the axioms catching it.
@@ -67,9 +66,7 @@ def run_ablation(
     constructed pipeline is closed (worker pool drained) before return.
     """
     if pipeline is None:
-        with CheckPipeline(
-            workers=workers, checkpoint=checkpoint, cache=cache
-        ) as pipeline:
+        with CheckPipeline(workers=workers, cache=cache) as pipeline:
             return run_ablation(target, max_events, synthesis, pipeline)
     pipeline.log_event(
         "driver.start", driver="ablation", arch=target, max_events=max_events

@@ -4,7 +4,7 @@ Usage::
 
     repro-harness table1 --arch x86 --events 4
     repro-harness table1 --arch power --events 4 --workers 4 \\
-        --checkpoint results/table1-power.jsonl --stats
+        --cache results/table1-power --stats
     repro-harness table2
     repro-harness figure7 --arch x86 --events 4
     repro-harness rtl-bug
@@ -22,13 +22,12 @@ forest, loadable in Perfetto, one lane per worker pid), and
 ``--profile [PATH]`` (per-IR-plan-node cost attribution: hot-node
 table + planner-calibration report on stderr, samples as JSON;
 ``--profile-dot PREFIX`` additionally writes one annotated Graphviz
-file per profiled model).  The drivers also take ``--checkpoint``
-(JSONL file; a killed run restarted with the same path resumes
-instead of recomputing) and ``--cache`` (cross-run shard-store
-directory -- a warm rerun of the same code replays every synthesis
-shard from disk; any source edit misses); ``fuzz`` runs no synthesis
-and takes neither.  The ``stats`` subcommand pretty-prints a stats
-dump.
+file per profiled model).  The drivers also take ``--cache``
+(cross-run store directory, default ``REPRO_CACHE`` -- a killed run
+restarted on the same directory resumes instead of recomputing, and a
+rerun of the same code replays every finished shard and job from disk;
+any source edit misses); ``fuzz`` runs no synthesis and takes no store.
+The ``stats`` subcommand pretty-prints a stats dump.
 """
 
 from __future__ import annotations
@@ -102,23 +101,17 @@ def _workers_parent() -> argparse.ArgumentParser:
 
 
 def _pipeline_parent() -> argparse.ArgumentParser:
-    """The drivers' ``--workers/--checkpoint/--cache`` pipeline flags."""
+    """The drivers' ``--workers/--cache`` pipeline flags."""
     parser = argparse.ArgumentParser(
         add_help=False, parents=[_workers_parent()]
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="JSONL checkpoint file; rerun with the same file to resume",
     )
     parser.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
         help=(
-            "cross-run shard-store directory (default: REPRO_CACHE); "
-            "a warm rerun of the same code replays synthesis from disk"
+            "cross-run store directory (default: REPRO_CACHE); a killed "
+            "run resumes from it, a rerun of the same code replays it"
         ),
     )
     return parser
@@ -494,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
                 arch=getattr(args, "arch", "x86"),
                 bound=getattr(args, "events", None),
                 workers=args.workers,
-                checkpoint=args.checkpoint,
                 cache=args.cache,
                 time_budget=getattr(args, "time_budget", None),
             ).render()

@@ -82,7 +82,6 @@ def run_figure7(
     synthesis: SynthesisResult | None = None,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
-    checkpoint: str | Path | None = None,
     cache: str | Path | None = None,
 ) -> Figure7Result:
     """Regenerate Figure 7's curve at reproduction scale.
@@ -92,9 +91,7 @@ def run_figure7(
     """
     if synthesis is None:
         if pipeline is None:
-            with CheckPipeline(
-                workers=workers, checkpoint=checkpoint, cache=cache
-            ) as pipeline:
+            with CheckPipeline(workers=workers, cache=cache) as pipeline:
                 return run_figure7(
                     arch, max_events, time_budget, synthesis, pipeline
                 )

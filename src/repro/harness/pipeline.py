@@ -8,11 +8,7 @@ shared cache layer:
 
 * **synthesis cache** -- Table 1, Figure 7, and the ablation all consume
   the same :func:`~repro.enumeration.synthesise` run; the pipeline
-  computes it once per ``(arch, max_events, time_budget)``.  With a
-  ``cache`` directory, that synthesis also replays whole shards a
-  previous run of the same code recorded
-  (:mod:`repro.harness.verdict_cache`); individual model verdicts are
-  always computed.
+  computes it once per ``(arch, max_events, time_budget)``.
 * **one submission primitive** -- :meth:`CheckPipeline.submit` queues
   a job and :meth:`CheckPipeline.next_result` returns the next finished
   one, inline (the default) or from a ``multiprocessing`` pool
@@ -20,12 +16,14 @@ shared cache layer:
   The work-stealing scheduler drives them directly;
   :meth:`CheckPipeline.map` is the ordered map the drivers and the
   fuzzer use on top of them, so verdicts are identical either way.
-* **checkpoint/resume** -- with a ``checkpoint`` path, every job
-  :meth:`~CheckPipeline.map` completes appends one JSONL record keyed by
-  its stable digest (:func:`~repro.harness.checkpoint.job_digest`); a
-  restarted run skips the recorded jobs and re-evaluates only the
-  remainder, incrementally (records land as each job finishes, not
-  when the batch does).
+* **one cross-run store** -- with a ``cache`` directory
+  (:mod:`repro.harness.verdict_cache`), every job
+  :meth:`~CheckPipeline.map` completes is recorded under its stable
+  digest (:func:`~repro.harness.checkpoint.job_digest`) as it lands,
+  and the synthesis records its counts, chunks and finished shards.  A
+  killed run restarted on the same directory resumes from what was
+  recorded; a rerun of the same code replays it.  Nothing recorded
+  under other code is served.
 * **observability** -- per-job wall time, queue wait, and worker
   utilization land in :data:`repro.obs.REGISTRY` (both as timers and as
   log2 histograms with p50/p90/p99).  Pool workers accumulate
@@ -34,10 +32,10 @@ shared cache layer:
   samples too: each job's span is grafted under the parent's open span
   tagged with the worker pid, so ``--stats`` and ``--trace`` show where
   worker time goes.
-* **run-event log** -- with a checkpoint configured (or an explicit
+* **run-event log** -- with a store configured (or an explicit
   ``runlog`` path) the pipeline appends JSONL progress events
   (``run.start``/``run.batch``/``run.heartbeat``/``run.end`` with
-  throughput and ETA) next to the checkpoint file.
+  throughput and ETA) to ``events.jsonl`` in the store directory.
 
 Jobs reference hardware and models *by name* so that worker processes
 can rebuild them locally instead of pickling model objects; each worker
@@ -53,13 +51,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .._env import env_int, env_str
+from .._env import env_int
 from ..enumeration import SynthesisResult
 from ..models import get_model
 from ..models.base import MemoryModel
 from ..obs import PROFILER, REGISTRY, TRACER, RunLog, reset_observability
 from . import verdict_cache as _verdict_cache
-from .checkpoint import CheckpointStore, job_digest
+from .checkpoint import job_digest
 
 #: Seconds between ``run.heartbeat`` events while a batch drains.
 _HEARTBEAT_SECONDS = 30.0
@@ -122,8 +120,8 @@ def run_job(job: tuple):
     * ``("consistent", model_name, drop_axioms, execution)`` → bool
     * ``("violated", model_name, drop_axioms, execution)`` → list[str]
 
-    Verdicts are always computed: only a checkpoint answers a job
-    without running it.
+    Verdicts are always computed: only a store's job record answers
+    a job without running it.
     """
     kind = job[0]
     if kind == "observable":
@@ -145,7 +143,7 @@ def run_job(job: tuple):
 
 def _job_kind(fn: Callable, item) -> str:
     """A stable name for one job -- its span is ``job:<kind>``, its
-    checkpoint record's ``kind`` is ``<kind>``: the job-tuple kind when
+    store record's ``kind`` is ``<kind>``: the job-tuple kind when
     there is one, the function's name otherwise (fuzz cases)."""
     if isinstance(item, tuple) and item and isinstance(item[0], str):
         return item[0]
@@ -227,41 +225,30 @@ class CheckPipeline:
         workers: fan-out width.  ``None`` reads ``REPRO_WORKERS``
             (defaulting to sequential); ``0``/``1`` force inline
             evaluation; larger values use a ``multiprocessing`` pool.
-        checkpoint: optional path to a JSONL checkpoint file.  Jobs
-            :meth:`map` completes append one record each; a restarted
-            pipeline pointed at the same file skips them (see
-            :mod:`repro.harness.checkpoint`).
         runlog: optional path for the JSONL run-event log.  ``None``
-            derives ``<checkpoint stem>.events.jsonl`` next to the
-            checkpoint file when one is configured (no checkpoint, no
-            log); ``False`` disables the log explicitly.
-        cache: optional directory for the cross-run shard store
-            (:mod:`repro.harness.verdict_cache`).  ``None`` reads
-            ``REPRO_CACHE``.  Only this (parent) process opens it, as
-            the single writer; pool workers never touch it.
+            derives ``<cache>/events.jsonl`` when a store is configured
+            (no store, no log); ``False`` disables the log explicitly.
+        cache: optional directory of the cross-run store
+            (:mod:`repro.harness.verdict_cache`) that resumes killed
+            runs and replays finished work; ``None`` opens none.  Only
+            this (parent) process opens it, as the single writer; pool
+            workers never touch it.
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        checkpoint: str | Path | None = None,
         runlog: str | Path | None | bool = None,
         cache: str | Path | None = None,
     ):
         if workers is None:
             workers = env_int("REPRO_WORKERS", 1)
         self.workers = max(1, workers)
-        self.checkpoint = (
-            CheckpointStore(checkpoint) if checkpoint is not None else None
-        )
-        if cache is None:
-            cache = env_str("REPRO_CACHE")
         self.verdict_cache = (
             _verdict_cache.configure(cache) if cache is not None else None
         )
-        if runlog is None and checkpoint is not None:
-            path = Path(checkpoint)
-            runlog = path.with_name(path.stem + ".events.jsonl")
+        if runlog is None and cache is not None:
+            runlog = Path(cache) / "events.jsonl"
         self.runlog = RunLog(runlog) if runlog else None
         self._jobs_done = 0
         self._last_heartbeat = time.monotonic()
@@ -277,7 +264,6 @@ class CheckPipeline:
         self.log_event(
             "run.start",
             workers=self.workers,
-            checkpoint=str(checkpoint) if checkpoint is not None else None,
             cache=str(cache) if cache is not None else None,
             profile=PROFILER.enabled,
         )
@@ -322,8 +308,6 @@ class CheckPipeline:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        if self.checkpoint is not None:
-            self.checkpoint.close()
         if self.verdict_cache is not None:
             self.verdict_cache.close()
             self.verdict_cache = None
@@ -356,8 +340,8 @@ class CheckPipeline:
 
         Runs through the work-stealing scheduler
         (:func:`repro.harness.scheduler.synthesise_sharded`): the
-        enumeration fans out across this pipeline's workers and reuses
-        its checkpoint and shard store, with results byte-identical
+        enumeration fans out across this pipeline's workers and resumes
+        from and records into its store, with results byte-identical
         to the sequential :func:`repro.enumeration.synthesise`.
         """
         key = (arch, max_events, time_budget)
@@ -383,10 +367,8 @@ class CheckPipeline:
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        if self.verdict_cache is not None:
-            # Forked workers inherit the store's segment handle, never
-            # to touch it: nothing of ours may sit in its buffer.
-            self.verdict_cache.flush()
+        # Forked workers inherit the store's segment handle, never to
+        # touch it; it buffers nothing, since every record is flushed.
         self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
         self._finished = queue.SimpleQueue()
 
@@ -452,23 +434,25 @@ class CheckPipeline:
     def map(self, fn: Callable, items: Iterable) -> list:
         """``[fn(item) for item in items]`` through :meth:`submit`.
 
-        With a checkpoint configured, items whose
-        :func:`~repro.harness.checkpoint.job_digest` is recorded are
-        answered from the store, and each other result is recorded
-        (``kind``: :func:`_job_kind`) as it lands, so a crash mid-batch
-        loses only the jobs in flight; results must then be
-        JSON-serialisable.  Results come back in submission order.
+        With a store open, an item whose ``kind`` (:func:`_job_kind`)
+        and :func:`~repro.harness.checkpoint.job_digest` are recorded is
+        answered from it, and each other result is recorded as it
+        lands, so a crash mid-batch loses only the jobs in flight;
+        results must then be JSON-serialisable.  Results come back in
+        submission order.
         """
         items = list(items)
         results: list = [None] * len(items)
         pending = list(range(len(items)))
-        store = self.checkpoint
-        if store is not None:
+        store = self.verdict_cache
+        if store is not None and items:
+            kinds = [_job_kind(fn, item) for item in items]
             digests = [job_digest(item) for item in items]
             pending = []
-            for index, digest in enumerate(digests):
-                if digest in store:
-                    results[index] = store.get(digest)
+            for index, (kind, digest) in enumerate(zip(kinds, digests)):
+                recorded = store.recorded(kind)
+                if digest in recorded:
+                    results[index] = recorded[digest]
                 else:
                     pending.append(index)
             REGISTRY.counter("pipeline.checkpoint.lookups").inc(len(items))
@@ -493,9 +477,7 @@ class CheckPipeline:
             for done in range(1, len(pending) + 1):
                 index, result = self.next_result()
                 if store is not None:
-                    store.record(
-                        digests[index], result, _job_kind(fn, items[index])
-                    )
+                    store.record(kinds[index], digests[index], result)
                 results[index] = result
                 for following in islice(backlog, 1):
                     self.submit(fn, items[following], following)

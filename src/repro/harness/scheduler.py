@@ -16,23 +16,24 @@ design:
   and identical to the sequential enumerator's output.
 * **Self-description.**  A work unit is the tuple ``("synth_chunk",
   target, bound, signature, start, stop)`` and its payload repeats
-  those coordinates, so a checkpoint can replay completed ranges as
-  plain data on resume (:meth:`CheckpointStore.by_kind`) even though a
-  resumed run's chunk boundaries never re-digest identically.
+  those coordinates, so the store replays completed ranges as plain
+  data on resume (:meth:`VerdictCache.recorded`) even though a resumed
+  run's chunk boundaries never re-digest identically.
 * **Global filtering stays in the parent.**  Workers apply the
   *per-candidate* filters (model-inconsistent, baseline-consistent,
   minimal) and ship survivors; the order-dependent steps (canonical
   dedup, discovery order, the Allow weakening pass) run in the fold,
   where the global ``seen`` set lives.
-* **Whole shards are cached.**  With a shard store open, the parent
-  looks each shard up (:meth:`VerdictCache.shard_lookup`) before
-  counting or scheduling it; a hit's stored payload -- counters,
-  skeleton and completion counts, survivors in start order -- joins the
-  fold as one range ``[0, completions)``, the way checkpointed chunks
-  do, and no count job or chunk runs for it.  After a bound that did
-  not time out, every other shard whose chunks -- resumed from a
-  checkpoint of the same code, or fresh -- tile its whole range is
-  recorded.
+* **Resumable, and whole shards are cached.**  With a store open
+  (:mod:`repro.harness.verdict_cache`), the parent looks each shard up
+  (:meth:`VerdictCache.shard_lookup`) before counting or scheduling it;
+  a hit's stored payload -- counters, skeleton and completion counts,
+  survivors in start order -- joins the fold as one range
+  ``[0, completions)``, and no count job or chunk runs for it.  Every
+  count and chunk evaluated is recorded as it lands, so a killed run
+  resumes with only the gaps between its recorded ranges left to run.
+  After a bound that did not time out, every shard whose chunks --
+  resumed or fresh -- tile its whole range is recorded as a shard.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
@@ -65,6 +66,7 @@ from ..models import get_model
 from ..obs import REGISTRY, TRACER
 from . import verdict_cache
 from .checkpoint import job_digest
+from .verdict_cache import CHUNK, VerdictCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import CheckPipeline
@@ -117,8 +119,10 @@ def run_shard_job(job: tuple):
       counts for one shard;
     * ``("synth_chunk", target, bound, sig, start, stop)`` → the chunk
       payload: per-outcome counters plus the surviving (forbidden-
-      candidate) executions as JSON, echoing its own coordinates so the
-      parent can fold and checkpoint it as self-contained data.
+      candidate) executions as JSON.
+
+    Both payloads echo their shard's coordinates, so the parent can
+    fold and record them as self-contained data.
     """
     kind = job[0]
     if kind == "synth_count":
@@ -126,6 +130,9 @@ def run_shard_job(job: tuple):
         signature = tuple(signature)
         skeletons, cumulative = _shard_space(target, bound, signature)
         return {
+            "target": target,
+            "bound": bound,
+            "sig": list(signature),
             "skeletons": len(skeletons),
             "completions": cumulative[-1] if cumulative else 0,
         }
@@ -279,9 +286,9 @@ class WorkStealingScheduler:
         return stolen
 
     def _record(self, job: tuple, payload: dict) -> None:
-        store = self.pipeline.checkpoint
+        store = self.pipeline.verdict_cache
         if store is not None:
-            store.record(job_digest(job), payload, kind="synth_chunk")
+            store.record(CHUNK, job_digest(job), payload)
 
     def run(self) -> list[dict]:
         """Drain every interval; returns the chunk payloads (unsorted)."""
@@ -329,35 +336,34 @@ def _fold_shard_metrics(target: str, bound: int, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _recorded_ranges(
-    pipeline: "CheckPipeline",
+def _resumed_chunks(
+    cache: VerdictCache | None,
     target: str,
     bound: int,
-    signatures: list[Signature],
-    skip: dict[int, dict],
-) -> tuple[list[dict], dict[int, list[tuple[int, int]]]]:
-    """Previously checkpointed chunk payloads for this bound, plus the
-    completion ranges they cover, per shard index -- except for the
-    shards in ``skip``, which the shard cache already answers."""
-    payloads: list[dict] = []
-    covered: dict[int, list[tuple[int, int]]] = {}
-    store = pipeline.checkpoint
-    if store is None:
-        return payloads, covered
-    index_of = {sig: i for i, sig in enumerate(signatures)}
-    for payload in store.by_kind("synth_chunk"):
-        if not isinstance(payload, dict):
+    index_of: dict[Signature, int],
+    counts: dict[int, dict],
+) -> dict[int, list[dict]]:
+    """The recorded chunk payloads of this bound's counted shards, per
+    shard index, in start order.  A chunk that overlaps one already
+    taken, or runs past its shard's completions, is left out: its range
+    is evaluated again instead of being folded twice."""
+    chunks: dict[int, list[dict]] = {}
+    if cache is None:
+        return chunks
+    recorded = sorted(cache.recorded(CHUNK).values(), key=lambda p: p["start"])
+    for payload in recorded:
+        if payload["target"] != target or payload["bound"] != bound:
             continue
-        if payload.get("target") != target or payload.get("bound") != bound:
+        shard = index_of.get(tuple(payload["sig"]))
+        if shard not in counts:
+            continue  # replayed whole from its shard record
+        taken = chunks.setdefault(shard, [])
+        if payload["stop"] > counts[shard]["completions"] or (
+            taken and payload["start"] < taken[-1]["stop"]
+        ):
             continue
-        shard = index_of.get(tuple(payload.get("sig", ())))
-        if shard is None or shard in skip:
-            continue
-        payloads.append(payload)
-        covered.setdefault(shard, []).append(
-            (payload["start"], payload["stop"])
-        )
-    return payloads, covered
+        taken.append(payload)
+    return chunks
 
 
 def _gaps(
@@ -452,18 +458,13 @@ def _shard_keys(
 
 
 def _record_shards(
-    cache: "verdict_cache.VerdictCache",
+    cache: VerdictCache,
     keys: list[str | None],
     counts: dict[int, dict],
-    computed: list[dict],
-    index_of: dict[Signature, int],
+    chunks: dict[int, list[dict]],
 ) -> None:
-    """Record every counted shard whose chunk payloads -- resumed from
-    a checkpoint of the same code, or fresh -- tile ``[0, completions)``
-    exactly, empty shards included."""
-    chunks: dict[int, list[dict]] = {}
-    for payload in computed:
-        chunks.setdefault(index_of[tuple(payload["sig"])], []).append(payload)
+    """Record every counted shard whose chunk payloads -- resumed or
+    fresh -- tile ``[0, completions)`` exactly, empty shards included."""
     for shard, count in counts.items():
         key = keys[shard]
         if key is None:
@@ -489,7 +490,6 @@ def _record_shards(
                 "survivors": [x for p in ordered for x in p["survivors"]],
             },
         )
-    cache.flush()
 
 
 def _sharded_bound(
@@ -528,21 +528,24 @@ def _sharded_bound(
             sum(count["skeletons"] for count in counts.values())
             + sum(payload["skeletons"] for payload in stored.values())
         )
-        resumed, covered = _recorded_ranges(
-            pipeline, target, bound, signatures, stored
-        )
+        chunks = _resumed_chunks(cache, target, bound, index_of, counts)
         remaining = {
-            shard: _gaps(count["completions"], covered.get(shard, []))
+            shard: _gaps(
+                count["completions"],
+                [(p["start"], p["stop"]) for p in chunks.get(shard, [])],
+            )
             for shard, count in counts.items()
         }
         scheduler = WorkStealingScheduler(
             pipeline, target, bound, signatures, remaining, deadline
         )
-        fresh = scheduler.run()
+        for payload in scheduler.run():
+            shard = index_of[tuple(payload["sig"])]
+            chunks.setdefault(shard, []).append(payload)
         if scheduler.timed_out:
             result.complete = False
         elif cache is not None:
-            _record_shards(cache, keys, counts, resumed + fresh, index_of)
+            _record_shards(cache, keys, counts, chunks)
 
         replayed = [
             dict(
@@ -556,7 +559,8 @@ def _sharded_bound(
         for payload in replayed:
             _fold_shard_metrics(target, bound, payload)
         ordered = sorted(
-            resumed + fresh + replayed,
+            [p for shard_chunks in chunks.values() for p in shard_chunks]
+            + replayed,
             key=lambda p: (index_of[tuple(p["sig"])], p["start"]),
         )
         c_candidates = REGISTRY.counter(f"{prefix}.candidates")

@@ -100,7 +100,6 @@ def run_table1(
     synthesis: SynthesisResult | None = None,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
-    checkpoint: str | Path | None = None,
     cache: str | Path | None = None,
 ) -> Table1Result:
     """Regenerate Table 1 for one architecture.
@@ -108,15 +107,13 @@ def run_table1(
     Hardware validation runs through the batched ``pipeline`` (shared
     synthesis cache, optional multiprocessing fan-out); verdicts are
     identical to the sequential path by construction.  A privately
-    constructed pipeline is closed (worker pool drained) before return;
-    with ``checkpoint``, a killed run restarts from the recorded jobs,
-    and ``cache`` names a cross-run shard-store directory (a warm rerun
-    of the same code replays the synthesis from it).
+    constructed pipeline is closed (worker pool drained) before return.
+    ``cache`` names a cross-run store directory: a killed run restarts
+    from what it recorded, and a rerun of the same code replays the
+    synthesis and the validation verdicts from it.
     """
     if pipeline is None:
-        with CheckPipeline(
-            workers=workers, checkpoint=checkpoint, cache=cache
-        ) as pipeline:
+        with CheckPipeline(workers=workers, cache=cache) as pipeline:
             return run_table1(
                 arch, max_events, time_budget, synthesis, pipeline
             )

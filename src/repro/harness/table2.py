@@ -60,7 +60,7 @@ class Table2Result:
 
 def _run_row(spec: tuple) -> dict:
     """Evaluate one (independent) Table 2 row, as the fields of its
-    :class:`Table2Row` (JSON-ready for the checkpoint); top-level so
+    :class:`Table2Row` (JSON-ready for the store); top-level so
     the pipeline can fan rows out across worker processes."""
     kind = spec[0]
     if kind == "monotonicity":
@@ -122,7 +122,6 @@ def run_table2(
     time_budget: float | None = 600.0,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
-    checkpoint: str | Path | None = None,
     cache: str | Path | None = None,
 ) -> Table2Result:
     """Regenerate Table 2 (with reproduction-scale bounds).
@@ -131,13 +130,11 @@ def run_table2(
     the ``pipeline`` (optionally fanned out across processes) and are
     collected in the table's canonical order.  A privately constructed
     pipeline is closed (worker pool drained) before return.  With a
-    ``checkpoint`` path, completed rows are recorded as they finish and
+    ``cache`` directory, completed rows are recorded as they finish and
     a restarted run replays them from disk instead of re-checking.
     """
     if pipeline is None:
-        with CheckPipeline(
-            workers=workers, checkpoint=checkpoint, cache=cache
-        ) as pipeline:
+        with CheckPipeline(workers=workers, cache=cache) as pipeline:
             return run_table2(
                 monotonicity_bounds, compilation_bound, time_budget, pipeline
             )

@@ -1,39 +1,40 @@
-"""A disk-backed, content-addressed store of folded synthesis shards.
+"""The one cross-run store: resumes killed runs, replays finished work.
 
-Every synthesis run re-proves what the previous run already settled.
-This module persists it across runs, one record per synthesis shard:
-its counters, skeleton and completion counts, and surviving executions
-in start order (see :mod:`repro.harness.scheduler`), keyed by
-:func:`shard_key`::
+``cache=DIR`` / ``--cache DIR`` opens a directory of JSONL records::
 
-    sha256(code digest, target, bound, signature)
+    {"code": ..., "kind": ..., "key": ..., "result": ...}
 
-The **code digest** (:func:`code_digest`) hashes the source of the
-whole ``repro`` package -- every model, the relation rows, the code
-generator, the canonical keys -- so any source edit makes every record
-unreachable: nothing stored outlives the semantics it was computed
-under.  Model verdicts themselves are never stored; a warm rerun that
-hits every shard replays the stored payloads without enumerating a
-candidate or judging one.
+* ``kind: "shard"`` -- one finished synthesis shard: its counters,
+  skeleton and completion counts, and surviving executions in start
+  order (see :mod:`repro.harness.scheduler`), keyed by
+  :func:`shard_key`, ``sha256(code digest, target, bound, signature)``;
+* ``"synth_chunk"`` / ``"synth_count"`` -- one evaluated completion
+  range of an unfinished shard, and one shard's size; both payloads
+  carry their shard's ``target``, ``bound`` and ``sig``;
+* any other kind -- one :meth:`CheckPipeline.map
+  <repro.harness.pipeline.CheckPipeline.map>` job result, keyed by its
+  :func:`~repro.harness.checkpoint.job_digest`.
 
-On disk the store is a set of JSONL *segments*, ``shards-000001.jsonl``
-and so on, one record per line, each stamped with the code digest it
-was computed under.  Appends go to a new segment per writing process;
-:meth:`VerdictCache.compact` merges the segments into one (atomically,
-via tmp+fsync+rename) and drops the records of other code.  Loading
-tolerates a torn trailing line and skips malformed, damaged or
-other-code records -- the same crash posture as
-:class:`~repro.harness.checkpoint.CheckpointStore`: a bad line costs
-one re-computation, never a crash.  The segments are parsed on the
-first lookup or record, not when the store is opened.
+Every record is stamped with the **code digest** (:func:`code_digest`),
+a hash of the source of the whole ``repro`` package -- models, relation
+rows, code generator, canonical keys -- so nothing stored outlives the
+semantics it was computed under.
+
+The records live in *segments*, ``shards-000001.jsonl`` and so on; each
+writing process appends to a new one, record by record, flushed
+(:mod:`repro._jsonl`), so a killed run loses only the work in flight.
+Loading, on the first lookup or record, skips torn, malformed, damaged
+and other-code records: a bad line costs one recomputation, never a
+crash.  :meth:`VerdictCache.compact` merges the segments into one
+(atomically, via tmp+fsync+rename), keeping this code's shard and job
+records minus the chunk and count records of recorded shards; a writer
+compacts on close when that drops something, or once segments pile up.
 
 Only the pipeline **parent** opens the store, as its single writer;
-pool workers compute chunks and never touch it.  The parent flushes
-before forking, so no buffered line can be duplicated into a worker.
+pool workers never touch it.
 
-Metrics: ``verdict_cache.shards.lookups/hits/misses/appends`` (the hit
-rate surfaces in ``--stats`` via the standard ``hits/lookups``
-convention).
+Metrics: ``verdict_cache.shards.lookups/hits/misses/appends``; job
+records count as ``pipeline.checkpoint.records``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ import json
 import os
 from pathlib import Path
 
+from .._jsonl import JsonlWriter, encode, read_jsonl
 from ..obs import REGISTRY
 
-#: Auto-compact on close once this many segments accumulate.
+#: Compact on close once this many segments accumulate.
 _COMPACT_SEGMENTS = 8
+
+#: Record kinds the scheduler writes (see the module docstring).
+SHARD = "shard"
+CHUNK = "synth_chunk"
+COUNT = "synth_count"
 
 #: The outcome counters of a shard payload, ``candidates`` first (see
 #: :func:`repro.harness.scheduler.run_shard_job`).
@@ -110,46 +117,97 @@ def _decodable(survivor) -> bool:
     return True
 
 
-def _valid_shard_payload(payload) -> bool:
-    """Whether a stored shard payload is whole and self-consistent (a
-    hand-mangled record is skipped, never folded)."""
-    if not isinstance(payload, dict):
-        return False
+def _counts(*numbers) -> bool:
+    return all(type(n) is int and n >= 0 for n in numbers)
+
+
+def _valid_outcome(payload: dict, candidates) -> bool:
+    """Whether a payload's counters and survivors add up to
+    ``candidates`` judged candidates, every survivor an execution."""
     counters = payload.get("counters")
     survivors = payload.get("survivors")
-    numbers = [payload.get("skeletons"), payload.get("completions")]
     if not isinstance(counters, dict) or not isinstance(survivors, list):
         return False
-    numbers += [counters.get(name) for name in SHARD_COUNTERS]
-    if not all(type(n) is int and n >= 0 for n in numbers):
+    numbers = [counters.get(name) for name in SHARD_COUNTERS]
+    if not _counts(candidates, *numbers):
         return False
-    pruned = sum(counters[name] for name in SHARD_COUNTERS[1:])
+    pruned = sum(numbers[1:])
     return (
-        counters["candidates"] == payload["completions"]
-        and counters["candidates"] - pruned == len(survivors)
+        numbers[0] == candidates
+        and candidates - pruned == len(survivors)
         and all(_decodable(x) for x in survivors)
     )
 
 
+def _valid_shard_payload(payload) -> bool:
+    """Whether a stored shard payload is whole and self-consistent (a
+    hand-mangled record is skipped, never folded)."""
+    return (
+        isinstance(payload, dict)
+        and _counts(payload.get("skeletons"), payload.get("completions"))
+        and _valid_outcome(payload, payload["completions"])
+    )
+
+
+def _has_coordinates(payload) -> bool:
+    """Whether a chunk or count payload names its shard."""
+    if not isinstance(payload, dict):
+        return False
+    sig = payload.get("sig")
+    return (
+        isinstance(payload.get("target"), str)
+        and _counts(payload.get("bound"))
+        and isinstance(sig, list)
+        and all(isinstance(event, str) for event in sig)
+    )
+
+
+def _valid_count_payload(payload) -> bool:
+    return _has_coordinates(payload) and _counts(
+        payload.get("skeletons"), payload.get("completions")
+    )
+
+
+def _valid_chunk_payload(payload) -> bool:
+    if not _has_coordinates(payload):
+        return False
+    start, stop = payload.get("start"), payload.get("stop")
+    return (
+        _counts(start, stop)
+        and start <= stop
+        and _valid_outcome(payload, stop - start)
+    )
+
+
+#: Kind → payload check; other kinds hold any JSON result.
+_VALID = {
+    SHARD: _valid_shard_payload,
+    CHUNK: _valid_chunk_payload,
+    COUNT: _valid_count_payload,
+}
+
+
 class VerdictCache:
-    """One open shard store (see the module docstring for the model).
+    """One open store (see the module docstring for the model).
 
     Args:
         root: the store directory (created on first append).
-        writer: whether this process may record shards and compact; the
+        writer: whether this process may record and compact; the
             pipeline parent opens with ``True``, readers with ``False``.
     """
 
     def __init__(self, root: str | Path, writer: bool = False):
         self.root = Path(root)
         self.writer = writer
-        #: This code's shard records, parsed on the first lookup or record.
-        self._shards: dict[str, dict] | None = None
-        self._file = None
+        #: kind → key → result of this code, parsed on first use.
+        self._results: dict[str, dict[str, object]] | None = None
+        self._segment: JsonlWriter | None = None
+        self._recorded_shard = False
         self._lookups = REGISTRY.counter("verdict_cache.shards.lookups")
         self._hits = REGISTRY.counter("verdict_cache.shards.hits")
         self._misses = REGISTRY.counter("verdict_cache.shards.misses")
         self._appends = REGISTRY.counter("verdict_cache.shards.appends")
+        self._job_records = REGISTRY.counter("pipeline.checkpoint.records")
 
     # -- loading ---------------------------------------------------------
 
@@ -158,35 +216,29 @@ class VerdictCache:
             return []
         return sorted(self.root.glob("shards-*.jsonl"))
 
-    def _records(self):
-        """Every well-formed JSON line of the segments; torn tails and
-        hand-mangled lines are skipped (re-computed)."""
-        for segment in self._segments():
-            try:
-                text = segment.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-
-    def _load(self) -> dict[str, dict]:
-        if self._shards is None:
-            self._shards = {}
+    def _load(self) -> dict[str, dict[str, object]]:
+        if self._results is None:
+            self._results = {}
             code = code_digest()
-            for record in self._records():
-                if not isinstance(record, dict) or record.get("code") != code:
-                    continue
-                key = record.get("key")
-                payload = record.get("payload")
-                if isinstance(key, str) and _valid_shard_payload(payload):
-                    self._shards[key] = payload
-        return self._shards
+            for segment in self._segments() if code else ():
+                for record in read_jsonl(segment):
+                    if not isinstance(record, dict) or "result" not in record:
+                        continue
+                    kind, key = record.get("kind"), record.get("key")
+                    result = record["result"]
+                    if (
+                        record.get("code") == code
+                        and isinstance(kind, str)
+                        and isinstance(key, str)
+                        and _VALID.get(kind, lambda result: True)(result)
+                    ):
+                        self._results.setdefault(kind, {})[key] = result
+        return self._results
+
+    def recorded(self, kind: str) -> dict[str, object]:
+        """This code's results of one ``kind``, by key, in the order
+        they were first recorded."""
+        return self._load().get(kind, {})
 
     # -- lookups and appends ---------------------------------------------
 
@@ -194,7 +246,7 @@ class VerdictCache:
         """The stored payload of one shard (see :func:`shard_key`), or
         ``None``; counts the lookup."""
         self._lookups.inc()
-        payload = self._load().get(key)
+        payload = self.recorded(SHARD).get(key)
         if payload is None:
             self._misses.inc()
         else:
@@ -202,58 +254,76 @@ class VerdictCache:
         return payload
 
     def shard_record(self, key: str, payload: dict) -> None:
-        """Persist one shard's folded payload (writers only; buffered
-        until :meth:`flush`)."""
+        """Persist one shard's folded payload."""
+        self.record(SHARD, key, payload)
+
+    def record(self, kind: str, key: str, result) -> None:
+        """Persist one result (writers only; flushed at once).  A key
+        already recorded, or code without a digest, records nothing."""
         if not self.writer:
-            raise RuntimeError("only the writing process records shards")
-        shards = self._load()
-        if key in shards:
+            raise RuntimeError("only the writing process records results")
+        code = code_digest()
+        results = self._load().setdefault(kind, {})
+        if code is None or key in results:
             return
-        shards[key] = payload
-        if self._file is None:
-            self._file = self._open_segment()
-        self._file.write(_line(key, payload) + "\n")
-        self._appends.inc()
+        results[key] = result
+        if self._segment is None:
+            self._segment = JsonlWriter(self._next_segment())
+        self._segment.write(
+            {"code": code, "kind": kind, "key": key, "result": result}
+        )
+        if kind == SHARD:
+            self._recorded_shard = True
+            self._appends.inc()
+        else:
+            self._job_records.inc()
 
     # -- persistence -----------------------------------------------------
 
-    def _open_segment(self):
-        self.root.mkdir(parents=True, exist_ok=True)
+    def _next_segment(self) -> Path:
         existing = self._segments()
         index = int(existing[-1].stem.split("-")[-1]) + 1 if existing else 1
-        path = self.root / f"shards-{index:06d}.jsonl"
-        return path.open("a", encoding="utf-8")
-
-    def flush(self) -> None:
-        """Write buffered records through to this process's segment."""
-        if self._file is not None:
-            self._file.flush()
+        return self.root / f"shards-{index:06d}.jsonl"
 
     def _close_segment(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
+
+    def _superseded(self, result) -> bool:
+        """Whether a chunk or count record's shard has a shard record."""
+        key = shard_key(result["target"], result["bound"], result["sig"])
+        return key in self.recorded(SHARD)
 
     def compact(self) -> Path | None:
-        """Merge every segment into one, atomically, keeping only this
-        code's well-formed records.
+        """Merge every segment into one, atomically, keeping this code's
+        records minus the superseded chunk and count records.
 
         Idempotent: compacting a compacted store rewrites the same
         records.  Returns the surviving segment path (``None`` when
-        there were no segments).
+        there were no segments or the code has no digest).
         """
         if not self.writer:
             raise RuntimeError("only the writing process may compact")
-        shards = self._load()
+        results = self._load()
         self._close_segment()
         segments = self._segments()
-        if not segments:
+        code = code_digest()
+        if not segments or code is None:
             return None
+        for kind in (CHUNK, COUNT):
+            results[kind] = {
+                key: result
+                for key, result in results.get(kind, {}).items()
+                if not self._superseded(result)
+            }
         final = self.root / "shards-000001.jsonl"
         tmp = final.with_name(final.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as out:
-            for key in sorted(shards):
-                out.write(_line(key, shards[key]) + "\n")
+            for kind in sorted(results):
+                for key, result in sorted(results[kind].items()):
+                    record = {"code": code, "kind": kind, "key": key}
+                    out.write(encode(dict(record, result=result)) + "\n")
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, final)
@@ -263,19 +333,21 @@ class VerdictCache:
         return final
 
     def close(self) -> None:
-        """Flush buffered records; auto-compact a fragmented store."""
+        """Close this process's segment; compact when a recorded shard
+        supersedes chunk or count records, or the store is fragmented."""
         self._close_segment()
-        if self.writer and len(self._segments()) >= _COMPACT_SEGMENTS:
+        if not self.writer:
+            return
+        superseding = self._recorded_shard and any(
+            self._superseded(result)
+            for kind in (CHUNK, COUNT)
+            for result in self.recorded(kind).values()
+        )
+        if superseding or len(self._segments()) >= _COMPACT_SEGMENTS:
             self.compact()
 
 
-def _line(key: str, payload: dict) -> str:
-    """One shard record, stamped with the code it was computed under."""
-    record = {"code": code_digest(), "key": key, "payload": payload}
-    return json.dumps(record, sort_keys=True)
-
-
 def configure(root: str | Path) -> VerdictCache:
-    """Open ``root`` as a pipeline's shard store, with the pipeline
-    parent as its single writer."""
+    """Open ``root`` as a pipeline's store, with the pipeline parent as
+    its single writer."""
     return VerdictCache(root, writer=True)

@@ -1,12 +1,13 @@
 """JSONL run-event log: what happened, when, at what rate.
 
-Checkpoints (:mod:`repro.harness.checkpoint`) record *results*; the run
-log records *progress*: one JSON line per event, wall-clock timestamped,
-written next to the checkpoint file so a long campaign leaves a durable
-operational record -- when the run started and with what configuration,
-heartbeats with throughput and ETA while batches drain, and how it
-ended.  ``tail -f`` on the log answers "is it still making progress and
-when will it finish" without attaching a debugger to the run.
+The shard store (:mod:`repro.harness.verdict_cache`) records *results*;
+the run log records *progress*: one JSON line per event, wall-clock
+timestamped, written as ``events.jsonl`` inside the store directory so
+a long campaign leaves a durable operational record -- when the run
+started and with what configuration, heartbeats with throughput and
+ETA while batches drain, and how it ended.  ``tail -f`` on the log
+answers "is it still making progress and when will it finish" without
+attaching a debugger to the run.
 
 Event shape::
 
@@ -15,58 +16,28 @@ Event shape::
 ``type`` namespaces follow the metric naming scheme: ``run.*`` from the
 pipeline itself, ``driver.*`` from the experiment drivers, ``fuzz.*``
 from the fuzzing engine.  Unknown fields are free-form -- the log is
-for operators and scripts, not for resume logic (that is the
-checkpoint's job, keyed by stable digests; this file is append-only
-and never read back by the harness).
+for operators and scripts, not for resume logic (that is the store's
+job, keyed by stable digests; this file is append-only and never read
+back by the harness).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
+from .._jsonl import JsonlWriter, read_jsonl
 
-class RunLog:
+
+class RunLog(JsonlWriter):
     """An append-only JSONL event stream (opened lazily, flushed per
-    event, torn-tail tolerant like the checkpoint store)."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._file = None
+    event, torn-tail tolerant: see :mod:`repro._jsonl`)."""
 
     def event(self, type: str, **fields) -> None:
         """Append one timestamped event (flushed immediately)."""
-        if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("a", encoding="utf-8")
-            # A torn trailing line (crash mid-append) must not swallow
-            # the next event too: start appends on a fresh line.
-            if self._file.tell() > 0:
-                with self.path.open("rb") as tail:
-                    tail.seek(-1, 2)
-                    if tail.read(1) != b"\n":
-                        self._file.write("\n")
-        record = {"ts": time.time(), "type": type}
-        record.update(fields)
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self.write({"ts": time.time(), "type": type, **fields})
 
 
 def read_runlog(path: str | Path) -> list[dict]:
     """All well-formed events in a run log (torn lines dropped)."""
-    events = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events
+    return list(read_jsonl(path))

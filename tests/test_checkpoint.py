@@ -1,9 +1,8 @@
-"""Checkpoint/resume: stable digests, the JSONL store, crash recovery.
+"""Resume: stable job digests, job records in the store, crash recovery.
 
-The headline property (the acceptance criterion for the checkpoint
-feature): a pipeline run killed mid-batch and restarted from its
-checkpoint file produces results identical to an uninterrupted run --
-sequentially and under multiprocessing fan-out.
+The headline property: a pipeline run killed mid-batch and restarted
+on its store directory produces results identical to an uninterrupted
+run -- sequentially and under multiprocessing fan-out.
 """
 
 from __future__ import annotations
@@ -19,10 +18,11 @@ from repro.harness import CheckPipeline
 from repro.harness import table1 as table1_module
 from repro.harness.table1 import run_table1
 from repro.harness import verdict_cache
-from repro.harness.checkpoint import CheckpointStore, _canon, job_digest
+from repro.harness.checkpoint import _canon, job_digest
 from repro.harness.pipeline import run_job
+from repro.harness.verdict_cache import VerdictCache
 from repro.litmus import execution_to_litmus
-from repro.obs import reset_observability, stats_snapshot
+from repro.obs import REGISTRY, reset_observability, stats_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -108,43 +108,43 @@ def test_digest_stable_across_hash_seeds(seed):
 
 
 # ---------------------------------------------------------------------------
-# The JSONL store
+# Job records in the store
 # ---------------------------------------------------------------------------
 
 
+def _jobs(root, kind: str = "job") -> dict:
+    """The job records of one kind a fresh reader of ``root`` serves."""
+    return dict(VerdictCache(root).recorded(kind))
+
+
 def test_store_roundtrip_and_reload(tmp_path):
-    path = tmp_path / "store.jsonl"
-    store = CheckpointStore(path)
-    assert store.loaded == 0
-    store.record("d1", True, kind="observable")
-    store.record("d2", ["TxnOrder"], kind="violated")
+    store = VerdictCache(tmp_path, writer=True)
+    assert store.recorded("observable") == {}
+    store.record("observable", "d1", True)
+    store.record("violated", "d2", ["TxnOrder"])
     store.close()
 
-    reloaded = CheckpointStore(path)
-    assert reloaded.loaded == 2
-    assert "d1" in reloaded and reloaded.get("d1") is True
-    assert reloaded.get("d2") == ["TxnOrder"]
-    assert "d3" not in reloaded
+    assert _jobs(tmp_path, "observable") == {"d1": True}
+    assert _jobs(tmp_path, "violated") == {"d2": ["TxnOrder"]}
+    assert "d3" not in _jobs(tmp_path, "observable")
 
 
 def test_store_tolerates_truncated_last_line(tmp_path):
     """A crash mid-append leaves a half-written record; reload drops it
     (that job simply re-runs) instead of failing."""
-    path = tmp_path / "store.jsonl"
-    store = CheckpointStore(path)
-    store.record("d1", True)
-    store.record("d2", False)
+    store = VerdictCache(tmp_path, writer=True)
+    store.record("job", "d1", True)
+    store.record("job", "d2", False)
     store.close()
-    text = path.read_text()
-    path.write_text(text + '{"digest": "d3", "kin')  # torn write
+    (segment,) = tmp_path.glob("shards-*.jsonl")
+    segment.write_text(segment.read_text() + '{"key": "d3", "kin')  # torn
 
-    reloaded = CheckpointStore(path)
-    assert len(reloaded) == 2
-    assert "d3" not in reloaded
+    reloaded = VerdictCache(tmp_path, writer=True)
+    assert reloaded.recorded("job") == {"d1": True, "d2": False}
     # The store stays appendable after a torn tail.
-    reloaded.record("d4", True)
+    reloaded.record("job", "d4", True)
     reloaded.close()
-    assert len(CheckpointStore(path)) == 3
+    assert sorted(_jobs(tmp_path)) == ["d1", "d2", "d4"]
 
 
 def _line(**record) -> str:
@@ -152,45 +152,45 @@ def _line(**record) -> str:
 
 
 def test_store_tolerates_blank_lines(tmp_path):
-    path = tmp_path / "store.jsonl"
-    path.write_text("\n" + _line(digest="d1", kind="job", result=7) + "\n")
-    assert CheckpointStore(path).get("d1") == 7
+    (tmp_path / "shards-000001.jsonl").write_text(
+        "\n" + _line(key="d1", kind="job", result=7) + "\n"
+    )
+    assert _jobs(tmp_path) == {"d1": 7}
 
 
 def test_store_skips_malformed_records(tmp_path):
     """Parseable but malformed lines cost their job a re-run, never a
-    crash -- the shard store's posture."""
-    path = tmp_path / "store.jsonl"
-    path.write_text(
+    crash."""
+    (tmp_path / "shards-000001.jsonl").write_text(
         "{}\n"
         "[1]\n"
-        + _line(digest="no-result", kind="job")
-        + _line(digest=["not", "a", "string"], result=1)
-        + _line(digest="d1", kind="job", result=7)
-        + '{"code": "c", "digest": "torn", "res'
+        + _line(key="no-result", kind="job")
+        + _line(key=["not", "a", "string"], kind="job", result=1)
+        + _line(key="no-kind", result=1)
+        + _line(key="d1", kind="job", result=7)
+        + '{"code": "c", "key": "torn", "res'
     )
-    store = CheckpointStore(path)
-    assert store.loaded == 1 and store.get("d1") == 7
-    assert "no-result" not in store and "torn" not in store
-    store.record("d2", 8)
+    store = VerdictCache(tmp_path, writer=True)
+    assert store.recorded("job") == {"d1": 7}
+    store.record("job", "d2", 8)
     store.close()
-    assert CheckpointStore(path).get("d2") == 8
+    assert _jobs(tmp_path) == {"d1": 7, "d2": 8}
 
 
 def test_store_ignores_records_of_other_code(tmp_path, monkeypatch):
-    path = tmp_path / "store.jsonl"
-    store = CheckpointStore(path)
-    store.record("d1", True)
+    store = VerdictCache(tmp_path, writer=True)
+    store.record("job", "d1", True)
     store.close()
-    record = json.loads(path.read_text())
+    (segment,) = tmp_path.glob("shards-*.jsonl")
+    record = json.loads(segment.read_text())
     assert record["code"] == verdict_cache.code_digest()
-    with path.open("a") as f:
-        f.write(json.dumps({"digest": "unstamped", "result": 1}) + "\n")
-    assert len(CheckpointStore(path)) == 1
+    with segment.open("a") as f:
+        f.write(json.dumps({"kind": "job", "key": "bare", "result": 1}))
+    assert _jobs(tmp_path) == {"d1": True}
     monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
-    assert len(CheckpointStore(path)) == 0
+    assert _jobs(tmp_path) == {}
     monkeypatch.setattr(verdict_cache, "code_digest", lambda: None)
-    assert len(CheckpointStore(path)) == 0
+    assert _jobs(tmp_path) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,8 @@ def _bomb_run_job(job):
 def test_crash_midbatch_then_resume_is_identical(
     tmp_path, monkeypatch, x86_jobs, workers
 ):
-    """Kill the pipeline after N jobs, restart from the checkpoint, and
-    the merged results are byte-identical to an uninterrupted run."""
+    """Kill the pipeline after N jobs, restart on its store, and the
+    merged results are byte-identical to an uninterrupted run."""
     if workers > 1:
         import multiprocessing
 
@@ -227,23 +227,25 @@ def test_crash_midbatch_then_resume_is_identical(
             pytest.skip("fork start method unavailable")
     uninterrupted = CheckPipeline(workers=1).map(run_job, x86_jobs)
 
-    path = tmp_path / f"crash-{workers}.jsonl"
+    path = tmp_path / f"crash-{workers}"
     monkeypatch.setitem(_BOMB_FUSE, "remaining", len(x86_jobs) // 2)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        with CheckPipeline(workers=workers, checkpoint=path) as dying:
+        with CheckPipeline(workers=workers, cache=path) as dying:
             dying.map(_bomb_run_job, x86_jobs)
 
-    recorded = CheckpointStore(path)
-    assert 0 < len(recorded) < len(x86_jobs)
+    assert 0 < len(_jobs(path, "observable")) < len(x86_jobs)
 
-    with CheckPipeline(workers=1, checkpoint=path) as resumed_pipe:
+    with CheckPipeline(workers=1, cache=path) as resumed_pipe:
         resumed = resumed_pipe.map(run_job, x86_jobs)
     assert json.dumps(resumed) == json.dumps(uninterrupted)
     # and every job is now on disk, so a further resume is pure replay
-    with CheckPipeline(workers=1, checkpoint=path) as replay_pipe:
+    reset_observability()
+    with CheckPipeline(workers=1, cache=path) as replay_pipe:
         assert json.dumps(replay_pipe.map(run_job, x86_jobs)) == json.dumps(
             uninterrupted
         )
+    assert REGISTRY.counter("pipeline.jobs.completed").value == 0
+    reset_observability()
 
 
 def _row_tuples(table):
@@ -263,20 +265,20 @@ def test_table1_killed_and_resumed_matches_uninterrupted(
     tmp_path, monkeypatch, x86_synthesis
 ):
     """The acceptance criterion: a Table 1 run killed mid-batch and
-    restarted from its checkpoint produces identical verdicts, and the
-    stats snapshot shows nonzero cache hit rates and stage timings."""
+    restarted on its store produces identical verdicts, and the stats
+    snapshot shows nonzero cache hit rates and stage timings."""
     uninterrupted = run_table1("x86", 3, synthesis=x86_synthesis)
 
-    path = tmp_path / "table1.jsonl"
+    path = tmp_path / "table1"
     monkeypatch.setitem(_BOMB_FUSE, "remaining", 5)
     monkeypatch.setattr(table1_module, "run_job", _bomb_run_job)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        run_table1("x86", 3, synthesis=x86_synthesis, checkpoint=path)
-    assert len(CheckpointStore(path)) > 0
+        run_table1("x86", 3, synthesis=x86_synthesis, cache=path)
+    assert len(_jobs(path, "observable")) > 0
 
     monkeypatch.setattr(table1_module, "run_job", run_job)
     reset_observability()
-    resumed = run_table1("x86", 3, synthesis=x86_synthesis, checkpoint=path)
+    resumed = run_table1("x86", 3, synthesis=x86_synthesis, cache=path)
     assert _row_tuples(resumed) == _row_tuples(uninterrupted)
     assert resumed.unseen_allow_total == uninterrupted.unseen_allow_total
 

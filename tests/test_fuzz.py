@@ -212,6 +212,27 @@ def test_smoke_campaign_is_clean(tmp_path):
     assert corpus.read_text() == ""  # clean campaign, verifiably empty
 
 
+def test_campaign_writes_nothing_to_a_store(tmp_path, monkeypatch):
+    """``REPRO_CACHE`` names the drivers' default store; a campaign
+    opens none, so the directory stays untouched -- not even compacted,
+    which any open store would be on close with this many segments."""
+    from repro.harness import verdict_cache
+
+    store = tmp_path / "store"
+    store.mkdir()
+    for index in range(1, verdict_cache._COMPACT_SEGMENTS + 1):
+        (store / f"shards-{index:06d}.jsonl").write_text(
+            f'{{"code": "other", "kind": "job", "key": "{index}"}}\n'
+        )
+    before = {path.name: path.read_bytes() for path in store.iterdir()}
+    monkeypatch.setenv("REPRO_CACHE", str(store))
+    report = run_fuzz(
+        FuzzConfig(arch="x86", seed=7, budget=24, corpus=None, workers=1)
+    )
+    assert report.cases == 24
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == before
+
+
 def _double_item(item):
     return item * 2
 

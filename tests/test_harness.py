@@ -180,8 +180,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--cache"])
     def test_fuzz_rejects_synthesis_flags(self, capsys, flag):
-        """fuzz runs no synthesis and checkpoints nothing, so it takes
-        neither --checkpoint nor --cache: argparse refuses them."""
+        """fuzz runs no synthesis and records nothing, so it takes no
+        store flag (and no driver takes --checkpoint any more): argparse
+        refuses them."""
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["fuzz", "--budget", "1", flag, "F"])
         assert exit_info.value.code == 2

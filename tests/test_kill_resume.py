@@ -1,7 +1,8 @@
-"""Kill/resume chaos: a ``--workers 2 --cache --checkpoint`` synthesis
-SIGKILLed at seeded random points -- the parent, or one of its pool
-workers -- resumes to the uncached result, leaves a store that reloads
-clean, and a warm rerun then replays every shard.
+"""Kill/resume chaos: a ``--workers 2 --cache`` synthesis SIGKILLed at
+seeded random points -- the parent, or one of its pool workers --
+resumes from the same store directory to the uncached result, leaves a
+store that reloads clean, and a warm rerun then replays every shard.
+Damaged resume records are recomputed, never folded.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 from repro import api
 from repro.enumeration import get_config, shard_signatures
 from repro.enumeration.canonical import canonical_key
+from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.verdict_cache import VerdictCache
 from repro.obs import REGISTRY, reset_observability
@@ -33,10 +35,8 @@ CHILD = textwrap.dedent(
     from repro.enumeration.canonical import canonical_key
     from repro.harness.pipeline import CheckPipeline
 
-    cache, checkpoint = sys.argv[1:]
-    with CheckPipeline(
-        workers=2, cache=cache, checkpoint=checkpoint, runlog=False
-    ) as pipeline:
+    (cache,) = sys.argv[1:]
+    with CheckPipeline(workers=2, cache=cache, runlog=False) as pipeline:
         print("ready", flush=True)
         result = pipeline.synthesis("x86", 3)
     print(json.dumps([
@@ -54,10 +54,10 @@ def _suite_keys(result) -> list:
     ]
 
 
-def _start(cache: Path, checkpoint: Path) -> subprocess.Popen:
+def _start(cache: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(cache), str(checkpoint)],
+        [sys.executable, "-c", CHILD, str(cache)],
         stdout=subprocess.PIPE,
         text=True,
         env=env,
@@ -107,33 +107,31 @@ def _kill(child: subprocess.Popen, delay: float, target: str) -> str:
 )
 def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     expected = _suite_keys(api.synthesize("x86", 3, workers=1))
-    cache, checkpoint = tmp_path / "cache", tmp_path / "synth.jsonl"
+    cache = tmp_path / "cache"
     rng = random.Random(16)
     killed = [
-        _kill(_start(cache, checkpoint), rng.uniform(0.0, 0.4), target)
+        _kill(_start(cache), rng.uniform(0.0, 0.4), target)
         for target in ("parent", "worker", rng.choice(["parent", "worker"]))
     ]
     assert killed.count("finished") < len(killed), killed
 
-    final = _start(cache, checkpoint)
+    final = _start(cache)
     out, _ = final.communicate(timeout=300)
     assert final.returncode == 0
     assert json.loads(out) == expected
 
-    # Every shard line the killed and resumed runs left loads.
-    lines = [
-        line
-        for segment in sorted(cache.glob("shards-*.jsonl"))
-        for line in segment.read_text().splitlines()
-    ]
-    keys = [json.loads(line)["key"] for line in lines]
-    assert len(set(keys)) == len(keys)
-    reader = VerdictCache(cache)
-    assert all(reader.shard_lookup(key) is not None for key in keys)
-
-    # A warm rerun replays every shard and evaluates no chunk.
+    # Every shard record the killed and resumed runs left loads, and
+    # compaction leaves nothing but them.
     config = get_config("x86")
     shards = sum(len(list(shard_signatures(config, n))) for n in (2, 3))
+    keys = [r["key"] for r in _records(cache) if r["kind"] == "shard"]
+    assert len(set(keys)) == len(keys) == shards
+    reader = VerdictCache(cache)
+    assert all(reader.shard_lookup(key) is not None for key in keys)
+    VerdictCache(cache, writer=True).compact()
+    assert sorted(record["key"] for record in _records(cache)) == sorted(keys)
+
+    # A warm rerun replays every shard and evaluates no chunk.
     reset_observability()
     with CheckPipeline(workers=2, cache=cache, runlog=False) as pipeline:
         assert _suite_keys(pipeline.synthesis("x86", 3)) == expected
@@ -141,3 +139,99 @@ def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     reset_observability()
     assert counters["verdict_cache.shards.hits"] == shards
     assert counters.get("scheduler.chunks", 0) == 0
+
+
+def _records(root: Path) -> list[dict]:
+    return [
+        json.loads(line)
+        for segment in sorted(root.glob("shards-*.jsonl"))
+        for line in segment.read_text().splitlines()
+    ]
+
+
+class Killed(RuntimeError):
+    """What the interrupted run below dies of."""
+
+
+def _interrupted_store(root: Path, monkeypatch) -> None:
+    """The store an x86 bound-3 run leaves when it dies after its first
+    few bound-3 chunks: bound 2's shard records, plus bound 3's count
+    records and those chunks' records."""
+    fuse = {"chunks": 6}
+    original = scheduler.run_shard_job
+
+    def dies_midway(job):
+        if job[0] == "synth_chunk" and job[2] == 3:
+            if not fuse["chunks"]:
+                raise Killed
+            fuse["chunks"] -= 1
+        return original(job)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scheduler, "run_shard_job", dies_midway)
+        with pytest.raises(Killed):
+            with CheckPipeline(workers=1, cache=root, runlog=False) as p:
+                p.synthesis("x86", 3)
+
+
+def _drop_start(chunk: dict) -> None:
+    del chunk["start"]
+
+
+def _empty_counters(chunk: dict) -> None:
+    chunk["counters"] = {}
+
+
+def _junk_survivor(chunk: dict) -> None:
+    # Still adds up: only the survivor itself is damaged.
+    chunk["counters"]["pruned_consistent"] -= 1
+    chunk["survivors"].insert(0, {"junk": 1})
+
+
+def _count_without_completions(count: dict) -> None:
+    count.clear()
+    count["skeletons"] = 1
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [
+        ("synth_chunk", _drop_start),
+        ("synth_chunk", _empty_counters),
+        ("synth_chunk", _junk_survivor),
+        ("synth_count", _count_without_completions),
+    ],
+    ids=[
+        "chunk-without-start",
+        "chunk-empty-counters",
+        "chunk-junk-survivor",
+        "count-without-completions",
+    ],
+)
+def test_damaged_resume_records_are_recomputed(
+    tmp_path, monkeypatch, kind, damage
+):
+    """A resume record that no longer describes its work costs that
+    work a recomputation, never a crash or a wrong suite."""
+    expected = _suite_keys(api.synthesize("x86", 3, workers=1))
+    root = tmp_path / "cache"
+    _interrupted_store(root, monkeypatch)
+    (segment,) = root.glob("shards-*.jsonl")
+    records = _records(root)
+    victim = next(
+        r
+        for r in records
+        if r["kind"] == kind
+        and r["result"].get("counters", {}).get("pruned_consistent", 1)
+    )
+    damage(victim["result"])
+    segment.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    reset_observability()
+    with CheckPipeline(workers=1, cache=root, runlog=False) as pipeline:
+        assert _suite_keys(pipeline.synthesis("x86", 3)) == expected
+    counters = REGISTRY.snapshot()["counters"]
+    reset_observability()
+    if kind == "synth_count":
+        assert counters["pipeline.checkpoint.misses"] == 1
+    assert counters["scheduler.chunks"] > 0

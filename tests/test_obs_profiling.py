@@ -317,22 +317,25 @@ def test_runlog_survives_torn_tail(tmp_path):
     assert [e["type"] for e in read_runlog(path)] == ["run.start", "run.end"]
 
 
-def test_pipeline_writes_runlog_next_to_checkpoint(tmp_path):
-    checkpoint = tmp_path / "t1.jsonl"
-    with CheckPipeline(workers=1, checkpoint=checkpoint) as pipeline:
+def test_pipeline_writes_runlog_into_its_store(tmp_path):
+    """A pipeline with a store logs its run to ``events.jsonl`` inside
+    the store directory."""
+    cache = tmp_path / "t1"
+    with CheckPipeline(workers=1, cache=cache) as pipeline:
         pipeline.map(_tiny_job, [1, 2, 3])
-    events = read_runlog(tmp_path / "t1.events.jsonl")
+    events = read_runlog(cache / "events.jsonl")
     types = [e["type"] for e in events]
     assert types[0] == "run.start" and types[-1] == "run.end"
     assert "run.batch" in types
     start = events[0]
-    assert start["workers"] == 1 and start["checkpoint"] == str(checkpoint)
+    assert start["workers"] == 1 and start["cache"] == str(cache)
     batch = next(e for e in events if e["type"] == "run.batch")
     assert batch["jobs"] == 3 and batch["seconds"] >= 0
     assert events[-1]["jobs"] == 3
 
 
-def test_pipeline_without_checkpoint_writes_no_runlog(tmp_path):
+def test_pipeline_without_store_writes_no_runlog(tmp_path):
+    """No store, no run log."""
     with CheckPipeline(workers=1) as pipeline:
         pipeline.map(_tiny_job, [1])
         assert pipeline.runlog is None

@@ -58,7 +58,7 @@ def test_cache_accounting_balances_after_real_workload(
 ):
     """hits + misses == lookups for every instrumented cache, measured
     as deltas across a workload that exercises them all: model checks
-    (relation caches, compile cache) plus a checkpointed batch."""
+    (relation caches, compile cache) plus a batch through a store."""
     model = get_model("x86tm")
     before = {p: _cache_counts(p) for p in CACHE_PREFIXES}
     for x in x86_executions[:200]:
@@ -69,7 +69,7 @@ def test_cache_accounting_balances_after_real_workload(
     for x in x86_executions[:200]:
         power.consistent(x)
     CatModel(bundled_model("x86tm"))
-    with CheckPipeline(checkpoint=tmp_path / "acct.jsonl") as pipe:
+    with CheckPipeline(cache=tmp_path / "acct") as pipe:
         jobs = [("consistent", "x86tm", (), x) for x in x86_executions[:20]]
         pipe.map(run_job, jobs)
         pipe.map(run_job, jobs)  # replay

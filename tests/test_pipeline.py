@@ -8,8 +8,8 @@ import pytest
 from repro.harness import CheckPipeline
 from repro.harness.ablation import run_ablation
 from repro.harness.table1 import run_table1
-from repro.harness.checkpoint import CheckpointStore
 from repro.harness.pipeline import hardware_for, model_for, run_job
+from repro.harness.verdict_cache import VerdictCache
 from repro.litmus import execution_to_litmus
 
 
@@ -190,15 +190,15 @@ def test_submit_next_result_returns_every_tag(workers):
 
 
 def test_map_records_each_job_under_its_kind(tmp_path):
-    """A checkpointed map records a job-tuple's first element as the
+    """A map with a store records a job-tuple's first element as the
     record kind, the function name otherwise; a rerun replays them."""
-    path = tmp_path / "kinds.jsonl"
-    with CheckPipeline(workers=1, checkpoint=path) as pipe:
+    path = tmp_path / "kinds"
+    with CheckPipeline(workers=1, cache=path) as pipe:
         assert pipe.map(_double_second, [("pair", 1), ("pair", 2)]) == [2, 4]
         assert pipe.map(_triple, [3]) == [9]
-    store = CheckpointStore(path)
-    assert store.by_kind("pair") == [2, 4]
-    assert store.by_kind("_triple") == [9]
-    with CheckPipeline(workers=1, checkpoint=path) as pipe:
+    store = VerdictCache(path)
+    assert list(store.recorded("pair").values()) == [2, 4]
+    assert list(store.recorded("_triple").values()) == [9]
+    with CheckPipeline(workers=1, cache=path) as pipe:
         assert pipe.map(_triple, [3, 4]) == [9, 12]
-    assert CheckpointStore(path).by_kind("_triple") == [9, 12]
+    assert list(VerdictCache(path).recorded("_triple").values()) == [9, 12]

@@ -1,8 +1,8 @@
 """The shard store: whole shards replayed on a warm run.
 
 A warm synthesis rerun looks every shard up before counting or
-scheduling it; a hit's stored payload joins the fold like a checkpointed
-range.  The pins: the folded result is identical to the sequential
+scheduling it; a hit's stored payload joins the fold like a resumed
+chunk range.  The pins: the folded result is identical to the sequential
 enumerator's whether shards come from disk or not; a warm run does no
 verdict work at all; any change to what a shard depends on -- the code
 (models included), the bound, the signature -- misses; damaged,
@@ -17,7 +17,7 @@ import pytest
 
 from repro.enumeration import get_config, shard_signatures, synthesise
 from repro.harness import scheduler, verdict_cache
-from repro.harness.checkpoint import CheckpointStore, job_digest
+from repro.harness.checkpoint import job_digest
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.verdict_cache import (
     VerdictCache,
@@ -50,13 +50,11 @@ def _counters() -> dict:
     return REGISTRY.snapshot()["counters"]
 
 
-def _synth(root, workers: int = 1, bound: int = 3, **options):
+def _synth(root, workers: int = 1, bound: int = 3):
     """One x86 synthesis through a fresh pipeline; resets the metrics
     first, so the counters afterwards describe this run alone."""
     reset_observability()
-    with CheckPipeline(
-        workers=workers, cache=root, runlog=False, **options
-    ) as p:
+    with CheckPipeline(workers=workers, cache=root, runlog=False) as p:
         return p.synthesis("x86", bound)
 
 
@@ -67,12 +65,31 @@ def _segment_bytes(root) -> dict:
     }
 
 
-def _shard_lines(root) -> list[str]:
+def _records(root) -> list[dict]:
     return [
-        line
+        json.loads(line)
         for segment in sorted(root.glob("shards-*.jsonl"))
         for line in segment.read_text().splitlines()
     ]
+
+
+def _shard_lines(root) -> list[str]:
+    """The store's shard records, as lines."""
+    return [
+        json.dumps(record)
+        for record in _records(root)
+        if record["kind"] == "shard"
+    ]
+
+
+def _rewrite(root, records: list[dict]) -> None:
+    """Replace the store's segments with one holding ``records``."""
+    for segment in root.glob("shards-*.jsonl"):
+        segment.unlink()
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "shards-000001.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
 
 
 class TestWarmRuns:
@@ -209,15 +226,15 @@ class TestDamage:
         lines = segment.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         fruitful = [
-            i for i, r in enumerate(records) if r["payload"]["survivors"]
+            i for i, r in enumerate(records) if r["result"]["survivors"]
         ]
         assert len(fruitful) >= 3
         mangled, torn, undecodable = fruitful[:3]
         bad = json.loads(lines[mangled])
-        bad["payload"]["survivors"] = []  # no longer adds up: skipped
+        bad["result"]["survivors"] = []  # no longer adds up: skipped
         lines[mangled] = json.dumps(bad)
         bad = json.loads(lines[undecodable])
-        bad["payload"]["survivors"][0] = {}  # adds up, but is no execution
+        bad["result"]["survivors"][0] = {}  # adds up, but is no execution
         lines[undecodable] = json.dumps(bad)
         plain = next(i for i in range(len(lines)) if i not in fruitful)
         lines[plain] = "not json at all"
@@ -230,7 +247,9 @@ class TestDamage:
         counters = _counters()
         assert counters["verdict_cache.shards.misses"] == 4
         assert counters["verdict_cache.shards.appends"] == 4
-        assert len(list(root.glob("shards-*.jsonl"))) == 2
+        # Recording them superseded their chunks: the close compacted.
+        assert len(list(root.glob("shards-*.jsonl"))) == 1
+        assert len(_records(root)) == _shard_count(2, 3)
         _assert_identical(legacy, _synth(root))
         assert _counters()["verdict_cache.shards.hits"] == _shard_count(2, 3)
 
@@ -278,36 +297,58 @@ class TestDamage:
 
 
 class TestCheckpointAndCompaction:
-    def test_checkpointed_and_cached_shard_folds_once(self, tmp_path, legacy):
-        root, checkpoint = tmp_path / "c", tmp_path / "synth.jsonl"
-        _assert_identical(legacy, _synth(root, checkpoint=checkpoint))
-        warm = _synth(root, checkpoint=checkpoint)
+    """Chunk and count records resume unfinished shards; compaction
+    drops them once their shard is recorded."""
+
+    def test_checkpointed_and_cached_shard_folds_once(
+        self, tmp_path, legacy, monkeypatch
+    ):
+        # A store still holding the chunk and count records next to the
+        # shard records they built (compaction never ran).
+        root = tmp_path / "c"
+        with monkeypatch.context() as uncompacted:
+            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
+            _assert_identical(legacy, _synth(root))
+        assert {r["kind"] for r in _records(root)} == {
+            "shard",
+            "synth_chunk",
+            "synth_count",
+        }
+        warm = _synth(root)
         _assert_identical(legacy, warm)
         assert warm.candidates_examined == legacy.candidates_examined
         counters = _counters()
         assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
         assert counters.get("scheduler.chunks", 0) == 0
 
-    def test_checkpoint_resumed_shards_are_recorded(self, tmp_path, legacy):
-        checkpoint = tmp_path / "synth.jsonl"
-        _synth(None, checkpoint=checkpoint)
-        cached = _synth(tmp_path / "c", checkpoint=checkpoint)
+    def test_checkpoint_resumed_shards_are_recorded(
+        self, tmp_path, legacy, monkeypatch
+    ):
+        # A store of chunk and count records only: every shard's range
+        # was evaluated, but no shard record was written.
+        root = tmp_path / "c"
+        with monkeypatch.context() as uncompacted:
+            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
+            _synth(root)
+        _rewrite(root, [r for r in _records(root) if r["kind"] != "shard"])
+        cached = _synth(root)
         _assert_identical(legacy, cached)
-        # Every count and chunk came back from the checkpoint, which
-        # carries this code's digest: every shard is recorded without
-        # computing a chunk, the empty ones included.
+        # Every count and chunk came back from the store, which carries
+        # this code's digest: every shard is recorded without computing
+        # a chunk, the empty ones included, and the records that built
+        # them are compacted away.
         counters = _counters()
         shards = _shard_count(2, 3)
         assert counters["verdict_cache.shards.misses"] == shards
         assert counters.get("scheduler.chunks", 0) == 0
-        assert len(_shard_lines(tmp_path / "c")) == shards
-        _assert_identical(legacy, _synth(tmp_path / "c"))
+        assert len(_records(root)) == len(_shard_lines(root)) == shards
+        _assert_identical(legacy, _synth(root))
         assert _counters()["verdict_cache.shards.hits"] == shards
 
     def test_stale_checkpointed_count_is_not_recorded(
         self, tmp_path, legacy
     ):
-        # A checkpoint from other code claims one shard has half the
+        # A count record from other code claims one shard has half the
         # completions it has now.
         signatures = list(shard_signatures(get_config("x86"), 3))
         counts = {
@@ -317,25 +358,22 @@ class TestCheckpointAndCompaction:
         stale = max(signatures, key=lambda sig: counts[sig]["completions"])
         job = ("synth_count", "x86", 3, stale)
         record = {
-            "digest": job_digest(job),
             "kind": "synth_count",
+            "key": job_digest(job),
             "result": dict(
                 counts[stale], completions=counts[stale]["completions"] // 2
             ),
         }
-        checkpoint = tmp_path / "synth.jsonl"
-        # Stamped with this code, the record would be served ...
-        checkpoint.write_text(
-            json.dumps(dict(record, code=verdict_cache.code_digest())) + "\n"
-        )
-        assert job_digest(job) in CheckpointStore(checkpoint)
-        # ... but it was computed under another code digest.
-        checkpoint.write_text(json.dumps(dict(record, code="other")) + "\n")
-        assert job_digest(job) not in CheckpointStore(checkpoint)
         root = tmp_path / "c"
-        _assert_identical(legacy, _synth(root, checkpoint=checkpoint))
+        # Stamped with this code, the record would be served ...
+        _rewrite(root, [dict(record, code=verdict_cache.code_digest())])
+        assert job_digest(job) in VerdictCache(root).recorded("synth_count")
+        # ... but it was computed under another code digest.
+        _rewrite(root, [dict(record, code="other")])
+        assert not VerdictCache(root).recorded("synth_count")
+        _assert_identical(legacy, _synth(root))
         recorded = {
-            entry["key"]: entry["payload"]
+            entry["key"]: entry["result"]
             for entry in map(json.loads, _shard_lines(root))
         }
         assert len(recorded) == _shard_count(2, 3)
@@ -347,6 +385,13 @@ class TestCheckpointAndCompaction:
         counters = _counters()
         assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
         assert counters.get("verdict_cache.shards.appends", 0) == 0
+
+    def test_cold_run_leaves_only_shard_records(self, tmp_path, legacy):
+        root = tmp_path / "c"
+        _assert_identical(legacy, _synth(root, workers=2))
+        records = _records(root)
+        assert [r["kind"] for r in records] == ["shard"] * _shard_count(2, 3)
+        assert len({r["key"] for r in records}) == len(records)
 
     def test_compaction_keeps_shard_records_servable(self, tmp_path, legacy):
         root = tmp_path / "c"
@@ -368,6 +413,7 @@ class TestCheckpointAndCompaction:
         _synth(root)
         with monkeypatch.context() as edited:
             edited.setattr(verdict_cache, "code_digest", lambda: "edited")
+            edited.setattr(VerdictCache, "compact", lambda self: None)
             _synth(root)
         shards = _shard_count(2, 3)
         assert len(_shard_lines(root)) == 2 * shards
@@ -411,7 +457,7 @@ def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
     _synth(root)
     (segment,) = root.glob("shards-*.jsonl")
     records = [json.loads(line) for line in segment.read_text().splitlines()]
-    largest = max(records, key=lambda r: r["payload"]["completions"])
+    largest = max(records, key=lambda r: r["result"]["completions"])
     segment.write_text(
         "".join(
             json.dumps(r) + "\n" for r in records if r is not largest

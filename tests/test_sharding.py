@@ -2,11 +2,12 @@
 
 The load-bearing pin: sharded synthesis is **byte-identical** to the
 sequential enumerator -- same Forbid/Allow suites in the same order,
-same candidate count -- at every worker count, and a checkpointed run
-resumes by replaying recorded chunk ranges instead of recomputing.
+same candidate count -- at every worker count, and a run resumed on its
+store replays recorded chunk ranges instead of recomputing them.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.enumeration.shapes import enumerate_skeletons
 from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.scheduler import run_shard_job, synthesise_sharded
+from repro.harness.verdict_cache import VerdictCache
 from repro.obs import REGISTRY, reset_observability
 
 
@@ -178,18 +180,32 @@ class TestShardedSynthesis:
         assert total == counters["enumeration.x86.bound2.candidates"]
         reset_observability()
 
-    def test_checkpoint_resume_replays_chunks(self, tmp_path, legacy):
+    def test_checkpoint_resume_replays_chunks(
+        self, tmp_path, legacy, monkeypatch
+    ):
         reset_observability()
-        path = tmp_path / "synth.jsonl"
-        with CheckPipeline(workers=1, checkpoint=path) as pipeline:
-            _assert_identical(legacy, pipeline.synthesis("x86", 3))
+        root = tmp_path / "store"
+        with monkeypatch.context() as uncompacted:
+            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
+            with CheckPipeline(workers=1, cache=root) as pipeline:
+                _assert_identical(legacy, pipeline.synthesis("x86", 3))
         first = REGISTRY.snapshot()["counters"]["scheduler.chunks"]
         assert first > 0
+        # Keep only the chunk and count records: a run killed just
+        # before recording its shards.
+        (segment,) = root.glob("shards-*.jsonl")
+        segment.write_text(
+            "".join(
+                line + "\n"
+                for line in segment.read_text().splitlines()
+                if json.loads(line)["kind"] != "shard"
+            )
+        )
         reset_observability()
-        with CheckPipeline(workers=1, checkpoint=path) as pipeline:
+        with CheckPipeline(workers=1, cache=root) as pipeline:
             _assert_identical(legacy, pipeline.synthesis("x86", 3))
         resumed = REGISTRY.snapshot()["counters"].get("scheduler.chunks", 0)
-        assert resumed == 0  # every range answered from the checkpoint
+        assert resumed == 0  # every range answered from its chunk record
         reset_observability()
 
     def test_verdict_cache_warm_run_skips_verdicts(self, tmp_path, legacy):

@@ -1,4 +1,5 @@
-"""The disk-backed shard store: hits, crash tolerance, compaction."""
+"""The disk-backed store's shard records: hits, crash tolerance,
+compaction."""
 
 import json
 import multiprocessing
@@ -88,12 +89,12 @@ class TestCrashTolerance:
         (segment,) = tmp_path.glob("shards-*.jsonl")
         lines = segment.read_text().splitlines()
         broken = json.loads(lines[1])
-        broken["payload"]["survivors"] = []  # no longer adds up
+        broken["result"]["survivors"] = []  # no longer adds up
         lines[1] = json.dumps(broken)
         lines[2] = "not json at all"
-        good = {"key": "extra", "payload": _payload(1)}
+        good = {"kind": "shard", "key": "extra", "result": _payload(1)}
         lines += [
-            json.dumps({"code": code_digest(), "key": "bare"}),
+            json.dumps({"code": code_digest(), "kind": "shard", "key": "bare"}),
             json.dumps(dict(good, code="other code")),
             json.dumps(good),  # no code stamp
             json.dumps([1]),
@@ -198,9 +199,12 @@ def test_forked_workers_never_write_the_parents_shard_lines(
         pipe._pool.join()
         pipe._pool = None
         pipe.verdict_cache.shard_record("k2", payloads["k2"])
-    lines = [
-        json.loads(line)["key"]
+    records = [
+        json.loads(line)
         for segment in root.glob("shards-*.jsonl")
         for line in segment.read_text().splitlines()
     ]
-    assert lines == ["k1", "k2"]
+    assert [r["key"] for r in records if r["kind"] == "shard"] == ["k1", "k2"]
+    # The mapped jobs were recorded by the parent, each exactly once.
+    jobs = [r["key"] for r in records if r["kind"] == "_noop"]
+    assert len(jobs) == len(set(jobs)) == 4
