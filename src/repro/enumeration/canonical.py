@@ -26,9 +26,9 @@ renumbering and static tail.  Per completion it encodes just the ``rf``
 and ``co`` rows under those survivors, memoised per rows tuple (an rf
 choice recurs under every co choice, and a co choice under every rf
 choice).  The two functions return identical keys, so dedup and
-discovery order are unchanged by the fast path; executions the
-rows cannot represent (relations over events outside the universe,
-events in no thread) go to the reference.
+discovery order are unchanged by the fast path; executions whose
+threads do not partition their events (an event in no thread, or in
+two) go to the reference.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ def canonical_key(execution: Execution) -> tuple:
     canon = skel.canon
     if canon is None:
         canon = skel.canon = _Canon.build(skel)
-    rf, co = execution._rf_rows, execution._co_rows
-    if canon is False or rf is None or co is None:
+    if canon is False:
         return canonical_key_reference(execution)
-    return canon.key(rf, co)
+    return canon.key(execution._rf_rows, execution._co_rows)
 
 
 def canonical_key_reference(execution: Execution) -> tuple:
@@ -181,18 +180,14 @@ class _Canon:
 
     @classmethod
     def build(cls, skel: SkeletonRows) -> "_Canon | bool":
-        """The skeleton's canonical share, or ``False`` when its rows
-        cannot represent the reference's encoding."""
+        """The skeleton's canonical share, or ``False`` when its threads
+        do not partition its events."""
         threads = skel.threads
         index = skel.uni.index
         listed = [eid for seq in threads for eid in seq]
-        deps = [skel.rows[name] for name in DEPENDENCIES]
-        if (
-            len(listed) != skel.n
-            or frozenset(listed) != skel.uni.frozen
-            or None in deps
-        ):
+        if len(listed) != skel.n or frozenset(listed) != skel.uni.frozen:
             return False
+        deps = [skel.rows[name] for name in DEPENDENCIES]
         codes = {
             e.eid: (e.kind, e.loc, tuple(sorted(e.tags))) for e in skel.events
         }

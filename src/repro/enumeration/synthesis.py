@@ -74,8 +74,6 @@ def synthesise(
     target: str,
     max_events: int,
     time_budget: float | None = None,
-    model: MemoryModel | None = None,
-    config: EnumerationConfig | None = None,
 ) -> SynthesisResult:
     """Generate the Forbid and Allow suites for one target.
 
@@ -84,11 +82,12 @@ def synthesise(
         max_events: synthesise Forbid tests with 2..max_events events.
         time_budget: optional wall-clock cap in seconds; when exceeded
             the result is marked incomplete (the paper's timeout rows).
-        model / config: overrides for experiments (e.g. injected-bug
-            models).
+
+    The sharded :func:`repro.api.synthesize` is byte-identical; this
+    sequential enumerator is the reference the tests pin it to.
     """
-    config = config or get_config(target)
-    model = model or get_model(config.model_name)
+    config = get_config(target)
+    model = get_model(config.model_name)
     baseline = model.baseline()
 
     result = SynthesisResult(target=target, max_events=max_events)

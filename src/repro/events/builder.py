@@ -166,7 +166,11 @@ class ExecutionBuilder:
     # -- building ------------------------------------------------------------
 
     def build(self, check: bool = True) -> Execution:
-        """Assemble the execution; validates well-formedness by default."""
+        """Assemble the execution; validates well-formedness by default.
+
+        An edge naming an event id this builder never made raises
+        ``ValueError`` even with ``check=False``: :class:`Execution`
+        rejects unknown ids at construction."""
         execution = Execution(
             events=self._events,
             threads=[t.sequence for t in self._threads],

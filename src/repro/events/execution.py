@@ -10,7 +10,9 @@ Executions are row-native.  What the skeleton fixes -- ``po``, ``sloc``,
 :class:`~repro.events.rows.SkeletonRows` bundle, which every completion
 of one skeleton shares; the execution itself carries only its ``rf``
 rows and its transitively closed ``co`` rows.  The IR executor reads
-those rows directly.
+those rows directly.  Every execution is row-aligned: the constructor
+raises ``ValueError`` when a thread, a primitive relation or ``txn_of``
+names an event id that is not one of its events.
 
 Executions are treated as immutable: all "edits" (used by the ⊏-weakening
 steps of §4.2 and the transformations of §8) return new objects.
@@ -19,9 +21,10 @@ steps of §4.2 and the transformations of §8) return new objects.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from ..relations import Relation, RelationContext
+from ..relations import Relation
 from ..relations.relation import _universe
 from .event import (
     ACQ,
@@ -34,7 +37,10 @@ from .event import (
     WRITE,
     Event,
 )
-from .rows import DEPENDENCIES, SkeletonRows, aligned_rows, pair_rows
+from .rows import DEPENDENCIES, SkeletonRows, pair_rows
+
+#: The primitive relations an execution is built from.
+_PRIMITIVES = ("rf", "co", *DEPENDENCIES)
 
 
 def _skeleton_view(name: str, doc: str) -> cached_property:
@@ -75,6 +81,14 @@ class Execution:
             an identifier are in the same successful transaction (§3.1).
         atomic_txns: transaction ids that are C++ *atomic* transactions
             (``stxnat``, §7.2); must be a subset of ``txn_of``'s values.
+
+    Raises:
+        ValueError: a thread, a pair of ``rf``, ``co``, ``addr``,
+            ``ctrl``, ``data`` or ``rmw``, or a key of ``txn_of`` names
+            an event id that is not one of ``events``; the message names
+            the ids.  Threads that do not partition the events (an event
+            in no thread, or in two) are accepted, and reported by
+            :func:`repro.events.wellformed.well_formedness_violations`.
     """
 
     def __init__(
@@ -101,17 +115,42 @@ class Execution:
         self.txn_of: dict[int, int] = dict(txn_of or {})
         self.atomic_txns: frozenset[int] = frozenset(atomic_txns)
         # The primitive views are primed here (a completion builds them
-        # from its rows instead); the rows are None when the pairs
-        # mention events outside the universe.
+        # from its rows instead).
         self.rf = self._as_relation(rf, uni)
         self.co = self._as_relation(co, uni).transitive_closure()
         self.addr = self._as_relation(addr, uni)
         self.ctrl = self._as_relation(ctrl, uni)
         self.data = self._as_relation(data, uni)
         self.rmw = self._as_relation(rmw, uni)
-        row_uni = _universe(uni)
-        self._rf_rows = aligned_rows(self.rf, row_uni)
-        self._co_rows = aligned_rows(self.co, row_uni)
+        # A relation's universe is the events plus its endpoints, so the
+        # relations naming no other event share the events' universe.
+        if not (
+            self.rf._uni is self.co._uni is self.addr._uni is self.ctrl._uni
+            is self.data._uni is self.rmw._uni is _universe(uni)
+            and uni.issuperset(chain.from_iterable(self.threads))
+            and uni.issuperset(self.txn_of)
+        ):
+            self._reject_unknown_events()
+        # Over exactly the events, so indexed like every bundle's rows.
+        self._rf_rows = self.rf._rows
+        self._co_rows = self.co._rows
+
+    def _reject_unknown_events(self) -> None:
+        """Raise ``ValueError`` naming every event id that a thread, a
+        primitive relation or ``txn_of`` mentions outside the events."""
+        eids = self._eids
+        unknown = {
+            f"thread {tid}": set(seq) - eids
+            for tid, seq in enumerate(self.threads)
+        }
+        for name in _PRIMITIVES:
+            unknown[name] = getattr(self, name).universe - eids
+        unknown["txn_of"] = self.txn_of.keys() - eids
+        named = [
+            f"{where}: {sorted(ids)}" for where, ids in unknown.items() if ids
+        ]
+        if named:
+            raise ValueError("unknown event ids in " + "; ".join(named))
 
     @staticmethod
     def _as_relation(value, uni: frozenset[int]) -> Relation:
@@ -125,19 +164,14 @@ class Execution:
     def _skel(self) -> SkeletonRows:
         """This execution's private row bundle (a completion is handed
         its skeleton's shared one instead)."""
-        uni = _universe(self._eids)
-        deps = {
-            name: aligned_rows(getattr(self, name), uni)
-            for name in DEPENDENCIES
-        }
+        deps = {name: getattr(self, name)._rows for name in DEPENDENCIES}
         return SkeletonRows(
             self.events,
             self.threads,
             deps,
             self.txn_of,
             self.atomic_txns,
-            uni,
-            shared=False,
+            _universe(self._eids),
         )
 
     # ------------------------------------------------------------------
@@ -395,64 +429,6 @@ class Execution:
         )
 
     # ------------------------------------------------------------------
-    # Derived-relation sharing
-    # ------------------------------------------------------------------
-
-    @property
-    def context(self) -> RelationContext:
-        """The interned per-execution relation cache (identity/full, the
-        cat environment, cross-axiom memo slots)."""
-        return RelationContext.of(self)
-
-    #: Cached attributes that depend only on the *skeleton* -- events,
-    #: threads, dependencies, and transaction structure -- not on the
-    #: rf/co completion: the row bundle (and with it every static
-    #: relation view) plus the event sets built from the events.
-    _SKELETON_STATIC = frozenset(
-        {
-            "_skel",
-            "reads",
-            "writes",
-            "fences",
-            "memory_events",
-            "locations",
-            "deps",
-            "same_thread",
-            "transactional_events",
-            "txn_classes",
-            "acq",
-            "rel",
-            "sc_events",
-            "atomics",
-            "non_atomics",
-        }
-    )
-
-    def adopt_skeleton_caches(self, template: "Execution") -> "Execution":
-        """Copy skeleton-derived cached values from ``template``.
-
-        The caller guarantees that ``template`` has the same events,
-        threads, dependency edges, and transaction structure -- only the
-        ``rf``/``co`` completion may differ.  Whatever the template has
-        already computed is inherited; the rest stays lazy.
-        (:class:`SkeletonCompleter` needs none of this: its completions
-        share one row bundle from the start.)
-        """
-        own = self.__dict__
-        for name, value in template.__dict__.items():
-            if name in self._SKELETON_STATIC and name not in own:
-                own[name] = value
-        # Interned static plan nodes (keys prefixed "static:") are shared
-        # through the RelationContext as well.
-        template_ctx = template.__dict__.get("_relation_context")
-        if template_ctx is not None:
-            own_cache = RelationContext.of(self)._cache
-            for key, value in template_ctx._cache.items():
-                if key.startswith("static:") and key not in own_cache:
-                    own_cache[key] = value
-        return self
-
-    # ------------------------------------------------------------------
     # Functional updates (used by §4.2 weakenings and §8 transforms)
     # ------------------------------------------------------------------
 
@@ -511,7 +487,7 @@ class Execution:
 
     def without_dep_edge(self, name: str, pair: tuple[int, int]) -> "Execution":
         """⊏-step (ii): remove one dependency edge (§4.2)."""
-        if name not in ("addr", "ctrl", "data", "rmw"):
+        if name not in DEPENDENCIES:
             raise ValueError(f"not a dependency relation: {name}")
         rels = self._relation_pairs()
         rels[name] = rels[name] - {pair}
@@ -602,7 +578,7 @@ class Execution:
                     lbl = f"[{lbl} #T{txn}]"
                 parts.append(lbl)
             lines.append(f"thread {tid}: " + " ; ".join(parts))
-        for name in ("rf", "co", "addr", "ctrl", "data", "rmw"):
+        for name in _PRIMITIVES:
             rel = getattr(self, name)
             if rel.pairs:
                 edges = ", ".join(f"{a}->{b}" for a, b in sorted(rel.pairs))
@@ -673,9 +649,7 @@ class SkeletonCompleter:
         }
         txn_of = dict(txn_of)
         atomic_txns = frozenset(atomic_txns)
-        skel = SkeletonRows(
-            events, threads, deps, txn_of, atomic_txns, uni, shared=True
-        )
+        skel = SkeletonRows(events, threads, deps, txn_of, atomic_txns, uni)
         self._uni = uni
         self._first = skel
         #: Every completion's __dict__ starts as a copy of this.

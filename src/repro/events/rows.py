@@ -25,7 +25,9 @@ further layout is a variant (:meth:`SkeletonRows.with_transactions`)
 that shares everything the layout does not decide and keeps its own
 transaction rows (:data:`TXN_RELATIONS`), transaction facts and
 canonical-key share.  An execution built through the public constructor
-gets a private bundle on first use.  The
+gets a private bundle on first use; the constructor rejects threads,
+relation pairs and ``txn_of`` keys naming events outside the execution,
+so every bundle's rows are over its own universe.  The
 :class:`~repro.relations.Relation` values ``Execution.po``,
 ``Execution.sloc``, ... are views over these rows (:meth:`view`).
 """
@@ -86,18 +88,6 @@ def pair_rows(pairs, uni: _Universe) -> tuple[int, ...]:
     return tuple(rows) if any(rows) else _consts(uni)[1]
 
 
-def aligned_rows(relation: Relation, uni: _Universe):
-    """``relation``'s rows over ``uni``, or ``None`` when it mentions
-    events outside it (hand-built executions; the IR then falls back to
-    Relation-level evaluation)."""
-    own = relation._uni
-    if own is uni:
-        return relation._rows
-    if len(own.elements) != len(uni.elements) or own.frozen != uni.frozen:
-        return None
-    return relation._rows  # same elements, so the same dense indexing
-
-
 #: The dependency relations a bundle is given rows for.
 DEPENDENCIES = ("addr", "ctrl", "data", "rmw")
 
@@ -113,10 +103,9 @@ def _txn_facts(txn_of: dict[int, int], atomic_txns: frozenset[int]) -> dict:
     }
 
 
-def _rebuild(events, threads, deps, txn_of, atomic_txns, eids, shared):
+def _rebuild(events, threads, deps, txn_of, atomic_txns, eids):
     return SkeletonRows(
-        events, threads, deps, txn_of, atomic_txns, _universe(eids),
-        shared=shared,
+        events, threads, deps, txn_of, atomic_txns, _universe(eids)
     )
 
 
@@ -124,12 +113,9 @@ class SkeletonRows:
     """One skeleton's static rows, shared by all of its completions.
 
     ``deps`` maps ``addr``/``ctrl``/``data``/``rmw`` to their rows over
-    ``uni`` (``None`` when the relation mentions events outside it).
-    ``shared`` bundles -- the ones a completer hands to many executions
-    -- carry the stores for interned static plan nodes: ``store`` for
-    transaction-free nodes, shared by every layout of the group, and
-    ``txn_store`` for the nodes this layout decides.  A private bundle
-    leaves both to its execution's own context (they are ``None``).
+    ``uni``.  Every bundle carries the stores for interned static plan
+    nodes: ``store`` for transaction-free nodes, shared by every layout
+    of the group, and ``txn_store`` for the nodes this layout decides.
 
     Likewise the transaction relations' rows live in ``txn_rows`` and
     every other static relation's in ``rows``.  A transaction variant
@@ -161,12 +147,10 @@ class SkeletonRows:
         self,
         events: tuple,
         threads: tuple[tuple[int, ...], ...],
-        deps: dict[str, tuple[int, ...] | None],
+        deps: dict[str, tuple[int, ...]],
         txn_of: dict[int, int],
         atomic_txns: frozenset[int],
         uni: _Universe,
-        *,
-        shared: bool,
     ):
         self.events = events
         self.threads = threads
@@ -175,14 +159,13 @@ class SkeletonRows:
         self.uni = uni
         self.n, self.zero, self.id_rows = _consts(uni)
         self.uid = id(uni) if uni.interned else -next(_UID_FALLBACK)
-        self.store: dict | None = {} if shared else None
-        self.txn_store: dict | None = {} if shared else None
-        #: static base relation name → rows, or ``None`` when the
-        #: skeleton mentions events outside the universe; filled in on
-        #: first demand by :meth:`static_rows` (``txn_rows`` for
+        self.store: dict = {}
+        self.txn_store: dict = {}
+        #: static base relation name → rows, filled in on first demand
+        #: by :meth:`static_rows` (``txn_rows`` for
         #: :data:`TXN_RELATIONS`).
-        self.rows: dict[str, tuple[int, ...] | None] = dict(deps)
-        self.txn_rows: dict[str, tuple[int, ...] | None] = {}
+        self.rows: dict[str, tuple[int, ...]] = dict(deps)
+        self.txn_rows: dict[str, tuple[int, ...]] = {}
         #: event-set name → mask, filled in by the IR executor.
         self.masks: dict[str, int] = {}
         #: The skeleton facts each static leaf is a function of, by the
@@ -201,7 +184,7 @@ class SkeletonRows:
         }
         #: The skeleton's share of its completions' canonical keys,
         #: filled in by :func:`repro.enumeration.canonical.canonical_key`
-        #: (``False`` when the rows cannot represent them).
+        #: (``False`` when the threads do not partition the events).
         self.canon = None
         self._views: dict[tuple[int, ...], Relation] = {}
 
@@ -220,7 +203,6 @@ class SkeletonRows:
                 self.txn_of,
                 self.atomic_txns,
                 self.uni.frozen,
-                self.store is not None,
             ),
         )
 
@@ -239,7 +221,7 @@ class SkeletonRows:
             setattr(variant, name, getattr(self, name))
         variant.txn_of = txn_of
         variant.atomic_txns = atomic_txns
-        variant.txn_store = None if self.store is None else {}
+        variant.txn_store = {}
         variant.txn_rows = {}
         variant.facts = {**self.facts, **_txn_facts(txn_of, atomic_txns)}
         variant.canon = None
@@ -249,17 +231,12 @@ class SkeletonRows:
     # Static base relations as rows
     # ------------------------------------------------------------------
 
-    def static_rows(self, name: str):
-        """The rows of static base relation ``name`` over the universe,
-        or ``None`` when the skeleton mentions events outside it."""
+    def static_rows(self, name: str) -> tuple[int, ...]:
+        """The rows of static base relation ``name`` over the universe."""
         table = self.row_table(name)
-        rows = table.get(name, self)
-        if rows is self:
-            try:
-                rows = self._build(name, self.uni)
-            except KeyError:
-                rows = None
-            table[name] = rows
+        rows = table.get(name)
+        if rows is None:
+            rows = table[name] = self._build(name)
         return rows
 
     def row_table(self, name: str) -> dict:
@@ -268,16 +245,8 @@ class SkeletonRows:
         return self.txn_rows if name in TXN_RELATIONS else self.rows
 
     def view(self, name: str) -> Relation:
-        """Static base relation ``name`` as a :class:`Relation`.  A
-        skeleton whose threads or transactions mention unknown events
-        gets its view over the wider universe of every event it
-        mentions, as a pair-built Relation would."""
-        rows = self.static_rows(name)
-        if rows is not None:
-            return self.relation(rows)
-        mentioned = set(self.uni.frozen).union(*self.threads, self.txn_of)
-        wide = _universe(frozenset(mentioned))
-        return Relation._make(wide, self._build(name, wide))
+        """Static base relation ``name`` as a :class:`Relation`."""
+        return self.relation(self.static_rows(name))
 
     def relation(self, rows: tuple[int, ...]) -> Relation:
         """``rows`` as a :class:`Relation` over the universe, one object
@@ -288,9 +257,9 @@ class SkeletonRows:
             view = self._views[rows] = Relation._make(self.uni, rows)
         return view
 
-    def _build(self, name: str, uni: _Universe) -> tuple[int, ...]:
-        index = uni.index
-        n = len(uni.elements)
+    def _build(self, name: str) -> tuple[int, ...]:
+        index = self.uni.index
+        n = self.n
         if name == "po":
             rows = [0] * n
             for seq in self.threads:
@@ -312,7 +281,7 @@ class SkeletonRows:
                     by_loc.setdefault(e.loc, []).append(e.eid)
             return self._classes(by_loc, index, n)
         if name == "poloc":
-            po, sloc = self._at("po", uni), self._at("sloc", uni)
+            po, sloc = self.static_rows("po"), self.static_rows("sloc")
             return tuple(map(int.__and__, po, sloc))
         if name == "int":
             # (po ∪ po⁻¹)*: same thread, or the same event.
@@ -328,9 +297,9 @@ class SkeletonRows:
             return tuple(
                 a | c | d
                 for a, c, d in zip(
-                    self._at("addr", uni),
-                    self._at("ctrl", uni),
-                    self._at("data", uni),
+                    self.static_rows("addr"),
+                    self.static_rows("ctrl"),
+                    self.static_rows("data"),
                 )
             )
         if name in ("stxn", "stxnat"):
@@ -343,20 +312,20 @@ class SkeletonRows:
             # po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn)) (§5.2).
             if not self.txn_of:
                 return (0,) * n
-            stxn = self._at("stxn", uni)
-            full = uni.full_mask
+            stxn = self.static_rows("stxn")
+            full = self.uni.full_mask
             not_stxn = [~row & full for row in stxn]
             return tuple(
                 p & (a | b)
                 for p, a, b in zip(
-                    self._at("po", uni),
+                    self.static_rows("po"),
                     compose_rows(not_stxn, stxn),
                     compose_rows(stxn, not_stxn),
                 )
             )
         if name in FENCE_TAGS:
             tag = FENCE_TAGS[name]
-            po = self._at("po", uni)
+            po = self.static_rows("po")
             rows = [0] * n
             for e in self.events:
                 if e.kind != FENCE or tag not in e.tags:
@@ -367,15 +336,6 @@ class SkeletonRows:
                         rows[i] |= after
             return tuple(rows)
         raise KeyError(f"not a static base relation: {name!r}")
-
-    def _at(self, name: str, uni: _Universe) -> tuple[int, ...]:
-        """A building block over ``uni``: cached when it is ours."""
-        if uni is self.uni:
-            rows = self.static_rows(name)
-            if rows is None:
-                raise KeyError(name)
-            return rows
-        return self._build(name, uni)
 
     @staticmethod
     def _classes(groups: dict, index: dict[int, int], n: int) -> tuple[int, ...]:

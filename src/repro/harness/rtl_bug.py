@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..enumeration import synthesise
+from .. import api
 from ..litmus import execution_to_litmus
 from ..models import get_model
 from ..sim import OracleHardware
@@ -60,7 +60,7 @@ def run_rtl_bug(
     MP-with-transactional-reader family) -- the same tests a deeper run
     discovers, verified by ``is_minimal_inconsistent`` in the suite.
     """
-    synthesis = synthesise("armv8", max_events, time_budget=time_budget)
+    synthesis = api.synthesize("armv8", max_events, time_budget=time_budget)
     model = get_model("armv8tm")
     buggy = OracleHardware.armv8_rtl_buggy(model)
     good = OracleHardware(model, name="ARM-RTL-good")

@@ -40,8 +40,9 @@ Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 prefers its own shard's remainder), plus per-shard
 ``synthesis.shard.<target>.b<n>.<label>.{completions,survivors,chunks,
 steals}`` counters and a ``.seconds`` timer feeding the ``--stats``
-per-shard summary.  A shard replayed from the cache adds to its
-``completions`` and ``survivors`` only: it ran no chunk.
+per-shard summary.  A shard replayed from the cache, and a chunk
+resumed from a killed run's records, add to ``completions`` and
+``survivors`` only: neither ran in this run.
 """
 
 from __future__ import annotations
@@ -312,22 +313,25 @@ class WorkStealingScheduler:
             (slot, job), payload = self.pipeline.next_result()
             idle.append(slot)
             self._record(job, payload)
-            _fold_shard_metrics(self.target, self.bound, payload)
+            _fold_shard_metrics(self.target, self.bound, payload, timed=True)
             self.payloads.append(payload)
         return self.payloads
 
 
-def _fold_shard_metrics(target: str, bound: int, payload: dict) -> None:
-    """Per-shard counters for one chunk or replayed shard payload; only
-    a chunk evaluated in this run (it carries ``seconds``) feeds the
-    shard's timer."""
+def _fold_shard_metrics(
+    target: str, bound: int, payload: dict, timed: bool = False
+) -> None:
+    """Per-shard counters for one chunk or shard payload.  Only a chunk
+    evaluated in this run is ``timed`` and feeds the shard's timer: a
+    resumed chunk still carries the ``seconds`` of the run that
+    recorded it, and a replayed shard carries none."""
     label = signature_label(tuple(payload["sig"]))
     base = f"synthesis.shard.{target}.b{bound}.{label}"
     REGISTRY.counter(f"{base}.completions").inc(
         payload["counters"]["candidates"]
     )
     REGISTRY.counter(f"{base}.survivors").inc(len(payload["survivors"]))
-    if "seconds" in payload:
+    if timed:
         REGISTRY.timer(f"{base}.seconds").observe(payload["seconds"])
 
 
@@ -391,9 +395,9 @@ def synthesise_sharded(
 
     Byte-identical to the sequential enumerator at any worker count
     (pinned by ``tests/test_sharding.py``); only wall-clock and the
-    ``scheduler.*`` counters vary.  Model/config overrides are not
-    supported here -- experiments that inject custom models (the RTL
-    bug hunt) keep using the sequential path.
+    ``scheduler.*`` counters vary.  It always checks the target's
+    registry model; the sequential enumerator stays as the reference
+    the tests pin it to.
     """
     if pipeline is None:
         from .pipeline import CheckPipeline
@@ -529,6 +533,9 @@ def _sharded_bound(
             + sum(payload["skeletons"] for payload in stored.values())
         )
         chunks = _resumed_chunks(cache, target, bound, index_of, counts)
+        for shard_chunks in chunks.values():
+            for payload in shard_chunks:
+                _fold_shard_metrics(target, bound, payload)
         remaining = {
             shard: _gaps(
                 count["completions"],

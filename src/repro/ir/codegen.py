@@ -65,7 +65,6 @@ _LOCALS = (
     ("shared", "st.shared"),
     ("_Z", "st.zero"),
     ("_N", "st.n"),
-    ("_U", "st.uni"),
     ("_F", "st.uni.full_mask"),
     ("_L", "st.skel.rows"),
     ("_TR", "st.skel.txn_rows"),
@@ -181,9 +180,9 @@ class _Emitter:
             self.w(ind, "else:")
             self.w(ind + 1, f"_ph(_t{t.uid})")
         elif op == "base":
-            # Leaf rows are read in place; ``None`` (not built yet, or
-            # misaligned) takes the executor's path, which builds or
-            # raises.
+            # Leaf rows are read in place; a static leaf not built yet
+            # for this skeleton takes the executor's path, which builds
+            # it.
             leaf = t.args[0]
             if leaf == "id":
                 fast = "st.id_rows"
@@ -212,10 +211,10 @@ class _Emitter:
             self.seq(t, ind)
         elif op == "plus":
             self.ensure(t.args[0], ind)
-            self.w(ind, f"{name} = _clo(_U, {self.name(t.args[0])})")
+            self.w(ind, f"{name} = _clo({self.name(t.args[0])})")
         elif op == "star":
             self.ensure(t.args[0], ind)
-            self.w(ind, f"{name} = _rtc(_U, {self.name(t.args[0])})")
+            self.w(ind, f"{name} = _rtc({self.name(t.args[0])})")
         elif op == "opt":
             self.ensure(t.args[0], ind)
             arg = self.name(t.args[0])
@@ -350,7 +349,7 @@ class _Emitter:
 
 #: A constraint kind → its verdict over the root rows ``{}``.
 _VERDICTS = {
-    "acyclic": "_acy(_U, {})",
+    "acyclic": "_acy({})",
     "irreflexive": "not _refl({})",
     "empty": "not any({})",
 }

@@ -19,11 +19,10 @@ structure:
   term ``uid`` in the execution's evaluation state, so axioms (and
   different models checking the same execution) share them;
 * **per-skeleton statics** -- maximal static nodes live under
-  ``"static:ir.n{uid}"`` in a store shared by every completion of one
-  skeleton (the bundle's ``store``; for an execution built alone, its
-  context, whose ``static:`` keys
-  :meth:`Execution.adopt_skeleton_caches` copies), filled on a miss
-  from the next layer;
+  ``"static:ir.n{uid}"`` in the stores of the execution's
+  :class:`~repro.events.rows.SkeletonRows` bundle (shared by every
+  completion of one skeleton; an execution built alone has a private
+  bundle), filled on a miss from the next layer;
 * **cross-execution interning** -- a static node's value is a pure
   function of the skeleton facts its leaves derive from, so it is
   resolved through :func:`~repro.relations.context.global_intern` keyed
@@ -32,8 +31,8 @@ structure:
   variable-free input values (generalising the hand-written Power
   ``ppo`` row cache);
 * **verdict caches** -- acyclicity goes through
-  :func:`acyclic_rows_cached`, and per-constraint verdicts are memoised
-  per execution.
+  :func:`acyclic_rows_cached`, keyed on the rows alone, and
+  per-constraint verdicts are memoised per execution.
 
 The first two layers and the verdict memo are split in two halves by
 :attr:`Term.txn <repro.ir.terms.Term.txn>`.  Synthesis enumerates a
@@ -63,11 +62,12 @@ Entry points:
 All four read and record the same verdict memo, skipping any
 constraint already decided.
 
-Executions whose primitive relations name events outside their
-universe (hand-built inputs) cannot be row-aligned: a leaf fetch raises
-:class:`_Misaligned` and the executor falls back to
-:func:`fallback_value`, a Relation-level evaluation of the same terms
-that is also the reference the property tests compare against.
+Every execution is row-aligned: its constructor rejects threads,
+relation pairs and ``txn_of`` keys that name events outside it, so
+every leaf and event set has rows over the execution's own universe.
+:func:`fallback_value`, a Relation-level evaluation of the same terms,
+is the reference the property tests, the fuzz oracle and the benchmark
+gate compare the generated code against; no entry point runs it.
 
 Profiling: when :data:`~repro.obs.profile.PROFILER` is enabled
 (``--profile`` / ``REPRO_PROFILE=1``), evaluation runs the profiling
@@ -100,15 +100,9 @@ from .plan import Constraint, Plan
 from .terms import _LEAF_SDEPS, Term, derived_name
 
 _SHORT_CIRCUITS = REGISTRY.counter("ir.exec.constraint_short_circuits")
-_FALLBACKS = REGISTRY.counter("ir.exec.relation_fallbacks")
 _FAST_RUNS = REGISTRY.counter("ir.exec.compiled_runs")
 
 _MISS = object()
-
-
-class _Misaligned(Exception):
-    """A base relation's universe cannot be aligned with the execution's
-    event universe (hand-built executions): use the Relation fallback."""
 
 
 #: Event-set name → value (identical to the cat stdlib's environment).
@@ -137,7 +131,7 @@ _SET_FNS = {
 
 class _State:
     """Row-level evaluation state for one execution, cached on the
-    execution object itself (like its ``RelationContext``).
+    execution object itself.
 
     Leaves come straight from the execution's rows: ``rf`` and ``co``
     from the execution, everything static from its skeleton's
@@ -149,7 +143,8 @@ class _State:
     terms live in ``shared`` and ``static``, which a completion shares
     with the completions of the same rf/co choice (and skeleton) under
     the group's other transaction layouts.  An execution built alone
-    shares with itself: both halves are the same dicts."""
+    shares with itself: its two memo halves are one dict, and its
+    static halves are the two stores of its private bundle."""
 
     __slots__ = (
         "x", "skel", "static", "txn_static", "rf", "co", "uni", "n",
@@ -160,15 +155,9 @@ class _State:
         skel = x._skel
         self.x = x
         self.skel = skel
-        #: Where interned static nodes live: the skeleton group's shared
-        #: stores for a completion, else the execution's own context
-        #: (whose ``static:`` keys ``adopt_skeleton_caches`` copies).
-        static = skel.store
-        if static is None:
-            static = RelationContext.of(x)._cache
-        self.static = static
-        txn_static = skel.txn_store
-        self.txn_static = static if txn_static is None else txn_static
+        #: Where interned static nodes live: the bundle's stores.
+        self.static = skel.store
+        self.txn_static = skel.txn_store
         self.rf = x._rf_rows
         self.co = x._co_rows
         self.uni = skel.uni
@@ -218,20 +207,17 @@ def _intern_leaf(skel, name: str, compute):
 
 def _base_rows(st: _State, name: str):
     if name == "rf":
-        rows = st.rf
-    elif name == "co":
-        rows = st.co
-    elif name == "id":
+        return st.rf
+    if name == "co":
+        return st.co
+    if name == "id":
         return st.id_rows
-    else:
-        skel = st.skel
-        table = skel.row_table(name)
-        rows = table.get(name)
-        if rows is None:  # not built for this skeleton yet, or misaligned
-            rows = _intern_leaf(skel, name, lambda: skel.static_rows(name))
-            table[name] = rows
-    if rows is None:
-        raise _Misaligned(name)
+    skel = st.skel
+    table = skel.row_table(name)
+    rows = table.get(name)
+    if rows is None:  # not built for this skeleton yet
+        rows = _intern_leaf(skel, name, lambda: skel.static_rows(name))
+        table[name] = rows
     return rows
 
 
@@ -249,10 +235,7 @@ def _mask_of(st: _State, name: str) -> int:
     index = st.uni.index
     mask = 0
     for eid in _SET_FNS[name](st.x):
-        i = index.get(eid)
-        if i is None:
-            raise _Misaligned(name)
-        mask |= 1 << i
+        mask |= 1 << index[eid]
     return mask
 
 
@@ -370,7 +353,7 @@ def _verdict(st: _State, constraint: Constraint) -> bool:
     rows = _value(st, constraint.term)
     kind = constraint.kind
     if kind == "acyclic":
-        ok = acyclic_rows_cached(st.uni, rows)
+        ok = acyclic_rows_cached(rows)
     elif kind == "irreflexive":
         ok = not _has_reflexive(rows)
     else:
@@ -391,7 +374,7 @@ def _decide(st: _State, plan: Plan, constraint: Constraint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Relation-level fallback (mixed-universe executions; reference semantics)
+# Relation-level reference semantics
 # ---------------------------------------------------------------------------
 
 
@@ -405,9 +388,9 @@ def _fallback_memo(x) -> dict:
 
 
 def fallback_value(term: Term, x):
-    """Relation-level evaluation of a term (the reference semantics the
-    row engine is property-tested against; also the live path for
-    executions whose primitives cannot be row-aligned)."""
+    """Relation-level evaluation of a term: the reference semantics the
+    row engine is tested against (property tests, fuzz oracle, the
+    benchmark's correctness gate)."""
     return _rel_eval(term, x, _fallback_memo(x))
 
 
@@ -502,15 +485,6 @@ def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
     raise AssertionError(f"unexpected op {op!r}")  # pragma: no cover
 
 
-def _fallback_check(constraint: Constraint, x) -> bool:
-    value = fallback_value(constraint.term, x)
-    if constraint.kind == "acyclic":
-        return value.is_acyclic()
-    if constraint.kind == "irreflexive":
-        return value.is_irreflexive()
-    return value.is_empty()
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -518,22 +492,14 @@ def _fallback_check(constraint: Constraint, x) -> bool:
 
 def consistent(plan: Plan, x) -> bool:
     """All constraints hold, decided cheapest-first with early exit."""
-    try:
-        return _run(plan, _state(x), False)
-    except _Misaligned:
-        _FALLBACKS.inc()
-        return all(_fallback_check(c, x) for c in plan.constraints)
+    return _run(plan, _state(x), False)
 
 
 def violated_axioms(plan: Plan, x) -> list[str]:
     """Names of failing constraints, in declaration order, from the
     verdicts the runner records deciding every constraint."""
     st = _state(x)
-    try:
-        _run(plan, st, True)
-    except _Misaligned:
-        _FALLBACKS.inc()
-        return [c.name for c in plan.constraints if not _fallback_check(c, x)]
+    _run(plan, st, True)
     return [
         c.name for c in plan.constraints if not st.memo(c.term)[c.vkey]
     ]
@@ -549,11 +515,7 @@ def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
         def thunk() -> bool:
             ok = st.memo(constraint.term).get(constraint.vkey)
             if ok is None:
-                try:
-                    ok = _decide(st, plan, constraint)
-                except _Misaligned:
-                    _FALLBACKS.inc()
-                    ok = _fallback_check(constraint, x)
+                ok = _decide(st, plan, constraint)
             return ok
 
         return thunk
@@ -570,18 +532,11 @@ def evaluate(term: Term, x):
     v = st.rels.get(term.uid, _MISS)
     if v is not _MISS:
         return v
-    try:
-        raw = _value(st, term)
-    except _Misaligned:
-        _FALLBACKS.inc()
-        v = fallback_value(term, x)
+    raw = _value(st, term)
+    if term.kind == "rel":
+        v = Relation._make(st.uni, raw)
     else:
-        if term.kind == "rel":
-            v = Relation._make(st.uni, raw)
-        else:
-            elements = st.uni.elements
-            v = frozenset(
-                elements[i] for i in range(st.n) if (raw >> i) & 1
-            )
+        elements = st.uni.elements
+        v = frozenset(elements[i] for i in range(st.n) if (raw >> i) & 1)
     st.rels[term.uid] = v
     return v

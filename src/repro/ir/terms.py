@@ -15,8 +15,9 @@ That one property carries the whole optimisation story:
   inside Order and TxnOrder, Power's ``ppo`` shared by Power+TM and
   its baseline) -- counted by ``ir.plan.cse_hits``;
 * every term gets a stable small integer ``uid``, which doubles as its
-  mechanical :class:`~repro.relations.RelationContext` intern key
-  (``static:ir.n{uid}``) -- no more hand-chosen key strings;
+  mechanical static-store key (``static:ir.n{uid}``, see
+  :class:`~repro.events.rows.SkeletonRows`) -- no more hand-chosen key
+  strings;
 * per-execution memoisation is a dict keyed by ``uid``.
 
 Transactional classification.  A term is *transactional* (``txn``)
@@ -54,7 +55,7 @@ _CSE_HITS = REGISTRY.counter("ir.plan.cse_hits")
 _TERMS_BUILT = REGISTRY.counter("ir.plan.terms_built")
 
 #: Static nodes cheaper than this (by the syntactic cost estimate) are
-#: recomputed per execution rather than routed through the context /
+#: recomputed per execution rather than routed through the static store /
 #: global-intern tables -- the fetch costs more than the work.
 _INTERN_MIN_COST = 8
 
@@ -305,7 +306,7 @@ def _mk(
     # layout of a skeleton, so the executor shares their memo entries.
     term.txn = _reads_txn(term.leaves)
     # Base leaves and vars are cheap to (re)read; everything else static
-    # earns a mechanical context intern key.
+    # earns a mechanical static-store key.
     term.internable = static and op not in ("base", "set", "empty", "var")
     term.skey = f"static:ir.n{term.uid}" if term.internable else None
     term.sdeps = _sdeps_of(term.leaves) if term.internable else ()
@@ -314,7 +315,7 @@ def _mk(
     # into its root's single interned value, so per-candidate cache
     # traffic matches the coarse granularity the hand-fused kernels had
     # (one ``_hb_static`` entry, not one per subterm), and a node
-    # cheaper than the context-fetch + key-build overhead itself (a lone
+    # cheaper than the store-fetch + key-build overhead itself (a lone
     # ``stxn?``) is simply recomputed.  Demotion is monotone and never
     # unsound -- a demoted node merely recomputes per execution (still
     # memoised in the per-execution table).

@@ -13,9 +13,8 @@ ten registry models are the bundled ``.cat`` files
 methods are thin wrappers over the shared :mod:`repro.ir.executor`.
 Derived relations are shared across axioms (and across models checking
 the same execution) through hash-consed terms memoised in the
-execution's :class:`~repro.relations.RelationContext`; skeleton-static
-subterms are adopted across a skeleton's rf/co completions
-automatically.  Because diagnostics and the hot path both read the
+execution's IR evaluation state; skeleton-static subterms are shared
+by a skeleton's rf/co completions through its row bundle's stores.  Because diagnostics and the hot path both read the
 executor's per-constraint verdicts, they can never disagree.
 
 :class:`MemoryModel` itself stays IR-agnostic so that wrappers composing

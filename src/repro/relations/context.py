@@ -8,10 +8,8 @@ this module each :class:`~repro.cat.eval.Evaluator` (one per
 them from scratch.
 
 :class:`RelationContext` is created at most once per execution (it lives
-in the execution's ``__dict__``, so sharing skeleton caches between
-candidate executions also shares contexts' inputs) and memoises those
-values, so derived relations are computed once per execution instead of
-once per axiom.
+in the execution's ``__dict__``) and memoises those values, so derived
+relations are computed once per execution instead of once per axiom.
 """
 
 from __future__ import annotations
@@ -60,13 +58,11 @@ def global_intern(key: tuple, compute: Callable[[], object]) -> object:
 
 
 class RelationContext:
-    """Interned per-execution cache of derived relational values.
-
-    For an execution built alone, the IR executor also keeps the
-    execution's interned static plan nodes in ``_cache`` (under their
-    ``static:`` keys); completions keep theirs in their skeleton's row
-    bundle (:class:`repro.events.rows.SkeletonRows`).
-    """
+    """Interned per-execution cache of derived relational values: the
+    identity and full relations, the cat environment and functions, and
+    the Relation-level reference's memo.  (Interned static plan nodes
+    live in the execution's row bundle,
+    :class:`repro.events.rows.SkeletonRows`.)"""
 
     __slots__ = ("execution", "_cache")
 

@@ -161,38 +161,31 @@ def _rebuild(pairs: tuple[Pair, ...], elements: tuple[int, ...]) -> "Relation":
 
 #: Acyclicity verdicts interned across relation instances.  Candidate
 #: enumeration checks acyclic(hb)/acyclic(poloc ∪ com) for thousands of
-#: completions whose derived relations coincide; keying on the interned
-#: universe and the row tuple turns repeats into one dict probe.
-_ACYCLIC_CACHE: dict[tuple[int, tuple[int, ...]], bool] = {}
+#: completions whose derived relations coincide; the verdict is a pure
+#: function of the row tuple, so repeats are one dict probe.
+_ACYCLIC_CACHE: dict[tuple[int, ...], bool] = {}
 _ACYCLIC_CACHE_MAX = 1 << 20
 
-# Uncached evaluations (uninterned universes) count as misses, so
-# hits + misses == lookups holds for every path through the cache.
 _ACYC_LOOKUPS = REGISTRY.counter("relations.acyclic_cache.lookups")
 _ACYC_HITS = REGISTRY.counter("relations.acyclic_cache.hits")
 _ACYC_MISSES = REGISTRY.counter("relations.acyclic_cache.misses")
 
 
-def acyclic_rows_cached(uni: _Universe, rows: tuple[int, ...]) -> bool:
-    """``acyclic_rows`` with the verdict interned per (universe, rows)."""
+def acyclic_rows_cached(rows: tuple[int, ...]) -> bool:
+    """``acyclic_rows`` with the verdict interned per rows tuple."""
     _ACYC_LOOKUPS.inc()
-    if uni.interned:
-        # Interned universes are immortal, so their id is a stable key.
-        key = (id(uni), rows)
-        verdict = _ACYCLIC_CACHE.get(key)
-        if verdict is None:
-            _ACYC_MISSES.inc()
-            verdict = acyclic_rows(rows)
-            if len(_ACYCLIC_CACHE) >= _ACYCLIC_CACHE_MAX:
-                # Reset rather than stop caching: bounds memory while
-                # keeping the cache effective for the current workload.
-                _ACYCLIC_CACHE.clear()
-            _ACYCLIC_CACHE[key] = verdict
-        else:
-            _ACYC_HITS.inc()
-        return verdict
-    _ACYC_MISSES.inc()
-    return acyclic_rows(rows)
+    verdict = _ACYCLIC_CACHE.get(rows)
+    if verdict is None:
+        _ACYC_MISSES.inc()
+        verdict = acyclic_rows(rows)
+        if len(_ACYCLIC_CACHE) >= _ACYCLIC_CACHE_MAX:
+            # Reset rather than stop caching: bounds memory while
+            # keeping the cache effective for the current workload.
+            _ACYCLIC_CACHE.clear()
+        _ACYCLIC_CACHE[rows] = verdict
+    else:
+        _ACYC_HITS.inc()
+    return verdict
 
 
 #: Transitive closures interned across relation instances, same scheme as
@@ -200,7 +193,7 @@ def acyclic_rows_cached(uni: _Universe, rows: tuple[int, ...]) -> bool:
 #: closures per execution (fc, thb's head, hb*) and C++ closes hb and com
 #: for every candidate; completions of one skeleton repeat the same row
 #: tuples constantly.
-_CLOSURE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+_CLOSURE_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 _CLOSURE_CACHE_MAX = 1 << 18
 
 _CLOS_LOOKUPS = REGISTRY.counter("relations.closure_cache.lookups")
@@ -208,29 +201,25 @@ _CLOS_HITS = REGISTRY.counter("relations.closure_cache.hits")
 _CLOS_MISSES = REGISTRY.counter("relations.closure_cache.misses")
 
 
-def closure_rows_cached(uni: _Universe, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """``closure_rows`` with the result interned per (universe, rows)."""
+def closure_rows_cached(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """``closure_rows`` with the result interned per rows tuple."""
     _CLOS_LOOKUPS.inc()
-    if uni.interned:
-        key = (id(uni), rows)
-        closed = _CLOSURE_CACHE.get(key)
-        if closed is None:
-            _CLOS_MISSES.inc()
-            closed = tuple(closure_rows(rows))
-            if len(_CLOSURE_CACHE) >= _CLOSURE_CACHE_MAX:
-                _CLOSURE_CACHE.clear()
-            _CLOSURE_CACHE[key] = closed
-        else:
-            _CLOS_HITS.inc()
-        return closed
-    _CLOS_MISSES.inc()
-    return tuple(closure_rows(rows))
+    closed = _CLOSURE_CACHE.get(rows)
+    if closed is None:
+        _CLOS_MISSES.inc()
+        closed = tuple(closure_rows(rows))
+        if len(_CLOSURE_CACHE) >= _CLOSURE_CACHE_MAX:
+            _CLOSURE_CACHE.clear()
+        _CLOSURE_CACHE[rows] = closed
+    else:
+        _CLOS_HITS.inc()
+    return closed
 
 
-def rtc_rows_cached(uni: _Universe, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Reflexive-transitive closure rows, interned per (universe, rows)."""
+def rtc_rows_cached(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Reflexive-transitive closure rows, interned per rows tuple."""
     return tuple(
-        row | (1 << i) for i, row in enumerate(closure_rows_cached(uni, rows))
+        row | (1 << i) for i, row in enumerate(closure_rows_cached(rows))
     )
 
 
@@ -541,8 +530,8 @@ class Relation:
 
     def _closure_rows(self) -> list[int]:
         """Transitive closure, Floyd–Warshall over bitmask rows (interned
-        globally per (universe, rows) when the universe is interned)."""
-        return list(closure_rows_cached(self._uni, self._rows))
+        globally per rows tuple)."""
+        return list(closure_rows_cached(self._rows))
 
     def transitive_closure(self) -> "Relation":
         """Transitive closure ``r⁺`` (Floyd–Warshall on bitmask rows)."""
@@ -605,10 +594,10 @@ class Relation:
         Warshall over bitmask rows with an early exit the moment any
         element reaches itself -- this is the single hottest predicate in
         enumeration loops, so the verdict is cached on the instance and
-        interned globally by (universe, rows).
+        interned globally by rows tuple.
         """
         if self._acyclic is None:
-            self._acyclic = acyclic_rows_cached(self._uni, self._rows)
+            self._acyclic = acyclic_rows_cached(self._rows)
         return self._acyclic
 
     def is_transitive(self) -> bool:

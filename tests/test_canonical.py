@@ -97,30 +97,37 @@ class TestPinnedToReference:
         assert checked > 100
 
     @pytest.mark.parametrize(
-        "build",
+        "build, unknown",
         [
             # rf from an event that does not exist
-            lambda e: Execution(e, [[0, 1]], rf=[(9, 1)]),
+            (lambda e: Execution(e, [[0, 1]], rf=[(9, 1)]), 9),
             # a dependency edge to an event that does not exist
-            lambda e: Execution(e, [[0, 1]], addr=[(0, 9)]),
+            (lambda e: Execution(e, [[0, 1]], addr=[(0, 9)]), 9),
             # co over an event in no event list
-            lambda e: Execution(e, [[0, 1]], co=[(0, 9)]),
+            (lambda e: Execution(e, [[0, 1]], co=[(0, 9)]), 9),
             # an event in no thread
-            lambda e: Execution(e, [[0]]),
-            lambda e: Execution(e, [[0]], rf=[(0, 1)]),
+            (lambda e: Execution(e, [[0]]), None),
+            (lambda e: Execution(e, [[0]], rf=[(0, 1)]), None),
             # a thread naming an event that does not exist
-            lambda e: Execution(e, [[0, 1, 9]]),
+            (lambda e: Execution(e, [[0, 1, 9]]), 9),
             # one event listed in two threads
-            lambda e: Execution(e, [[0, 1], [1]]),
+            (lambda e: Execution(e, [[0, 1], [1]]), None),
         ],
         ids=[
             "rf", "addr", "co", "unthreaded", "unthreaded-rf", "unknown",
             "twice",
         ],
     )
-    def test_misaligned_executions(self, build):
+    def test_misaligned_executions(self, build, unknown):
+        """Naming an event that does not exist is rejected at
+        construction; threads that do not partition the events are
+        accepted and keyed by the reference."""
         events = [Event(0, 0, "W", "x"), Event(1, 0, "R", "x")]
-        _assert_pinned(build(events))
+        if unknown is None:
+            _assert_pinned(build(events))
+        else:
+            with pytest.raises(ValueError, match=rf"\[{unknown}\]"):
+                build(events)
 
     def test_no_events(self):
         x = Execution([], [])

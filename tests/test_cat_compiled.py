@@ -4,7 +4,7 @@ on the shared planner/executor.
 ``tests/test_cat_models_agree.py`` pins the lowered models' verdicts
 against the AST-walking evaluator; these tests pin the *lowering*
 itself -- plan sharing, the registry plans being the lowered files,
-static classification, ``static:`` interning/adoption, let-rec kinds,
+static classification, ``static:`` interning, let-rec kinds,
 and error behaviour.
 """
 
@@ -136,10 +136,10 @@ def test_dynamic_shadowing_revokes_staticness():
 
 
 def test_static_bindings_interned_per_execution():
-    """A static binding's value lands in the execution's
-    RelationContext under its term's mechanical ``static:ir.n{uid}``
-    key, and is reused by any other model whose lowering produced the
-    same hash-consed term.  (The closure keeps it above the intern cost
+    """A static binding's value lands in the static store of the
+    execution's row bundle under its term's mechanical
+    ``static:ir.n{uid}`` key, and is reused by any other model whose
+    lowering produced the same hash-consed term.  (The closure keeps it above the intern cost
     floor; trivially cheap static terms are recomputed instead.)"""
     source = '"m" let ord = (po | poloc)+ acyclic ord | rf as A'
     x = _execution()
@@ -154,25 +154,35 @@ def test_static_bindings_interned_per_execution():
     assert static_roots, "the static part of the axiom must be hoisted"
     for term in static_roots:
         assert term.skey.startswith("static:ir.")
-        assert term.skey in x.context._cache
+        store = x._skel.txn_store if term.txn else x._skel.store
+        assert term.skey in store
 
 
 def test_static_bindings_adopted_across_completions():
     """Completions of one skeleton share the static cat bindings through
-    ``Execution.adopt_skeleton_caches`` -- same mechanism, same keys, as
-    the native models' static subterms."""
+    their row bundle's store -- same mechanism, same keys, as the native
+    models' static subterms."""
+    from repro.events.execution import SkeletonCompleter
+
     cat = CatModel(parse('"m" let ord = (po | poloc)+ acyclic ord | rf as A'))
-    template = _execution()
-    assert cat.consistent(template)
     (constraint,) = cat.plan().constraints
     keys = [
         t.skey for t in constraint.term.args if t.static and t.intern_root
     ]
     assert keys
-    sibling = _execution().adopt_skeleton_caches(template)
-    for key in keys:
-        assert key in sibling.context._cache
-        assert sibling.context._cache[key] is template.context._cache[key]
+    x = _execution()
+    (w,), (r,) = x.writes, x.reads
+    completer = SkeletonCompleter(x.events, x.threads, (), (), (), (), {}, ())
+    completer.start_rf([(w, r)])
+    first = completer.complete(((w,),))
+    completer.start_rf(())
+    second = completer.complete(((w,),))
+    assert cat.consistent(first)
+    store = first._skel.store
+    assert second._skel.store is store
+    values = {key: store[key] for key in keys}
+    assert cat.consistent(second)
+    assert all(store[key] is value for key, value in values.items())
 
 
 def test_letrec_lowers_to_fix_group():

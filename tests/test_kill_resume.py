@@ -2,7 +2,9 @@
 seeded random points -- the parent, or one of its pool workers --
 resumes from the same store directory to the uncached result, leaves a
 store that reloads clean, and a warm rerun then replays every shard.
-Damaged resume records are recomputed, never folded.
+Damaged resume records are recomputed, never folded.  A resumed run's
+per-shard ``completions`` counters cover every candidate of the bound,
+the resumed chunks included.
 """
 
 import json
@@ -27,13 +29,15 @@ from repro.obs import REGISTRY, reset_observability
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: The child: prints ``ready`` once its pipeline is open, then the
-#: suites' canonical keys, in order, when the synthesis finishes.
+#: The child: prints ``ready`` once its pipeline is open, then, when the
+#: synthesis finishes, the suites' canonical keys, in order, and on a
+#: last line its counters.
 CHILD = textwrap.dedent(
     """
     import json, sys
     from repro.enumeration.canonical import canonical_key
     from repro.harness.pipeline import CheckPipeline
+    from repro.obs import REGISTRY
 
     (cache,) = sys.argv[1:]
     with CheckPipeline(workers=2, cache=cache, runlog=False) as pipeline:
@@ -43,8 +47,31 @@ CHILD = textwrap.dedent(
         [repr(canonical_key(x)) for x in result.forbidden],
         [repr(canonical_key(x)) for x in result.allowed],
     ]), flush=True)
+    print(json.dumps(REGISTRY.snapshot()["counters"]), flush=True)
     """
 )
+
+
+def _shard_totals(counters: dict) -> dict:
+    """Bound → (the x86 per-shard ``completions`` summed over shard
+    labels, the bound's candidate count), for bounds 2 and 3."""
+    totals = {}
+    for n in (2, 3):
+        prefix = f"synthesis.shard.x86.b{n}."
+        totals[n] = (
+            sum(
+                value
+                for name, value in counters.items()
+                if name.startswith(prefix) and name.endswith(".completions")
+            ),
+            counters[f"enumeration.x86.bound{n}.candidates"],
+        )
+    return totals
+
+
+def _assert_shards_cover_candidates(counters: dict) -> None:
+    for bound, (completions, candidates) in _shard_totals(counters).items():
+        assert completions == candidates > 0, (bound, completions, candidates)
 
 
 def _suite_keys(result) -> list:
@@ -118,7 +145,9 @@ def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     final = _start(cache)
     out, _ = final.communicate(timeout=300)
     assert final.returncode == 0
-    assert json.loads(out) == expected
+    suites, counters = out.splitlines()
+    assert json.loads(suites) == expected
+    _assert_shards_cover_candidates(json.loads(counters))
 
     # Every shard record the killed and resumed runs left loads, and
     # compaction leaves nothing but them.
@@ -139,6 +168,7 @@ def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     reset_observability()
     assert counters["verdict_cache.shards.hits"] == shards
     assert counters.get("scheduler.chunks", 0) == 0
+    _assert_shards_cover_candidates(counters)
 
 
 def _records(root: Path) -> list[dict]:
@@ -172,6 +202,29 @@ def _interrupted_store(root: Path, monkeypatch) -> None:
         with pytest.raises(Killed):
             with CheckPipeline(workers=1, cache=root, runlog=False) as p:
                 p.synthesis("x86", 3)
+
+
+def test_resumed_chunks_reach_the_shard_metrics(tmp_path, monkeypatch):
+    """The chunks a resumed run folds from an interrupted run's records
+    add to their shards' ``completions`` and ``survivors`` like the
+    chunks it evaluates, but not to the shards' timers."""
+    root = tmp_path / "cache"
+    _interrupted_store(root, monkeypatch)
+    resumed = [r["result"] for r in _records(root) if r["kind"] == "synth_chunk"]
+    assert len(resumed) == 6
+
+    reset_observability()
+    with CheckPipeline(workers=1, cache=root, runlog=False) as pipeline:
+        pipeline.synthesis("x86", 3)
+    snapshot = REGISTRY.snapshot()
+    reset_observability()
+    _assert_shards_cover_candidates(snapshot["counters"])
+    timed = sum(
+        timer["count"]
+        for name, timer in snapshot["timers"].items()
+        if name.startswith("synthesis.shard.x86.")
+    )
+    assert timed == snapshot["counters"]["scheduler.chunks"] > 0
 
 
 def _drop_start(chunk: dict) -> None:

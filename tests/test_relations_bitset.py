@@ -240,13 +240,25 @@ def _sb_shape(**parts):
     return Execution(events, threads, **parts)
 
 
-#: Hand-built inputs whose relations name events outside their universe,
-#: so they cannot be row-aligned and reach the Relation-level fallback.
-MISALIGNED = {
-    "rf-from-absent-eid": lambda: _sb_shape(rf=[(9, 3)]),
-    "addr-out-of-universe": lambda: _sb_shape(addr=[(1, 7)]),
-    "thread-lists-unknown-eid": lambda: _sb_shape(threads=[[0, 1, 8], [2, 3]]),
+#: Hand-built inputs naming an event id that is not one of their events,
+#: with that id: the constructor rejects each of them.
+UNKNOWN_EVENTS = {
+    "rf-from-absent-eid": (lambda: _sb_shape(rf=[(9, 3)]), 9),
+    "addr-out-of-universe": (lambda: _sb_shape(addr=[(1, 7)]), 7),
+    "rmw-to-absent-eid": (lambda: _sb_shape(rmw=[(1, 6)]), 6),
+    "thread-lists-unknown-eid": (
+        lambda: _sb_shape(threads=[[0, 1, 8], [2, 3]]),
+        8,
+    ),
+    "txn-of-unknown-eid": (lambda: _sb_shape(txn_of={0: 0, 5: 0}), 5),
 }
+
+
+@pytest.mark.parametrize("label", sorted(UNKNOWN_EVENTS))
+def test_unknown_event_ids_rejected(label):
+    build, unknown = UNKNOWN_EVENTS[label]
+    with pytest.raises(ValueError, match=rf"\[{unknown}\]"):
+        build()
 
 
 def _holds(constraint, value) -> bool:
@@ -258,15 +270,13 @@ def _holds(constraint, value) -> bool:
 
 
 def test_kernels_agree_on_hand_built_catalog():
-    """On the hand-built paper catalog and on inputs that cannot be
-    row-aligned, every entry point -- ``consistent``, the thunk
+    """On the hand-built paper catalog, and on an input whose threads
+    leave an event out, every entry point -- ``consistent``, the thunk
     conjunction, ``violated_axioms`` and ``evaluate`` -- agrees with the
     Relation-level reference, in every model.  Each path gets its own
-    freshly built execution, so none answers from another's memo, and
-    each unalignable input reaches the fallback."""
+    freshly built execution, so none answers from another's memo."""
     from repro import ir
     from repro.catalog import classics, figures
-    from repro.obs import REGISTRY
 
     catalog = {
         build.__name__: build
@@ -277,16 +287,15 @@ def test_kernels_agree_on_hand_built_catalog():
             figures.power_integrated_barrier, figures.power_txn_ordering,
         )
     }
-    catalog.update(MISALIGNED)
+    catalog["event-in-no-thread"] = lambda: _sb_shape(
+        threads=[[0, 1], [2]], rf=[(2, 1)]
+    )
     models = [
         get_model(name)
         for name in ("x86tm", "x86", "powertm", "power", "armv8tm",
                      "armv8", "cpptm", "cpp", "sc", "tsc")
     ]
-    fallbacks = REGISTRY.counter("ir.exec.relation_fallbacks")
-    expected = {}
     for label, build in catalog.items():
-        before = fallbacks.value
         for model in models:
             plan = model.plan()
             x = build()
@@ -296,7 +305,6 @@ def test_kernels_agree_on_hand_built_catalog():
             }
             failed = [name for name, ok in reference.items() if not ok]
             where = (label, model.name)
-            expected[where] = failed
             assert model.consistent(build()) == (not failed), where
             thunks = model.axiom_thunks(build())
             assert all(thunk() for _, thunk in thunks) == (not failed), where
@@ -307,20 +315,6 @@ def test_kernels_agree_on_hand_built_catalog():
                     ir.evaluate(c.term, evaluated).pairs
                     == ir.fallback_value(c.term, x).pairs
                 ), (where, c.name)
-        if label in MISALIGNED:
-            assert fallbacks.value > before, label
-    # Power decides Coherence before it reads ``addr``, so its runner
-    # records some verdicts before the out-of-universe edge raises;
-    # later queries on the same execution still match the reference.
-    power = get_model("power")
-    constraints = power.plan().constraints
-    failed = expected[("addr-out-of-universe", power.name)]
-    x = MISALIGNED["addr-out-of-universe"]()
-    assert power.violated_axioms(x) == failed
-    recorded = [c for c in constraints if c.vkey in x._ir_state.vals]
-    assert 0 < len(recorded) < len(constraints)
-    assert power.consistent(x) == (not failed)
-    assert [n for n, thunk in power.axiom_thunks(x) if not thunk()] == failed
 
 
 @given(PAIRS, UNIVERSES)
