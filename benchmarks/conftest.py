@@ -5,10 +5,13 @@ Figure 7 benchmarks (which share a synthesis run, exactly as in the
 paper) do not recompute the suites.
 
 Bounds: exhaustive synthesis is exponential in the event bound.  The
-defaults here finish in minutes on one core; EXPERIMENTS.md records the
-deeper runs (x86 |E| ≤ 4: 22 tests = the paper's count; Power |E| ≤ 4:
-60 tests = the paper's count) which take ~20s and ~35 min respectively.
-Set REPRO_BENCH_EVENTS=4 to run those inside the suite.
+defaults here finish in minutes on one core.  Set REPRO_BENCH_EVENTS=4
+to run the deeper rows inside the suite: the x86 fixture then
+synthesises up to |E| ≤ 4 (22 Forbid tests, the paper's count, also
+pinned by the ``synth-x86-b4-warm`` benchmark's count check), and
+``test_table1_power.py::test_table1_power_bound4`` synthesises Power up
+to |E| ≤ 4 (60 Forbid tests, the paper's count).  The Power fixture
+below stays at |E| ≤ 3 at any setting.
 """
 
 from __future__ import annotations

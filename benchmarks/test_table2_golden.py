@@ -56,7 +56,6 @@ def _table2(**options) -> str:
         run_table2(
             monotonicity_bounds=BOUNDS,
             compilation_bound=2,
-            time_budget=None,
             **options,
         ).render()
     )

@@ -86,7 +86,6 @@ def synthesize(
     *,
     workers: int | None = None,
     cache: str | Path | None = None,
-    time_budget: float | None = None,
 ) -> "SynthesisResult":
     """The Forbid/Allow conformance suites for ``target`` up to ``bound``.
 
@@ -101,7 +100,7 @@ def synthesize(
     from .harness.pipeline import CheckPipeline
 
     with CheckPipeline(workers=workers, cache=_cache(cache)) as pipeline:
-        return pipeline.synthesis(target, bound, time_budget)
+        return pipeline.synthesis(target, bound)
 
 
 def run_table(
@@ -111,16 +110,15 @@ def run_table(
     bound: int | None = None,
     workers: int | None = None,
     cache: str | Path | None = None,
-    time_budget: float | None = None,
 ):
     """Regenerate one of the paper's artifacts; returns its result
     object (every one has a ``render()`` method).
 
     ``table`` is ``"table1"``, ``"table2"``, ``"figure7"`` or
     ``"ablation"``.  ``bound`` defaults per driver (table1/figure7: 4,
-    ablation: 3); ``arch``/``bound``/``time_budget`` are ignored by
-    ``table2``, which fixes its own bounds.  ``workers`` and ``cache``
-    are as for :func:`synthesize`.
+    ablation: 3); ``arch`` and ``bound`` are ignored by ``table2``,
+    which fixes its own bounds.  Every driver runs to its bound.
+    ``workers`` and ``cache`` are as for :func:`synthesize`.
     """
     try:
         module_name, fn_name = _TABLES[table]
@@ -133,10 +131,6 @@ def run_table(
     module = importlib.import_module(f".harness.{module_name}", __package__)
     fn = getattr(module, fn_name)
     common = {"workers": workers, "cache": _cache(cache)}
-    if table == "table1":
-        return fn(arch, bound or 4, time_budget, **common)
     if table == "table2":
-        return fn(time_budget=time_budget or 600.0, **common)
-    if table == "figure7":
-        return fn(arch, bound or 4, time_budget, **common)
-    return fn(arch, bound or 3, **common)
+        return fn(**common)
+    return fn(arch, bound or (3 if table == "ablation" else 4), **common)

@@ -11,9 +11,9 @@ pipeline:
   consistent, by minimality), deduplicated.
 
 Discovery timestamps are recorded per Forbid test so that Figure 7's
-"fraction of tests found vs. time" distribution can be regenerated, and
-a wall-clock budget makes a row "non-exhaustive" exactly like the
-paper's 2-hour SAT timeout.
+"fraction of tests found vs. time" distribution can be regenerated.
+Every run goes to its event bound: elapsed time is reported, never a
+reason to stop.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class SynthesisResult:
     #: total candidates examined
     candidates_examined: int = 0
     elapsed: float = 0.0
-    complete: bool = True
 
     def forbidden_by_size(self) -> dict[int, list[Execution]]:
         out: dict[int, list[Execution]] = {}
@@ -70,18 +69,12 @@ class SynthesisResult:
         return out
 
 
-def synthesise(
-    target: str,
-    max_events: int,
-    time_budget: float | None = None,
-) -> SynthesisResult:
+def synthesise(target: str, max_events: int) -> SynthesisResult:
     """Generate the Forbid and Allow suites for one target.
 
     Args:
         target: enumeration target ("x86", "power", "armv8", "cpp", "sc").
         max_events: synthesise Forbid tests with 2..max_events events.
-        time_budget: optional wall-clock cap in seconds; when exceeded
-            the result is marked incomplete (the paper's timeout rows).
 
     The sharded :func:`repro.api.synthesize` is byte-identical; this
     sequential enumerator is the reference the tests pin it to.
@@ -105,10 +98,7 @@ def synthesise(
                 config,
                 seen_forbidden,
                 start,
-                time_budget,
             )
-            if not result.complete:
-                break
 
         # Allow = one-step weakenings of the Forbid tests, deduplicated.
         with TRACER.span(f"synthesis:{target}:weakenings"):
@@ -136,7 +126,6 @@ def _synthesise_bound(
     config: EnumerationConfig,
     seen_forbidden: set[tuple],
     start: float,
-    time_budget: float | None,
 ) -> None:
     """One event bound's enumeration pass, with per-bound metrics.
 
@@ -156,9 +145,6 @@ def _synthesise_bound(
         f"{prefix}.seconds"
     ):
         for skeleton in enumerate_skeletons(config, n_events):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                result.complete = False
-                return
             c_skeletons.inc()
             for x in complete_skeleton(skeleton):
                 result.candidates_examined += 1

@@ -393,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_t1.add_argument("--arch", default="x86", choices=("x86", "power", "armv8"))
     p_t1.add_argument("--events", type=int, default=4)
-    p_t1.add_argument("--time-budget", type=float, default=None)
 
     sub.add_parser("table2", help="metatheory summary", parents=shared)
 
@@ -402,7 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_f7.add_argument("--arch", default="x86", choices=("x86", "power", "armv8"))
     p_f7.add_argument("--events", type=int, default=4)
-    p_f7.add_argument("--time-budget", type=float, default=None)
 
     sub.add_parser("rtl-bug", help="the §6.2 buggy-RTL detection story")
     sub.add_parser("figures", help="verdicts for every paper figure")
@@ -488,7 +486,6 @@ def main(argv: list[str] | None = None) -> int:
                 bound=getattr(args, "events", None),
                 workers=args.workers,
                 cache=args.cache,
-                time_budget=getattr(args, "time_budget", None),
             ).render()
         )
         _write_run_outputs(args)

@@ -27,7 +27,6 @@ def export_suite(
     manifest = {
         "target": synthesis.target,
         "max_events": synthesis.max_events,
-        "complete": synthesis.complete,
         "elapsed_seconds": round(synthesis.elapsed, 3),
         "candidates_examined": synthesis.candidates_examined,
         "forbid": [],

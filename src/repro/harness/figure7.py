@@ -78,7 +78,6 @@ class Figure7Result:
 def run_figure7(
     arch: str = "x86",
     max_events: int = 4,
-    time_budget: float | None = None,
     synthesis: SynthesisResult | None = None,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
@@ -92,14 +91,12 @@ def run_figure7(
     if synthesis is None:
         if pipeline is None:
             with CheckPipeline(workers=workers, cache=cache) as pipeline:
-                return run_figure7(
-                    arch, max_events, time_budget, synthesis, pipeline
-                )
+                return run_figure7(arch, max_events, synthesis, pipeline)
         pipeline.log_event(
             "driver.start", driver="figure7", arch=arch, max_events=max_events
         )
         with TRACER.span(f"figure7:{arch}"):
-            synthesis = pipeline.synthesis(arch, max_events, time_budget)
+            synthesis = pipeline.synthesis(arch, max_events)
         pipeline.log_event("driver.end", driver="figure7", arch=arch)
     return Figure7Result(
         arch=arch,

@@ -8,7 +8,7 @@ shared cache layer:
 
 * **synthesis cache** -- Table 1, Figure 7, and the ablation all consume
   the same :func:`~repro.enumeration.synthesise` run; the pipeline
-  computes it once per ``(arch, max_events, time_budget)``.
+  computes it once per ``(arch, max_events)``.
 * **one submission primitive** -- :meth:`CheckPipeline.submit` queues
   a job and :meth:`CheckPipeline.next_result` returns the next finished
   one, inline (the default) or from a ``multiprocessing`` pool
@@ -330,12 +330,7 @@ class CheckPipeline:
 
     # -- shared synthesis ------------------------------------------------
 
-    def synthesis(
-        self,
-        arch: str,
-        max_events: int,
-        time_budget: float | None = None,
-    ) -> SynthesisResult:
+    def synthesis(self, arch: str, max_events: int) -> SynthesisResult:
         """Sharded synthesis for ``arch``, computed once per pipeline.
 
         Runs through the work-stealing scheduler
@@ -344,12 +339,12 @@ class CheckPipeline:
         from and records into its store, with results byte-identical
         to the sequential :func:`repro.enumeration.synthesise`.
         """
-        key = (arch, max_events, time_budget)
+        key = (arch, max_events)
         if key not in self._synthesis_cache:
             from .scheduler import synthesise_sharded
 
             self._synthesis_cache[key] = synthesise_sharded(
-                arch, max_events, time_budget=time_budget, pipeline=self
+                arch, max_events, pipeline=self
             )
         return self._synthesis_cache[key]
 

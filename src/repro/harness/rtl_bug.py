@@ -46,7 +46,6 @@ class RTLBugResult:
 
 def run_rtl_bug(
     max_events: int = 3,
-    time_budget: float | None = None,
     include_catalog_representatives: bool = True,
 ) -> RTLBugResult:
     """Generate the ARMv8 suite and run it against good and buggy RTL.
@@ -60,7 +59,7 @@ def run_rtl_bug(
     MP-with-transactional-reader family) -- the same tests a deeper run
     discovers, verified by ``is_minimal_inconsistent`` in the suite.
     """
-    synthesis = api.synthesize("armv8", max_events, time_budget=time_budget)
+    synthesis = api.synthesize("armv8", max_events)
     model = get_model("armv8tm")
     buggy = OracleHardware.armv8_rtl_buggy(model)
     good = OracleHardware(model, name="ARM-RTL-good")

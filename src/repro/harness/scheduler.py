@@ -32,8 +32,8 @@ design:
   ``[0, completions)``, and no count job or chunk runs for it.  Every
   count and chunk evaluated is recorded as it lands, so a killed run
   resumes with only the gaps between its recorded ranges left to run.
-  After a bound that did not time out, every shard whose chunks --
-  resumed or fresh -- tile its whole range is recorded as a shard.
+  After each bound, every shard whose chunks -- resumed or fresh --
+  tile its whole range is recorded as a shard.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
@@ -219,13 +219,11 @@ class WorkStealingScheduler:
         bound: int,
         signatures: list[Signature],
         remaining: dict[int, list[tuple[int, int]]],
-        deadline: float | None,
     ):
         self.pipeline = pipeline
         self.target = target
         self.bound = bound
         self.signatures = signatures
-        self.deadline = deadline
         self.intervals: list[_Interval] = [
             _Interval(shard, start, stop)
             for shard in sorted(remaining)
@@ -233,7 +231,6 @@ class WorkStealingScheduler:
             if stop > start
         ]
         self.payloads: list[dict] = []
-        self.timed_out = False
         self._chunks = REGISTRY.counter("scheduler.chunks")
         self._steals = REGISTRY.counter("scheduler.steals")
 
@@ -296,18 +293,15 @@ class WorkStealingScheduler:
         workers = self.pipeline.workers
         idle = list(range(workers))
         while True:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                self.timed_out = True
-            if not self.timed_out:
-                for slot in list(idle):
-                    job = self._next_chunk(slot)
-                    if job is None:
-                        # This slot found nothing to run *or steal*, but a
-                        # later idle slot may still own an unfinished
-                        # interval too small to steal -- keep trying them.
-                        continue
-                    idle.remove(slot)
-                    self.pipeline.submit(run_shard_job, job, (slot, job))
+            for slot in list(idle):
+                job = self._next_chunk(slot)
+                if job is None:
+                    # This slot found nothing to run *or steal*, but a
+                    # later idle slot may still own an unfinished
+                    # interval too small to steal -- keep trying them.
+                    continue
+                idle.remove(slot)
+                self.pipeline.submit(run_shard_job, job, (slot, job))
             if len(idle) == workers:
                 break  # nothing in flight
             (slot, job), payload = self.pipeline.next_result()
@@ -388,7 +382,6 @@ def _gaps(
 def synthesise_sharded(
     target: str,
     max_events: int,
-    time_budget: float | None = None,
     pipeline: "CheckPipeline | None" = None,
 ) -> SynthesisResult:
     """Sharded, work-stealing :func:`repro.enumeration.synthesise`.
@@ -403,31 +396,18 @@ def synthesise_sharded(
         from .pipeline import CheckPipeline
 
         with CheckPipeline() as own:
-            return synthesise_sharded(target, max_events, time_budget, own)
+            return synthesise_sharded(target, max_events, own)
 
     config = get_config(target)
     result = SynthesisResult(target=target, max_events=max_events)
     started = time.monotonic()
-    deadline = None if time_budget is None else started + time_budget
     seen_forbidden: set[tuple] = set()
 
     with TRACER.span(f"synthesis:{target}"):
         for bound in range(2, max_events + 1):
-            if deadline is not None and time.monotonic() > deadline:
-                result.complete = False
-                break
             _sharded_bound(
-                result,
-                pipeline,
-                target,
-                bound,
-                config,
-                seen_forbidden,
-                started,
-                deadline,
+                result, pipeline, target, bound, config, seen_forbidden, started
             )
-            if not result.complete:
-                break
 
         # Allow = one-step weakenings of the Forbid tests, deduplicated
         # (identical to the sequential enumerator's pass).
@@ -504,7 +484,6 @@ def _sharded_bound(
     config: EnumerationConfig,
     seen_forbidden: set[tuple],
     started: float,
-    deadline: float | None,
 ) -> None:
     """One event bound: look shards up, count and drain the rest, fold
     in order, record what was computed."""
@@ -544,14 +523,12 @@ def _sharded_bound(
             for shard, count in counts.items()
         }
         scheduler = WorkStealingScheduler(
-            pipeline, target, bound, signatures, remaining, deadline
+            pipeline, target, bound, signatures, remaining
         )
         for payload in scheduler.run():
             shard = index_of[tuple(payload["sig"])]
             chunks.setdefault(shard, []).append(payload)
-        if scheduler.timed_out:
-            result.complete = False
-        elif cache is not None:
+        if cache is not None:
             _record_shards(cache, keys, counts, chunks)
 
         replayed = [

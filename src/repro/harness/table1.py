@@ -35,7 +35,6 @@ class Table1Row:
     forbid_seen: int
     allow_total: int
     allow_seen: int
-    complete: bool
 
     @property
     def forbid_not_seen(self) -> int:
@@ -64,13 +63,12 @@ class Table1Result:
             f"{'Allow T':>8} {'S':>4} {'¬S':>4}",
         ]
         for row in self.rows:
-            marker = "" if row.complete else " (non-exhaustive)"
             lines.append(
                 f"{row.events:>4} {row.synthesis_time:>9.1f}  "
                 f"{row.forbid_total:>8} {row.forbid_seen:>4} "
                 f"{row.forbid_not_seen:>4}  "
                 f"{row.allow_total:>8} {row.allow_seen:>4} "
-                f"{row.allow_not_seen:>4}{marker}"
+                f"{row.allow_not_seen:>4}"
             )
         total_f = sum(r.forbid_total for r in self.rows)
         total_fs = sum(r.forbid_seen for r in self.rows)
@@ -96,7 +94,6 @@ def _is_lb_shaped(execution) -> bool:
 def run_table1(
     arch: str,
     max_events: int = 4,
-    time_budget: float | None = None,
     synthesis: SynthesisResult | None = None,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
@@ -114,14 +111,12 @@ def run_table1(
     """
     if pipeline is None:
         with CheckPipeline(workers=workers, cache=cache) as pipeline:
-            return run_table1(
-                arch, max_events, time_budget, synthesis, pipeline
-            )
+            return run_table1(arch, max_events, synthesis, pipeline)
     pipeline.log_event(
         "driver.start", driver="table1", arch=arch, max_events=max_events
     )
     with TRACER.span(f"table1:{arch}"):
-        result = _run_table1(arch, max_events, time_budget, synthesis, pipeline)
+        result = _run_table1(arch, max_events, synthesis, pipeline)
     pipeline.log_event("driver.end", driver="table1", arch=arch)
     return result
 
@@ -129,12 +124,11 @@ def run_table1(
 def _run_table1(
     arch: str,
     max_events: int,
-    time_budget: float | None,
     synthesis: SynthesisResult | None,
     pipeline: CheckPipeline,
 ) -> Table1Result:
     if synthesis is None:
-        synthesis = pipeline.synthesis(arch, max_events, time_budget)
+        synthesis = pipeline.synthesis(arch, max_events)
     result = Table1Result(
         arch=arch, machine=hardware_for(arch).name, synthesis=synthesis
     )
@@ -184,7 +178,6 @@ def _run_table1(
                 forbid_seen=forbid_seen,
                 allow_total=len(allow_tests),
                 allow_seen=allow_seen,
-                complete=synthesis.complete,
             )
         )
     return result

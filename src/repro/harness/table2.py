@@ -2,9 +2,9 @@
 
 Rows: monotonicity (x86, Power, ARMv8, C++), compilation of C++
 transactions (to x86, Power, ARMv8), and lock elision (x86, Power,
-ARMv8, ARMv8 fixed).  Each row reports the bound, the wall-clock time,
-and whether a counterexample was found -- mirroring the paper's ✗ / ✓ /
-timeout markers.
+ARMv8, ARMv8 fixed).  Each row runs to its bound and reports the
+bound, the wall-clock time, and whether a counterexample was found --
+mirroring the paper's ✗ / ✓ markers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class Table2Row:
     target: str
     bound: str
     elapsed: float
-    complete: bool
     counterexample_found: bool
     note: str = ""
 
@@ -36,7 +35,7 @@ class Table2Row:
     def verdict(self) -> str:
         if self.counterexample_found:
             return "counterexample"
-        return "none found" + ("" if self.complete else " (budget hit)")
+        return "none found"
 
 
 @dataclass
@@ -64,8 +63,8 @@ def _run_row(spec: tuple) -> dict:
     the pipeline can fan rows out across worker processes."""
     kind = spec[0]
     if kind == "monotonicity":
-        _, target, bound, time_budget = spec
-        mono = check_monotonicity(target, bound, time_budget=time_budget)
+        _, target, bound = spec
+        mono = check_monotonicity(target, bound)
         note = ""
         if mono.counterexample:
             x, c = mono.counterexample
@@ -75,24 +74,22 @@ def _run_row(spec: tuple) -> dict:
             target=target,
             bound=f"{bound} events",
             elapsed=mono.elapsed,
-            complete=mono.complete,
             counterexample_found=not mono.holds,
             note=note,
         )
     elif kind == "compilation":
-        _, target, bound, time_budget = spec
-        comp = check_compilation(target, bound, time_budget=time_budget)
+        _, target, bound = spec
+        comp = check_compilation(target, bound)
         row = Table2Row(
             property_name="Compilation",
             target=f"C++/{target}",
             bound=f"{bound} events",
             elapsed=comp.elapsed,
-            complete=comp.complete,
             counterexample_found=not comp.sound,
         )
     elif kind == "elision":
-        _, arch, _bound, time_budget = spec
-        elision = check_lock_elision(arch, time_budget=time_budget)
+        _, arch, _bound = spec
+        elision = check_lock_elision(arch)
         note = ""
         if elision.counterexample:
             ce = elision.counterexample
@@ -107,7 +104,6 @@ def _run_row(spec: tuple) -> dict:
             target=arch,
             bound="body menu",
             elapsed=elision.elapsed,
-            complete=elision.complete,
             counterexample_found=not elision.sound,
             note=note,
         )
@@ -119,7 +115,6 @@ def _run_row(spec: tuple) -> dict:
 def run_table2(
     monotonicity_bounds: dict[str, int] | None = None,
     compilation_bound: int = 3,
-    time_budget: float | None = 600.0,
     pipeline: CheckPipeline | None = None,
     workers: int | None = None,
     cache: str | Path | None = None,
@@ -135,9 +130,7 @@ def run_table2(
     """
     if pipeline is None:
         with CheckPipeline(workers=workers, cache=cache) as pipeline:
-            return run_table2(
-                monotonicity_bounds, compilation_bound, time_budget, pipeline
-            )
+            return run_table2(monotonicity_bounds, compilation_bound, pipeline)
     bounds = monotonicity_bounds or {
         "x86": 4,
         "power": 3,
@@ -145,15 +138,15 @@ def run_table2(
         "cpp": 3,
     }
     specs: list[tuple] = [
-        ("monotonicity", target, bound, time_budget)
+        ("monotonicity", target, bound)
         for target, bound in bounds.items()
     ]
     specs.extend(
-        ("compilation", target, compilation_bound, time_budget)
+        ("compilation", target, compilation_bound)
         for target in ("x86", "power", "armv8")
     )
     specs.extend(
-        ("elision", arch, None, time_budget)
+        ("elision", arch, None)
         for arch in ("x86", "power", "armv8", "armv8-fixed")
     )
     pipeline.log_event("driver.start", driver="table2", rows=len(specs))

@@ -166,7 +166,6 @@ class CompilationResult:
     max_events: int
     executions_checked: int
     elapsed: float
-    complete: bool
     counterexample: tuple[Execution, CompiledExecution] | None
 
     @property
@@ -177,7 +176,6 @@ class CompilationResult:
 def check_compilation(
     target: str,
     max_events: int,
-    time_budget: float | None = None,
     target_model: MemoryModel | None = None,
 ) -> CompilationResult:
     """Search for (X inconsistent-C++, race-free) with π(X) consistent
@@ -187,13 +185,9 @@ def check_compilation(
     target_model = target_model or get_model(f"{target}tm")
     start = time.monotonic()
     checked = 0
-    complete = True
 
     for n_events in range(1, max_events + 1):
         for x in enumerate_executions(cpp_config, n_events):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                complete = False
-                break
             checked += 1
             if cpp_model.consistent(x):
                 continue
@@ -206,17 +200,13 @@ def check_compilation(
                     max_events=max_events,
                     executions_checked=checked,
                     elapsed=time.monotonic() - start,
-                    complete=complete,
                     counterexample=(x, compiled),
                 )
-        if not complete:
-            break
 
     return CompilationResult(
         target=target,
         max_events=max_events,
         executions_checked=checked,
         elapsed=time.monotonic() - start,
-        complete=complete,
         counterexample=None,
     )

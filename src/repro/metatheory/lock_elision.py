@@ -333,7 +333,6 @@ class ElisionResult:
     arch: str
     outcomes_checked: int
     elapsed: float
-    complete: bool
     counterexample: ElisionCounterexample | None
 
     @property
@@ -345,7 +344,6 @@ def check_lock_elision(
     arch: str,
     bodies: tuple[tuple[BodyOp, ...], ...] = DEFAULT_BODIES,
     model: MemoryModel | None = None,
-    time_budget: float | None = None,
 ) -> ElisionResult:
     """Search the body menu for a reachable non-serialisable outcome."""
     model = model or get_model(
@@ -353,14 +351,10 @@ def check_lock_elision(
     )
     start = time.monotonic()
     checked = 0
-    complete = True
 
     for body0, body1 in itertools.product(bodies, repeat=2):
         spec = serialised_outcomes(body0, body1)
         for registers, memory in candidate_outcomes(body0, body1):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                complete = False
-                break
             if _outcome_key(registers, memory) in spec:
                 continue
             checked += 1
@@ -373,7 +367,6 @@ def check_lock_elision(
                     arch=arch,
                     outcomes_checked=checked,
                     elapsed=time.monotonic() - start,
-                    complete=complete,
                     counterexample=ElisionCounterexample(
                         arch=arch,
                         body0=body0,
@@ -383,14 +376,11 @@ def check_lock_elision(
                         memory=memory,
                     ),
                 )
-        if not complete:
-            break
 
     return ElisionResult(
         arch=arch,
         outcomes_checked=checked,
         elapsed=time.monotonic() - start,
-        complete=complete,
         counterexample=None,
     )
 

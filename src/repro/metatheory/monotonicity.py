@@ -96,7 +96,6 @@ class MonotonicityResult:
     max_events: int
     executions_checked: int
     elapsed: float
-    complete: bool
     counterexample: tuple[Execution, Coarsening] | None
 
     @property
@@ -107,7 +106,6 @@ class MonotonicityResult:
 def check_monotonicity(
     target: str,
     max_events: int,
-    time_budget: float | None = None,
     model: MemoryModel | None = None,
 ) -> MonotonicityResult:
     """Search for a monotonicity counterexample up to a bound."""
@@ -115,13 +113,9 @@ def check_monotonicity(
     model = model or get_model(config.model_name)
     start = time.monotonic()
     checked = 0
-    complete = True
 
     for n_events in range(1, max_events + 1):
         for x in enumerate_executions(config, n_events):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                complete = False
-                break
             checked += 1
             if model.consistent(x):
                 continue
@@ -132,17 +126,13 @@ def check_monotonicity(
                         max_events=max_events,
                         executions_checked=checked,
                         elapsed=time.monotonic() - start,
-                        complete=complete,
                         counterexample=(x, coarsening),
                     )
-        if not complete:
-            break
 
     return MonotonicityResult(
         target=target,
         max_events=max_events,
         executions_checked=checked,
         elapsed=time.monotonic() - start,
-        complete=complete,
         counterexample=None,
     )

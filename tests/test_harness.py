@@ -73,7 +73,6 @@ class TestTable2:
         result = run_table2(
             monotonicity_bounds={"power": 2, "armv8": 2, "x86": 2},
             compilation_bound=2,
-            time_budget=300,
         )
         verdicts = {
             (row.property_name, row.target): row.counterexample_found

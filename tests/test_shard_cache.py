@@ -253,48 +253,6 @@ class TestDamage:
         _assert_identical(legacy, _synth(root))
         assert _counters()["verdict_cache.shards.hits"] == _shard_count(2, 3)
 
-    def test_timed_out_run_records_no_partial_shard(
-        self, tmp_path, legacy, monkeypatch
-    ):
-        import time
-        import types
-
-        # The scheduler's clock jumps an hour ahead as the first bound-3
-        # chunk runs: bound 2 finishes in time, bound 3 times out.
-        skew = []
-        clock = types.SimpleNamespace(
-            monotonic=lambda: time.monotonic() + sum(skew)
-        )
-        original = scheduler.run_shard_job
-
-        def first_bound3_chunk_overruns(job):
-            if job[0] == "synth_chunk" and job[2] == 3 and not skew:
-                skew.append(3600.0)
-            return original(job)
-
-        monkeypatch.setattr(scheduler, "time", clock)
-        monkeypatch.setattr(
-            scheduler, "run_shard_job", first_bound3_chunk_overruns
-        )
-        root = tmp_path / "c"
-        reset_observability()
-        with CheckPipeline(workers=1, cache=root, runlog=False) as p:
-            partial = p.synthesis("x86", 3, time_budget=600.0)
-        assert skew and not partial.complete
-        # Bound 2 finished in time and was recorded; bound 3 was not.
-        bound2 = {
-            shard_key("x86", 2, sig)
-            for sig in shard_signatures(get_config("x86"), 2)
-        }
-        recorded = [json.loads(line)["key"] for line in _shard_lines(root)]
-        assert sorted(recorded) == sorted(bound2)
-        monkeypatch.setattr(scheduler, "run_shard_job", original)
-        monkeypatch.setattr(scheduler, "time", time)
-        _assert_identical(legacy, _synth(root))
-        counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == _shard_count(2)
-        assert counters["verdict_cache.shards.misses"] == _shard_count(3)
-
 
 class TestCheckpointAndCompaction:
     """Chunk and count records resume unfinished shards; compaction

@@ -121,7 +121,6 @@ def _assert_identical(legacy, sharded):
         x.fingerprint() for x in legacy.allowed
     ]
     assert sharded.candidates_examined == legacy.candidates_examined
-    assert sharded.complete == legacy.complete
 
 
 class TestShardedSynthesis:
