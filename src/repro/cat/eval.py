@@ -30,12 +30,12 @@ Two execution strategies share these semantics:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from ..events import Execution
+from ..events import CAT_BUILTINS, Execution
 from ..models.base import IRModel
 from ..obs import REGISTRY
-from ..relations import Relation
+from ..relations import Relation, stronglift, weaklift
 from .. import ir
 from .ast import (
     Call,
@@ -57,7 +57,8 @@ from .ast import (
     Union,
 )
 from .errors import CatNameError, CatTypeError
-from .stdlib import Value, base_environment, builtin_functions
+
+Value = Relation | frozenset
 
 
 def _require_relation(value: Value, context: str) -> Relation:
@@ -131,20 +132,45 @@ def _rec_seed_kinds(bindings, kinds: dict[str, str]) -> dict[str, str]:
     return {b.name: kinds.get(b.name, "rel") for b in bindings}
 
 
+#: The kind of each builtin identifier, known without evaluating it.
+_BUILTIN_KINDS = {
+    name: "set" if name in ir.EVENT_SETS else "rel" for name in CAT_BUILTINS
+}
+
+
 def _kinds_of_env(env: dict[str, Value]) -> dict[str, str]:
     return {
-        name: "rel" if isinstance(value, Relation) else "set"
-        for name, value in env.items()
+        **_BUILTIN_KINDS,
+        **{
+            name: "rel" if isinstance(value, Relation) else "set"
+            for name, value in env.items()
+        },
+    }
+
+
+def _functions(x: Execution) -> dict[str, Callable[..., Value]]:
+    """The builtin functions over one execution."""
+    return {
+        "weaklift": weaklift,
+        "stronglift": stronglift,
+        "cross": lambda lhs, rhs: Relation.cross(lhs, rhs, x.eids),
+        "domain": lambda rel: rel.domain(),
+        "range": lambda rel: rel.range(),
     }
 
 
 class Evaluator:
-    """Evaluates expressions over one execution's environment."""
+    """Evaluates expressions over one execution.
+
+    ``env`` holds the model's let bindings; an identifier no let binds
+    is read from :data:`~repro.events.CAT_BUILTINS` when evaluated, so a
+    model computes only the builtins it mentions.
+    """
 
     def __init__(self, execution: Execution):
         self.execution = execution
-        self.env: dict[str, Value] = base_environment(execution)
-        self.functions = builtin_functions(execution)
+        self.env: dict[str, Value] = {}
+        self.functions = _functions(execution)
 
     # ------------------------------------------------------------------
 
@@ -200,9 +226,13 @@ class Evaluator:
 
     def eval(self, expr: Expr) -> Value:
         if isinstance(expr, Ident):
-            if expr.name not in self.env:
+            value = self.env.get(expr.name)
+            if value is not None:
+                return value
+            builtin = CAT_BUILTINS.get(expr.name)
+            if builtin is None:
                 raise CatNameError(f"undefined identifier {expr.name!r}")
-            return self.env[expr.name]
+            return builtin(self.execution)
         if isinstance(expr, EmptyRel):
             return Relation.empty(self.execution.eids)
         if isinstance(expr, Union):
@@ -273,9 +303,8 @@ _IR_FUNCTIONS = {
 
 def _base_term_env() -> dict[str, ir.Term]:
     """The builtin identifier environment as IR leaves.  The vocabulary
-    is exactly :data:`repro.cat.stdlib`'s: every base relation and event
-    set the runtime environment provides has an IR leaf of the same
-    name."""
+    is exactly :data:`~repro.events.CAT_BUILTINS`'s: every base relation
+    and event set the walker reads has an IR leaf of the same name."""
     env: dict[str, ir.Term] = {
         name: ir.rel(name) for name in ir.BASE_RELATIONS
     }

@@ -185,7 +185,7 @@ class _Canon:
         threads = skel.threads
         index = skel.uni.index
         listed = [eid for seq in threads for eid in seq]
-        if len(listed) != skel.n or frozenset(listed) != skel.uni.frozen:
+        if len(listed) != skel.uni.n or frozenset(listed) != skel.uni.frozen:
             return False
         deps = [skel.rows[name] for name in DEPENDENCIES]
         codes = {
@@ -218,7 +218,7 @@ class _Canon:
                 orders.append(order)
         sigmas, tails = [], []
         for order in orders:
-            sigma = [0] * skel.n
+            sigma = [0] * skel.uni.n
             for position, eid in enumerate(order):
                 sigma[index[eid]] = position
             sigma = tuple(sigma)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..relations import Relation
 from ..relations.relation import _universe
@@ -30,6 +31,7 @@ from .event import (
     ACQ,
     ACQ_REL,
     FENCE,
+    NA,
     READ,
     REL,
     RLX,
@@ -64,8 +66,8 @@ class Execution:
     minimality, canonical keys, corpus JSON, litmus rendering and
     diagnostics.  ``fr``, ``com``, ``rfe``, ... are computed from their
     §2.1 pair-set definitions: the Relation-level reference that the cat
-    environment and :func:`repro.ir.fallback_value` read, kept
-    independent of the IR terms.
+    builtins (:data:`CAT_BUILTINS`) return to the AST walker and to
+    :func:`repro.ir.fallback_value`, kept independent of the IR terms.
 
     Args:
         events: the events, in any order (they are sorted by ``eid``).
@@ -332,10 +334,6 @@ class Execution:
     # Transactions (§3.1)
     # ------------------------------------------------------------------
 
-    @cached_property
-    def transactional_events(self) -> frozenset[int]:
-        return frozenset(self.txn_of)
-
     stxn = _skeleton_view(
         "stxn",
         "Successful-transaction PER: all pairs within one class, including "
@@ -419,14 +417,6 @@ class Execution:
             elif e.tags & {RLX, ACQ, REL, ACQ_REL, SC}:
                 out.add(e.eid)
         return frozenset(out)
-
-    @cached_property
-    def non_atomics(self) -> frozenset[int]:
-        return frozenset(
-            e.eid
-            for e in self.events
-            if e.is_memory_access and e.eid not in self.atomics
-        )
 
     # ------------------------------------------------------------------
     # Functional updates (used by §4.2 weakenings and §8 transforms)
@@ -559,6 +549,8 @@ class Execution:
         # Likewise the memo shared with the execution's siblings under
         # other transaction layouts: a copy judges on its own.
         state.pop("_ir_shared", None)
+        # And the Relation-level reference's memo (repro.ir.fallback_value).
+        state.pop("_ir_relvals", None)
         return state
 
     # ------------------------------------------------------------------
@@ -587,6 +579,43 @@ class Execution:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Execution |E|={len(self.events)} threads={len(self.threads)}>"
+
+
+#: The cat builtin identifiers (Herding Cats' standard library) → their
+#: value over an execution, read lazily by the cat evaluator, by
+#: :func:`repro.ir.fallback_value`'s leaves and by the IR executor's
+#: event-set masks.  The names are exactly ``repro.ir.EVENT_SETS``
+#: (frozensets of event ids) and ``repro.ir.BASE_RELATIONS``
+#: (:class:`Relation` values, read from the pair-set definitions above).
+CAT_BUILTINS: dict[str, Callable[[Execution], Relation | frozenset]] = {
+    # Sets
+    "EV": attrgetter("eids"),
+    "R": attrgetter("reads"),
+    "W": attrgetter("writes"),
+    "F": attrgetter("fences"),
+    "M": attrgetter("memory_events"),
+    "ACQ": attrgetter("acq"),
+    "REL": attrgetter("rel"),
+    "SC": attrgetter("sc_events"),
+    "ATO": attrgetter("atomics"),
+    "NA": lambda x: frozenset(
+        e.eid for e in x.events if e.is_memory_access and NA in e.tags
+    ),
+    "WEX": lambda x: x.rmw.range(),
+    "LKD": lambda x: x.rmw.domain() | x.rmw.range(),
+    # Relations
+    "id": lambda x: Relation.identity(x.eids),
+    "poimm": attrgetter("po_imm"),
+    "int": attrgetter("same_thread"),
+    **{
+        name: attrgetter(name)
+        for name in (
+            "po poloc sloc rf rfe rfi co coe coi fr fre fri com come addr "
+            "ctrl data rmw deps stxn stxnat tfence mfence sync lwsync isync "
+            "dmb dmbld dmbst isb"
+        ).split()
+    },
+}
 
 
 class SkeletonCompleter:

@@ -34,8 +34,6 @@ so every bundle's rows are over its own universe.  The
 
 from __future__ import annotations
 
-import itertools
-
 from ..relations import Relation
 from ..relations.relation import _Universe, _universe, compose_rows
 from .event import DMB, DMBLD, DMBST, FENCE, ISB, ISYNC, LWSYNC, MFENCE, SYNC
@@ -54,38 +52,18 @@ FENCE_TAGS = {
     "isb": ISB,
 }
 
-#: Per-interned-universe (n, zero rows, identity rows): executions of
-#: one size share a universe, so bundles need not rebuild these tuples.
-#: Keyed on id(): interned universes are immortal for the process.
-_UNI_CONSTS: dict[int, tuple] = {}
-
-#: Distinguishes universes that escaped interning; ids from this counter
-#: are negated so they can never collide with a real id().
-_UID_FALLBACK = itertools.count(1)
-
-
-def _consts(uni: _Universe) -> tuple:
-    consts = _UNI_CONSTS.get(id(uni)) if uni.interned else None
-    if consts is None:
-        n = len(uni.elements)
-        consts = (n, (0,) * n, tuple(1 << i for i in range(n)))
-        if uni.interned and len(_UNI_CONSTS) < 1 << 12:
-            _UNI_CONSTS[id(uni)] = consts
-    return consts
-
-
 def pair_rows(pairs, uni: _Universe) -> tuple[int, ...]:
     """Rows of the relation ``pairs`` over ``uni`` (every endpoint must
     be one of its elements).  An empty relation is the universe's shared
     zero tuple: these rows key global tables, so they should not be
     copies."""
     if not pairs:  # an empty collection (iterators are always truthy)
-        return _consts(uni)[1]
+        return uni.zero
     index = uni.index
     rows = [0] * len(uni.elements)
     for a, b in pairs:
         rows[index[a]] |= 1 << index[b]
-    return tuple(rows) if any(rows) else _consts(uni)[1]
+    return tuple(rows) if any(rows) else uni.zero
 
 
 #: The dependency relations a bundle is given rows for.
@@ -129,10 +107,6 @@ class SkeletonRows:
         "txn_of",
         "atomic_txns",
         "uni",
-        "n",
-        "zero",
-        "id_rows",
-        "uid",
         "store",
         "txn_store",
         "rows",
@@ -157,8 +131,6 @@ class SkeletonRows:
         self.txn_of = txn_of
         self.atomic_txns = atomic_txns
         self.uni = uni
-        self.n, self.zero, self.id_rows = _consts(uni)
-        self.uid = id(uni) if uni.interned else -next(_UID_FALLBACK)
         self.store: dict = {}
         self.txn_store: dict = {}
         #: static base relation name → rows, filled in on first demand
@@ -215,8 +187,7 @@ class SkeletonRows:
         own transaction rows, store and canonical-key share."""
         variant = SkeletonRows.__new__(SkeletonRows)
         for name in (
-            "events", "threads", "uni", "n", "zero", "id_rows", "uid",
-            "store", "rows", "masks", "_views",
+            "events", "threads", "uni", "store", "rows", "masks", "_views",
         ):
             setattr(variant, name, getattr(self, name))
         variant.txn_of = txn_of
@@ -259,7 +230,7 @@ class SkeletonRows:
 
     def _build(self, name: str) -> tuple[int, ...]:
         index = self.uni.index
-        n = self.n
+        n = self.uni.n
         if name == "po":
             rows = [0] * n
             for seq in self.threads:
@@ -311,7 +282,7 @@ class SkeletonRows:
         if name == "tfence":
             # po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn)) (§5.2).
             if not self.txn_of:
-                return (0,) * n
+                return self.uni.zero
             stxn = self.static_rows("stxn")
             full = self.uni.full_mask
             not_stxn = [~row & full for row in stxn]

@@ -25,10 +25,10 @@ consistent), and the axiomatic-oracle machines for Power/ARMv8/SC
 enumeration end to end).
 
 Path isolation is load-bearing: the executor memoises verdicts *on the
-execution object* (``_ir_state``, ``_relation_context``), so running
-two paths on the same object would answer the second from the first's
-memo and mask any disagreement.  Every path therefore gets a **fresh
-copy** of the execution, rebuilt from primitive data.
+execution object* (``_ir_state``, and the reference's ``_ir_relvals``),
+so running two paths on the same object would answer the second from
+the first's memo and mask any disagreement.  Every path therefore gets
+a **fresh copy** of the execution, rebuilt from primitive data.
 
 :func:`evaluate_case` is module-level and its cases pickle by value
 (models are referenced by *name*, per the pipeline's job philosophy),

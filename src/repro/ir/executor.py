@@ -25,8 +25,7 @@ structure:
   bundle), filled on a miss from the next layer;
 * **cross-execution interning** -- a static node's value is a pure
   function of the skeleton facts its leaves derive from, so it is
-  resolved through :func:`~repro.relations.context.global_intern` keyed
-  on those facts;
+  resolved through :func:`global_intern` keyed on those facts;
   fixpoint groups are interned the same way, keyed on their
   variable-free input values (generalising the hand-written Power
   ``ppo`` row cache);
@@ -83,11 +82,10 @@ from __future__ import annotations
 import time
 from operator import and_ as _and, or_ as _or
 
-from ..events import NA as _NA_TAG
+from ..events import CAT_BUILTINS
 from ..obs import REGISTRY
 from ..obs.profile import PROFILER
 from ..relations import Relation
-from ..relations.context import RelationContext, global_intern
 from ..relations.relation import (
     acyclic_rows_cached,
     closure_rows_cached,
@@ -105,23 +103,38 @@ _FAST_RUNS = REGISTRY.counter("ir.exec.compiled_runs")
 _MISS = object()
 
 
-#: Event-set name → value (identical to the cat stdlib's environment).
-_SET_FNS = {
-    "EV": lambda x: x.eids,
-    "R": lambda x: x.reads,
-    "W": lambda x: x.writes,
-    "F": lambda x: x.fences,
-    "M": lambda x: x.memory_events,
-    "ACQ": lambda x: x.acq,
-    "REL": lambda x: x.rel,
-    "SC": lambda x: x.sc_events,
-    "ATO": lambda x: x.atomics,
-    "NA": lambda x: frozenset(
-        e.eid for e in x.events if e.is_memory_access and _NA_TAG in e.tags
-    ),
-    "WEX": lambda x: x.rmw.range(),
-    "LKD": lambda x: x.rmw.domain() | x.rmw.range(),
-}
+#: Cross-execution intern table for static leaves, static plan nodes and
+#: fixpoint groups, keyed by their true inputs (the universe and the
+#: skeleton facts they derive from).  Enumeration visits thousands of
+#: skeletons that share thread shapes, location assignments or
+#: transaction structures; the table computes each distinct value once.
+_GLOBAL_STATIC: dict[tuple, object] = {}
+_GLOBAL_STATIC_MAX = 1 << 18
+
+_GI_LOOKUPS = REGISTRY.counter("relations.global_intern.lookups")
+_GI_HITS = REGISTRY.counter("relations.global_intern.hits")
+_GI_MISSES = REGISTRY.counter("relations.global_intern.misses")
+
+
+def global_intern(key: tuple, compute):
+    """Memoise ``compute()`` under ``key`` across all executions.
+
+    The key must capture every input the computed value depends on;
+    values must be immutable.
+    """
+    _GI_LOOKUPS.inc()
+    value = _GLOBAL_STATIC.get(key)
+    if value is None:
+        _GI_MISSES.inc()
+        value = compute()
+        if len(_GLOBAL_STATIC) >= _GLOBAL_STATIC_MAX:
+            # Reset rather than stop caching: bounds memory while keeping
+            # the table effective for the current workload.
+            _GLOBAL_STATIC.clear()
+        _GLOBAL_STATIC[key] = value
+    else:
+        _GI_HITS.inc()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +173,8 @@ class _State:
         self.txn_static = skel.txn_store
         self.rf = x._rf_rows
         self.co = x._co_rows
-        self.uni = skel.uni
-        self.n, self.zero, self.id_rows = skel.n, skel.zero, skel.id_rows
+        uni = self.uni = skel.uni
+        self.n, self.zero, self.id_rows = uni.n, uni.zero, uni.id_rows
         #: term uid → rows tuple / set mask of every node computed by
         #: its own evaluator (plus verdict and fix-group entries under
         #: tuple keys).  Values persist for the execution's lifetime,
@@ -186,7 +199,7 @@ class _State:
 
     def __reduce__(self):
         # A cache: serialise as "rebuild empty for this execution" so
-        # checkpoints stay small (mirrors RelationContext.__reduce__).
+        # pickles stay small.
         return (_state, (self.x,))
 
 
@@ -202,7 +215,7 @@ def _intern_leaf(skel, name: str, compute):
     """A static leaf's value, interned across skeletons on the skeleton
     facts it derives from (the same keys static nodes use)."""
     facts = map(skel.facts.__getitem__, _LEAF_SDEPS[name])
-    return global_intern(("irl", name, skel.uid, *facts), compute)
+    return global_intern(("irl", name, skel.uni.uid, *facts), compute)
 
 
 def _base_rows(st: _State, name: str):
@@ -234,7 +247,7 @@ def _set_mask(st: _State, name: str) -> int:
 def _mask_of(st: _State, name: str) -> int:
     index = st.uni.index
     mask = 0
-    for eid in _SET_FNS[name](st.x):
+    for eid in CAT_BUILTINS[name](st.x):
         mask |= 1 << index[eid]
     return mask
 
@@ -262,7 +275,7 @@ def _intern_static(st: _State, t: Term):
     # per-skeleton tuples -- never from the leaf values, which would
     # have to be materialised just to build a key for a table hit.
     skel = st.skel
-    key = ("irs", t.uid, skel.uid, *map(skel.facts.__getitem__, t.sdeps))
+    key = ("irs", t.uid, skel.uni.uid, *map(skel.facts.__getitem__, t.sdeps))
     return global_intern(
         key, lambda: codegen._node_function(t, _CODEGEN_NS)(st)
     )
@@ -378,20 +391,15 @@ def _decide(st: _State, plan: Plan, constraint: Constraint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fallback_memo(x) -> dict:
-    cache = RelationContext.of(x)._cache
-    memo = cache.get("ir.relvals")
-    if memo is None:
-        memo = {}
-        cache["ir.relvals"] = memo
-    return memo
-
-
 def fallback_value(term: Term, x):
     """Relation-level evaluation of a term: the reference semantics the
     row engine is tested against (property tests, fuzz oracle, the
-    benchmark's correctness gate)."""
-    return _rel_eval(term, x, _fallback_memo(x))
+    benchmark's correctness gate).  Values are memoised per execution,
+    in a dict that pickling drops like the row engine's state."""
+    memo = x.__dict__.get("_ir_relvals")
+    if memo is None:
+        memo = x.__dict__["_ir_relvals"] = {}
+    return _rel_eval(term, x, memo)
 
 
 def _rel_eval(t: Term, x, memo: dict):
@@ -422,12 +430,12 @@ def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
     else:
         ev = lambda child: _rel_open(child, x, memo, varvals, itermemo)
     op = t.op
-    # Leaves and derived relations (fr, com, ...) read the cat
-    # environment, i.e. Execution's pair-set definitions: the reference
-    # never evaluates the derived-relation terms it is checked against.
+    # Leaves and derived relations (fr, com, ...) read the cat builtins,
+    # i.e. Execution's pair-set definitions: the reference never
+    # evaluates the derived-relation terms it is checked against.
     name = t.args[0] if op in ("base", "set") else derived_name(t)
     if name is not None:
-        return RelationContext.of(x).cat_environment()[name]
+        return CAT_BUILTINS[name](x)
     if op == "union":
         value = ev(t.args[0])
         for child in t.args[1:]:

@@ -717,7 +717,7 @@ def _communication_terms() -> dict[str, Term]:
 DERIVED_RELATIONS: dict[str, Term] = _communication_terms()
 
 #: Every relation identifier :func:`rel` accepts: the leaves plus the
-#: derived relations (the cat environment's relation vocabulary).
+#: derived relations (the cat builtins' relation vocabulary).
 BASE_RELATIONS = (
     STATIC_RELATIONS | DYNAMIC_RELATIONS | frozenset(DERIVED_RELATIONS)
 )

@@ -1,28 +1,13 @@
 """Relational algebra over finite event sets (§2.1 of the paper)."""
 
-from .algebra import (
-    acyclic,
-    empty,
-    inter_thread,
-    intra_thread,
-    irreflexive,
-    stronglift,
-    union_all,
-    weaklift,
-)
-from .context import RelationContext
+from .algebra import inter_thread, intra_thread, stronglift, weaklift
 from .relation import Pair, Relation
 
 __all__ = [
     "Pair",
     "Relation",
-    "RelationContext",
-    "acyclic",
-    "empty",
     "inter_thread",
     "intra_thread",
-    "irreflexive",
     "stronglift",
-    "union_all",
     "weaklift",
 ]

@@ -28,29 +28,6 @@ def stronglift(rel: Relation, txn: Relation) -> Relation:
     return txn_opt.compose(rel - txn).compose(txn_opt)
 
 
-def acyclic(rel: Relation) -> bool:
-    """``acyclic(r)``: the axiom shape used by Order, TxnOrder, etc."""
-    return rel.is_acyclic()
-
-
-def irreflexive(rel: Relation) -> bool:
-    """``irreflexive(r)``: the axiom shape used by Observation, HbCom."""
-    return rel.is_irreflexive()
-
-
-def empty(rel: Relation) -> bool:
-    """``empty(r)``: the axiom shape used by RMWIsol, TxnCancelsRMW."""
-    return rel.is_empty()
-
-
-def union_all(rels: list[Relation], universe: frozenset[int]) -> Relation:
-    """Union of a list of relations (empty list allowed)."""
-    out = Relation.empty(universe)
-    for rel in rels:
-        out = out | rel
-    return out
-
-
 def intra_thread(rel: Relation, po: Relation) -> Relation:
     """``rⁱ = r ∩ (po ∪ po⁻¹)*`` -- restrict to same-thread pairs (§2.1)."""
     same_thread = (po | po.inverse()).reflexive_transitive_closure()

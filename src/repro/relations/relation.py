@@ -30,20 +30,25 @@ fingerprints) see exactly the frozenset they always did.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
 
 from ..obs import REGISTRY
 
 Pair = tuple[int, int]
 
+_UNIVERSE_IDS = itertools.count()
+
 
 class _Universe:
     """An interned, dense-indexed universe of event identifiers.
 
     Holds the sorted element tuple, the element → bit-position map, the
-    all-ones row mask, and per-universe caches of the identity and full
-    relations (which the cat evaluator and the models request for every
-    axiom of every execution).
+    all-ones row mask, the shared zero and identity rows (row tuples key
+    global tables, so every relation over the universe should use these
+    objects rather than copies), a process-unique ``uid`` for the
+    cross-execution intern keys, and caches of the identity and full
+    relations.
     """
 
     __slots__ = (
@@ -51,7 +56,10 @@ class _Universe:
         "index",
         "full_mask",
         "frozen",
-        "interned",
+        "n",
+        "zero",
+        "id_rows",
+        "uid",
         "_identity",
         "_full",
     )
@@ -59,9 +67,12 @@ class _Universe:
     def __init__(self, eids: frozenset[int]):
         self.elements: tuple[int, ...] = tuple(sorted(eids))
         self.index: dict[int, int] = {e: i for i, e in enumerate(self.elements)}
-        self.full_mask: int = (1 << len(self.elements)) - 1
+        n = self.n = len(self.elements)
+        self.full_mask: int = (1 << n) - 1
         self.frozen: frozenset[int] = eids
-        self.interned: bool = False
+        self.zero: tuple[int, ...] = (0,) * n
+        self.id_rows: tuple[int, ...] = tuple(1 << i for i in range(n))
+        self.uid: int = next(_UNIVERSE_IDS)
         self._identity: "Relation | None" = None
         self._full: "Relation | None" = None
 
@@ -76,7 +87,6 @@ def _universe(eids: frozenset[int]) -> _Universe:
         uni = _Universe(eids)
         if len(_UNIVERSE_CACHE) < _UNIVERSE_CACHE_MAX:
             _UNIVERSE_CACHE[eids] = uni
-            uni.interned = True
     return uni
 
 
@@ -226,7 +236,7 @@ def rtc_rows_cached(rows: tuple[int, ...]) -> tuple[int, ...]:
 class Relation:
     """An immutable binary relation over a finite universe of ints."""
 
-    __slots__ = ("_uni", "_rows", "_pairs", "_hash", "_acyclic")
+    __slots__ = ("_uni", "_rows", "_pairs", "_hash")
 
     def __init__(self, pairs: Iterable[Pair] = (), universe: Iterable[int] = ()):
         pair_list = [(int(a), int(b)) for a, b in pairs]
@@ -243,7 +253,6 @@ class Relation:
         self._rows: tuple[int, ...] = tuple(rows)
         self._pairs: frozenset[Pair] | None = None
         self._hash: int | None = None
-        self._acyclic: bool | None = None
 
     @classmethod
     def _make(cls, uni: _Universe, rows: Iterable[int]) -> "Relation":
@@ -252,7 +261,6 @@ class Relation:
         rel._rows = tuple(rows)
         rel._pairs = None
         rel._hash = None
-        rel._acyclic = None
         return rel
 
     def __reduce__(self):
@@ -400,16 +408,14 @@ class Relation:
     def empty(universe: Iterable[int] = ()) -> "Relation":
         """The empty relation over ``universe``."""
         uni = _universe(frozenset(int(u) for u in universe))
-        return Relation._make(uni, (0,) * len(uni.elements))
+        return Relation._make(uni, uni.zero)
 
     @staticmethod
     def identity(universe: Iterable[int]) -> "Relation":
         """The identity relation over ``universe``."""
         uni = _universe(frozenset(int(u) for u in universe))
         if uni._identity is None:
-            uni._identity = Relation._make(
-                uni, (1 << i for i in range(len(uni.elements)))
-            )
+            uni._identity = Relation._make(uni, uni.id_rows)
         return uni._identity
 
     @staticmethod
@@ -593,12 +599,10 @@ class Relation:
 
         Warshall over bitmask rows with an early exit the moment any
         element reaches itself -- this is the single hottest predicate in
-        enumeration loops, so the verdict is cached on the instance and
-        interned globally by rows tuple.
+        enumeration loops, so the verdict is interned globally by rows
+        tuple.
         """
-        if self._acyclic is None:
-            self._acyclic = acyclic_rows_cached(self._rows)
-        return self._acyclic
+        return acyclic_rows_cached(self._rows)
 
     def is_transitive(self) -> bool:
         return self._closure_rows() == list(self._rows)

@@ -25,7 +25,10 @@ from repro.cat.ast import (
     TransClosure,
     Union,
 )
-from repro.events import ExecutionBuilder
+from repro import ir
+from repro.catalog import classics
+from repro.events import CAT_BUILTINS, ExecutionBuilder
+from repro.relations import Relation
 
 
 class TestLexer:
@@ -235,3 +238,28 @@ class TestEvaluator:
     def test_complement(self):
         # ~0 is the full relation, which has cycles on >=1 events.
         assert self._eval('"m" acyclic ~0 as A') == {"A": False}
+
+
+@pytest.mark.parametrize(
+    "execution",
+    [
+        classics.sb(),
+        classics.mp_txn(),
+        classics.lb(deps=True),
+        classics.iriw_txn(),
+    ],
+    ids=["sb", "mp_txn", "lb_deps", "iriw_txn"],
+)
+def test_builtin_table_matches_ir_vocabulary(execution):
+    """The one builtin table names exactly the IR's leaves and derived
+    relations, with the kind the IR gives each: the walker, the
+    reference and the executor's masks all read it."""
+    assert CAT_BUILTINS.keys() == ir.BASE_RELATIONS | ir.EVENT_SETS
+    for name, builtin in CAT_BUILTINS.items():
+        value = builtin(execution)
+        if name in ir.EVENT_SETS:
+            assert type(value) is frozenset, name
+            assert value <= execution.eids, name
+        else:
+            assert isinstance(value, Relation), name
+            assert value.universe == execution.eids, name

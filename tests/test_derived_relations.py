@@ -7,7 +7,8 @@ tests pin them three ways:
 * on random well-formed executions of every enumeration target, the
   term rows equal the paper's pair-set definitions, computed here from
   plain pair sets, and so do ``Execution``'s Relation-level reference
-  values (which the cat environment and ``fallback_value`` read);
+  values (which the cat builtins return to the walker and
+  ``fallback_value``);
 * every bound-2 ARMv8 and Power completion carries the same rows and
   pair views as an ``Execution`` built through the public constructor
   from the completion's rf/co choice;

@@ -306,15 +306,25 @@ def test_evaluated_executions_pickle_roundtrip():
     deadlocking `CheckPipeline(workers=2)` batches)."""
     import pickle
 
+    from repro.cat import Evaluator
+
     config = get_config("x86")
     sample = [x for i, x in enumerate(enumerate_executions(config, 3))
               if i % 97 == 0][:20]
     model, baseline = get_model("x86tm"), get_model("x86")
+    constraints = model.plan().constraints
     for x in sample:
-        model.consistent(x)          # populate _ir_state + context
+        model.consistent(x)          # populate _ir_state
         model.violated_axioms(x)
+        # ... and the Relation-level reference's memo, and whatever the
+        # cat walker leaves on the execution.
+        reference = [_reference_check(c, x) for c in constraints]
+        walked = Evaluator(x).run(model.model)
         clone = pickle.loads(pickle.dumps(x))
         assert "_ir_state" not in clone.__dict__
+        assert "_ir_relvals" not in clone.__dict__
         assert model.consistent(clone) == model.consistent(x)
         assert baseline.consistent(clone) == baseline.consistent(x)
         assert model.violated_axioms(clone) == model.violated_axioms(x)
+        assert [_reference_check(c, clone) for c in constraints] == reference
+        assert Evaluator(clone).run(model.model) == walked
