@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..relations import Relation
-from ..relations.relation import _universe
+from ..relations.relation import _universe, closure_rows_cached
 from .event import (
     ACQ,
     ACQ_REL,
@@ -56,18 +56,80 @@ def _skeleton_view(name: str, doc: str) -> cached_property:
     return cached_property(view)
 
 
+def _normalise(
+    events: Iterable[Event],
+    threads: Sequence[Sequence[int]],
+    txn_of: Mapping[int, int],
+    atomic_txns: Iterable[int],
+    **pairs: Iterable[tuple[int, int]],
+) -> tuple[dict, dict[str, tuple[int, ...]]]:
+    """The skeleton part of a new execution and the rows of ``pairs``.
+
+    Sorts the events by eid, drops empty threads, copies ``txn_of`` (a
+    caller may reuse and mutate its mapping) and builds the
+    :class:`SkeletonRows` bundle from the dependency rows, which
+    ``pairs`` must name.  Returns the execution's ``__dict__`` entries
+    and each relation of ``pairs`` as rows.
+
+    Raises:
+        ValueError: a thread, a pair or a key of ``txn_of`` names an
+            event id that is not one of ``events``; the message names
+            the ids.
+    """
+    events = tuple(sorted(events, key=attrgetter("eid")))
+    threads = tuple(tuple(t) for t in threads if len(t) > 0)
+    eids = frozenset(e.eid for e in events)
+    uni = _universe(eids)
+    txn_of = dict(txn_of)
+    atomic_txns = frozenset(atomic_txns)
+    # Materialised once: a failing pair_rows reads them again.
+    pairs = {name: tuple(value) for name, value in pairs.items()}
+    try:
+        rows = {name: pair_rows(value, uni) for name, value in pairs.items()}
+    except KeyError:
+        rows = None
+    if rows is None or not eids.issuperset(chain(*threads, txn_of)):
+        unknown = {
+            f"thread {tid}": set(seq) - eids for tid, seq in enumerate(threads)
+        }
+        for name, value in pairs.items():
+            unknown[name] = set(chain.from_iterable(value)) - eids
+        unknown["txn_of"] = txn_of.keys() - eids
+        raise ValueError(
+            "unknown event ids in "
+            + "; ".join(
+                f"{where}: {sorted(ids)}" for where, ids in unknown.items() if ids
+            )
+        )
+    deps = {name: rows[name] for name in DEPENDENCIES}
+    parts = {
+        "events": events,
+        "threads": threads,
+        "_eids": eids,
+        "_by_eid": {e.eid: e for e in events},
+        "txn_of": txn_of,
+        "atomic_txns": atomic_txns,
+        "_skel": SkeletonRows(events, threads, deps, txn_of, atomic_txns, uni),
+    }
+    return parts, rows
+
+
 class Execution:
     """An execution graph.
 
     The IR reads an execution as rows: ``rf`` and ``co`` are its only
     dynamic leaves, and ``fr``, ``com`` and the internal/external
     restrictions are IR terms over them (:mod:`repro.ir.terms`).  The
-    :class:`Relation` attributes here are lazily built views, for
-    minimality, canonical keys, corpus JSON, litmus rendering and
-    diagnostics.  ``fr``, ``com``, ``rfe``, ... are computed from their
-    §2.1 pair-set definitions: the Relation-level reference that the cat
-    builtins (:data:`CAT_BUILTINS`) return to the AST walker and to
-    :func:`repro.ir.fallback_value`, kept independent of the IR terms.
+    :class:`Relation` attributes here, ``rf`` and ``co`` included, are
+    lazily built views, for minimality, canonical keys, corpus JSON,
+    litmus rendering and diagnostics.  The constructor builds what a
+    :class:`SkeletonCompleter` completion carries, through the same
+    normaliser: a row bundle of its own, its ``rf`` rows and its
+    transitively closed ``co`` rows.  ``fr``, ``com``, ``rfe``, ... are
+    computed from their §2.1 pair-set definitions: the Relation-level
+    reference that the cat builtins (:data:`CAT_BUILTINS`) return to the
+    AST walker and to :func:`repro.ir.fallback_value`, kept independent
+    of the IR terms.
 
     Args:
         events: the events, in any order (they are sorted by ``eid``).
@@ -106,75 +168,13 @@ class Execution:
         txn_of: Mapping[int, int] | None = None,
         atomic_txns: Iterable[int] = (),
     ):
-        self.events: tuple[Event, ...] = tuple(sorted(events, key=lambda e: e.eid))
-        self.threads: tuple[tuple[int, ...], ...] = tuple(
-            tuple(t) for t in threads if len(t) > 0
+        parts, rows = _normalise(
+            events, threads, txn_of or {}, atomic_txns,
+            rf=rf, co=co, addr=addr, ctrl=ctrl, data=data, rmw=rmw,
         )
-        self._eids = frozenset(e.eid for e in self.events)
-        self._by_eid = {e.eid: e for e in self.events}
-        uni = self._eids
-        # Defensive copy: callers may reuse and mutate their mapping.
-        self.txn_of: dict[int, int] = dict(txn_of or {})
-        self.atomic_txns: frozenset[int] = frozenset(atomic_txns)
-        # The primitive views are primed here (a completion builds them
-        # from its rows instead).
-        self.rf = self._as_relation(rf, uni)
-        self.co = self._as_relation(co, uni).transitive_closure()
-        self.addr = self._as_relation(addr, uni)
-        self.ctrl = self._as_relation(ctrl, uni)
-        self.data = self._as_relation(data, uni)
-        self.rmw = self._as_relation(rmw, uni)
-        # A relation's universe is the events plus its endpoints, so the
-        # relations naming no other event share the events' universe.
-        if not (
-            self.rf._uni is self.co._uni is self.addr._uni is self.ctrl._uni
-            is self.data._uni is self.rmw._uni is _universe(uni)
-            and uni.issuperset(chain.from_iterable(self.threads))
-            and uni.issuperset(self.txn_of)
-        ):
-            self._reject_unknown_events()
-        # Over exactly the events, so indexed like every bundle's rows.
-        self._rf_rows = self.rf._rows
-        self._co_rows = self.co._rows
-
-    def _reject_unknown_events(self) -> None:
-        """Raise ``ValueError`` naming every event id that a thread, a
-        primitive relation or ``txn_of`` mentions outside the events."""
-        eids = self._eids
-        unknown = {
-            f"thread {tid}": set(seq) - eids
-            for tid, seq in enumerate(self.threads)
-        }
-        for name in _PRIMITIVES:
-            unknown[name] = getattr(self, name).universe - eids
-        unknown["txn_of"] = self.txn_of.keys() - eids
-        named = [
-            f"{where}: {sorted(ids)}" for where, ids in unknown.items() if ids
-        ]
-        if named:
-            raise ValueError("unknown event ids in " + "; ".join(named))
-
-    @staticmethod
-    def _as_relation(value, uni: frozenset[int]) -> Relation:
-        """Accept either pair iterables or ready-made :class:`Relation`
-        instances over the execution's universe."""
-        if isinstance(value, Relation) and value.universe == uni:
-            return value
-        return Relation(value, uni)
-
-    @cached_property
-    def _skel(self) -> SkeletonRows:
-        """This execution's private row bundle (a completion is handed
-        its skeleton's shared one instead)."""
-        deps = {name: getattr(self, name)._rows for name in DEPENDENCIES}
-        return SkeletonRows(
-            self.events,
-            self.threads,
-            deps,
-            self.txn_of,
-            self.atomic_txns,
-            _universe(self._eids),
-        )
+        self.__dict__.update(parts)
+        self._rf_rows = rows["rf"]
+        self._co_rows = closure_rows_cached(rows["co"])
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -222,9 +222,6 @@ class Execution:
 
     def writes_to(self, loc: str) -> list[int]:
         return [e.eid for e in self.events if e.is_write and e.loc == loc]
-
-    def thread_of(self, eid: int) -> int:
-        return self._by_eid[eid].tid
 
     # ------------------------------------------------------------------
     # Primitive relations
@@ -625,10 +622,11 @@ class SkeletonCompleter:
     ``repro.enumeration.sharding``, ``repro.litmus.candidates``) and the
     fuzz generator complete a fixed skeleton -- events, threads,
     dependency edges, transaction structure -- with many rf/co choices.
-    This helper owns what they must agree on: events sorted by eid,
-    empty threads dropped (matching ``Execution.__init__``
-    normalisation), and one :class:`SkeletonRows` bundle that every
-    completion shares.  A completion carries only two row tuples: the
+    This helper owns what they must agree on: the skeleton normalised
+    as ``Execution.__init__`` normalises it (events sorted by eid, empty
+    threads dropped, unknown event ids rejected), and one
+    :class:`SkeletonRows` bundle that every completion shares.  A
+    completion carries only two row tuples: the
     rf rows, built once per rf choice, and the co rows, built already
     transitively closed from the per-location write orders (each is a
     total order, so no closure runs) and kept per co choice, which
@@ -666,31 +664,14 @@ class SkeletonCompleter:
         txn_of: Mapping[int, int],
         atomic_txns: Iterable[int],
     ):
-        events = tuple(sorted(events, key=lambda e: e.eid))
-        threads = tuple(tuple(t) for t in threads if len(t) > 0)
-        eids = frozenset(e.eid for e in events)
-        uni = _universe(eids)
-        deps = {
-            "addr": pair_rows(addr, uni),
-            "ctrl": pair_rows(ctrl, uni),
-            "data": pair_rows(data, uni),
-            "rmw": pair_rows(rmw, uni),
-        }
-        txn_of = dict(txn_of)
-        atomic_txns = frozenset(atomic_txns)
-        skel = SkeletonRows(events, threads, deps, txn_of, atomic_txns, uni)
-        self._uni = uni
-        self._first = skel
+        parts, _ = _normalise(
+            events, threads, txn_of, atomic_txns,
+            addr=addr, ctrl=ctrl, data=data, rmw=rmw,
+        )
         #: Every completion's __dict__ starts as a copy of this.
-        self._parts = {
-            "events": events,
-            "threads": threads,
-            "_eids": eids,
-            "_by_eid": {e.eid: e for e in events},
-            "txn_of": txn_of,
-            "atomic_txns": atomic_txns,
-            "_skel": skel,
-        }
+        self._parts = parts
+        self._first = parts["_skel"]
+        self._uni = self._first.uni
         self._co_rows: dict[tuple, tuple[int, ...]] = {}
         #: rf rows → co orders → the transaction-free memo.
         self._memos: dict[tuple, dict[tuple, dict]] = {}

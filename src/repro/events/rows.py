@@ -25,9 +25,10 @@ further layout is a variant (:meth:`SkeletonRows.with_transactions`)
 that shares everything the layout does not decide and keeps its own
 transaction rows (:data:`TXN_RELATIONS`), transaction facts and
 canonical-key share.  An execution built through the public constructor
-gets a private bundle on first use; the constructor rejects threads,
-relation pairs and ``txn_of`` keys naming events outside the execution,
-so every bundle's rows are over its own universe.  The
+gets a bundle of its own, built when it is, by the normaliser the
+completer uses too; that normaliser rejects threads, relation pairs and
+``txn_of`` keys naming events outside the execution, so every bundle's
+rows are over its own universe.  The
 :class:`~repro.relations.Relation` values ``Execution.po``,
 ``Execution.sloc``, ... are views over these rows (:meth:`view`).
 """

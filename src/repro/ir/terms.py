@@ -728,8 +728,3 @@ _DERIVED_NAMES = {term.uid: name for name, term in DERIVED_RELATIONS.items()}
 def derived_name(term: Term) -> str | None:
     """The derived relation ``term`` defines (``"fr"``, ...), if any."""
     return _DERIVED_NAMES.get(term.uid)
-
-
-def intern_table_size() -> int:
-    """Number of distinct live terms (diagnostic)."""
-    return len(_INTERN)

@@ -307,9 +307,6 @@ class MetricsRegistry:
     def observe(self, name: str, seconds: float) -> None:
         self.timer(name).observe(seconds)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
         with self.timer(name).time():

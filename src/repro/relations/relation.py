@@ -604,9 +604,6 @@ class Relation:
         """
         return acyclic_rows_cached(self._rows)
 
-    def is_transitive(self) -> bool:
-        return self._closure_rows() == list(self._rows)
-
     def is_symmetric(self) -> bool:
         return self._rows == self.inverse()._rows
 

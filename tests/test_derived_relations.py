@@ -159,6 +159,9 @@ def test_completions_match_public_constructor(target):
                     txn_of=skeleton.txn_of,
                     atomic_txns=skeleton.atomic_txns,
                 )
+                # Built alike: the constructor carries what a completion
+                # carries, bar the completer's shared IR memo.
+                assert set(vars(y)) == set(vars(x)) - {"_ir_shared"}
                 assert x._rf_rows == y._rf_rows
                 assert x._co_rows == y._co_rows
                 assert x.rf.pairs == y.rf.pairs == frozenset(rf)

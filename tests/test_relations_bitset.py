@@ -225,25 +225,51 @@ def test_cpp_consistent_agrees_on_sample(cpp_executions_3):
             assert model.consistent(x) == generic, x.describe()
 
 
-def _sb_shape(**parts):
-    """Store buffering built with the public constructor; ``parts``
-    override its threads or add primitive relations."""
-    from repro.events import READ, WRITE, Event, Execution
+def _sb_events():
+    from repro.events import READ, WRITE, Event
 
-    threads = parts.pop("threads", [[0, 1], [2, 3]])
-    events = [
+    return [
         Event(0, 0, WRITE, "x"),
         Event(1, 0, READ, "y"),
         Event(2, 1, WRITE, "y"),
         Event(3, 1, READ, "x"),
     ]
-    return Execution(events, threads, **parts)
+
+
+def _sb_shape(**parts):
+    """Store buffering built with the public constructor; ``parts``
+    override its threads or add primitive relations."""
+    from repro.events import Execution
+
+    threads = parts.pop("threads", [[0, 1], [2, 3]])
+    return Execution(_sb_events(), threads, **parts)
+
+
+def _sb_completer(**parts):
+    """Store buffering's skeleton handed to a ``SkeletonCompleter``;
+    ``parts`` override its threads, dependencies or ``txn_of``."""
+    from repro.events.execution import SkeletonCompleter
+
+    skeleton = {
+        "threads": [[0, 1], [2, 3]],
+        "addr": (), "ctrl": (), "data": (), "rmw": (),
+        "txn_of": {}, "atomic_txns": (),
+        **parts,
+    }
+    return SkeletonCompleter(_sb_events(), **skeleton)
 
 
 #: Hand-built inputs naming an event id that is not one of their events,
-#: with that id: the constructor rejects each of them.
+#: with that id: the constructor, or a SkeletonCompleter, rejects each.
 UNKNOWN_EVENTS = {
     "rf-from-absent-eid": (lambda: _sb_shape(rf=[(9, 3)]), 9),
+    "co-to-absent-eid": (lambda: _sb_shape(co=[(0, 4)]), 4),
+    "ctrl-from-absent-eid": (lambda: _sb_shape(ctrl=iter([(11, 2)])), 11),
+    "data-to-absent-eid": (lambda: _sb_shape(data=[(3, 10)]), 10),
+    "completer-addr-out-of-universe": (
+        lambda: _sb_completer(addr=[(1, 7)]),
+        7,
+    ),
     "addr-out-of-universe": (lambda: _sb_shape(addr=[(1, 7)]), 7),
     "rmw-to-absent-eid": (lambda: _sb_shape(rmw=[(1, 6)]), 6),
     "thread-lists-unknown-eid": (
