@@ -100,21 +100,31 @@ def synthesise(target: str, max_events: int) -> SynthesisResult:
                 start,
             )
 
-        # Allow = one-step weakenings of the Forbid tests, deduplicated.
-        with TRACER.span(f"synthesis:{target}:weakenings"):
-            seen_allowed: set[tuple] = set()
-            for x in result.forbidden:
-                for child in weakenings(x, config):
-                    if len(child) == 0:
-                        continue
-                    key = canonical_key(child)
-                    if key in seen_allowed or key in seen_forbidden:
-                        continue
-                    seen_allowed.add(key)
-                    result.allowed.append(child)
+        add_allowed(result, config, seen_forbidden)
 
     result.elapsed = time.monotonic() - start
     return result
+
+
+def add_allowed(
+    result: SynthesisResult,
+    config: EnumerationConfig,
+    seen_forbidden: set[tuple],
+) -> None:
+    """Append the Allow suite: the one-step weakenings of
+    ``result.forbidden``, deduplicated by canonical key against each
+    other and against ``seen_forbidden``, the Forbid tests' keys."""
+    with TRACER.span(f"synthesis:{result.target}:weakenings"):
+        seen_allowed: set[tuple] = set()
+        for x in result.forbidden:
+            for child in weakenings(x, config):
+                if len(child) == 0:
+                    continue
+                key = canonical_key(child)
+                if key in seen_allowed or key in seen_forbidden:
+                    continue
+                seen_allowed.add(key)
+                result.allowed.append(child)
 
 
 def _synthesise_bound(

@@ -5,20 +5,23 @@
 suites, same order, same ``enumeration.*`` counters -- but evaluates
 the candidate space in parallel work units.  The space is split by
 canonical skeleton signature (:mod:`repro.enumeration.sharding`); each
-shard's completion range is dispatched in chunks; idle workers steal
-half of the largest remaining range.  Three properties carry the
-design:
+shard's completion range is cut into fixed chunks of :data:`CHUNK`
+completions; idle workers steal whole chunks from the shard with the
+most left.  Four properties carry the design:
 
-* **Determinism.**  Chunk *boundaries* are timing-dependent (stealing
-  reacts to load), but chunk *contents* are pure index ranges, and the
+* **Determinism.**  Chunk boundaries are a pure function of a shard's
+  completion count: shard ``s`` with ``n`` completions has the jobs
+  ``[k*CHUNK, min((k+1)*CHUNK, n))``, at any ``--workers`` count and
+  on every resume.  Only *who* runs a chunk depends on timing, and the
   fold sorts payloads by ``(shard index, range start)`` before folding
   -- so the folded result is byte-identical at any ``--workers`` count,
   and identical to the sequential enumerator's output.
 * **Self-description.**  A work unit is the tuple ``("synth_chunk",
   target, bound, signature, start, stop)`` and its payload repeats
-  those coordinates, so the store replays completed ranges as plain
-  data on resume (:meth:`VerdictCache.recorded`) even though a resumed
-  run's chunk boundaries never re-digest identically.
+  those coordinates.  Because the boundaries never move, a resumed run
+  finds each recorded chunk by its job's digest (exact lookup); a
+  record whose coordinates differ from its job's is recomputed, never
+  folded.
 * **Global filtering stays in the parent.**  Workers apply the
   *per-candidate* filters (model-inconsistent, baseline-consistent,
   minimal) and ship survivors; the order-dependent steps (canonical
@@ -28,16 +31,15 @@ design:
   (:mod:`repro.harness.verdict_cache`), the parent looks each shard up
   (:meth:`VerdictCache.shard_lookup`) before counting or scheduling it;
   a hit's stored payload -- counters, skeleton and completion counts,
-  survivors in start order -- joins the fold as one range
-  ``[0, completions)``, and no count job or chunk runs for it.  Every
-  count and chunk evaluated is recorded as it lands, so a killed run
-  resumes with only the gaps between its recorded ranges left to run.
-  After each bound, every shard whose chunks -- resumed or fresh --
-  tile its whole range is recorded as a shard.
+  survivors in start order -- joins the fold whole, and no count job
+  or chunk runs for it.  Every count and chunk evaluated is recorded
+  as it lands, so a killed run resumes with only its unrecorded chunks
+  left to run.  After each bound, every counted shard -- all its
+  chunks resumed or run by then -- is recorded as a shard.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
-prefers its own shard's remainder), plus per-shard
+prefers its own shard's next chunk), plus per-shard
 ``synthesis.shard.<target>.b<n>.<label>.{completions,survivors,chunks,
 steals}`` counters and a ``.seconds`` timer feeding the ``--stats``
 per-shard summary.  A shard replayed from the cache, and a chunk
@@ -48,11 +50,12 @@ resumed from a killed run's records, add to ``completions`` and
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import TYPE_CHECKING
 
 from ..enumeration.canonical import canonical_key
 from ..enumeration.config import EnumerationConfig, get_config
-from ..enumeration.minimality import is_minimal_inconsistent, weakenings
+from ..enumeration.minimality import is_minimal_inconsistent
 from ..enumeration.sharding import (
     Signature,
     complete_shard_range,
@@ -62,21 +65,20 @@ from ..enumeration.sharding import (
     shard_skeletons,
     signature_label,
 )
-from ..enumeration.synthesis import SynthesisResult
+from ..enumeration.synthesis import SynthesisResult, add_allowed
 from ..models import get_model
 from ..obs import REGISTRY, TRACER
 from . import verdict_cache
 from .checkpoint import job_digest
-from .verdict_cache import CHUNK, VerdictCache
+from .verdict_cache import VerdictCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import CheckPipeline
 
-#: Smallest range a dispatch or a steal will carve off.  Below this the
-#: per-chunk overhead (pickling survivors, merging deltas) outweighs
-#: the parallelism; a remainder smaller than ``2 *`` this is not worth
-#: splitting.
-MIN_CHUNK = 64
+#: Completions per chunk job.  Smaller chunks pay more per-chunk
+#: overhead (dispatch, pickling survivors, merging deltas); larger ones
+#: leave the last chunks of a bound running alone.
+CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -184,32 +186,16 @@ def run_shard_job(job: tuple):
 # ---------------------------------------------------------------------------
 
 
-class _Interval:
-    """One undispatched completion range of one shard, owned by the
-    slot currently working that shard (or by nobody)."""
-
-    __slots__ = ("shard", "start", "stop", "owner")
-
-    def __init__(self, shard: int, start: int, stop: int, owner=None):
-        self.shard = shard
-        self.start = start
-        self.stop = stop
-        self.owner = owner
-
-    def __len__(self) -> int:
-        return max(0, self.stop - self.start)
-
-
 class WorkStealingScheduler:
-    """Drains one event bound's shard ranges through the pipeline.
+    """Drains one event bound's chunk jobs through the pipeline.
 
-    Slot-affinity dispatch: a freed slot first continues its own
-    interval (front chunk, binary halving down to :data:`MIN_CHUNK`),
-    then claims an unowned interval in shard order, and only then
-    *steals* -- splitting the largest interval owned by a busy slot and
-    taking the back half.  Stealing therefore never happens at
-    ``workers=1``, and the per-chunk payload fold is independent of who
-    evaluated what.
+    ``queues`` maps a shard index to its unrun chunk jobs, in start
+    order.  Slot-affinity dispatch: a freed slot runs the next chunk of
+    the shard it owns, else claims the first unowned shard, and only
+    then *steals* -- the last chunk of the shard with the most left.
+    Affinity keeps a worker on the shards whose skeletons it has
+    already elaborated; stealing never happens at ``workers=1``, and
+    the fold is independent of who evaluated what.
     """
 
     def __init__(
@@ -217,89 +203,65 @@ class WorkStealingScheduler:
         pipeline: "CheckPipeline",
         target: str,
         bound: int,
-        signatures: list[Signature],
-        remaining: dict[int, list[tuple[int, int]]],
+        queues: dict[int, list[tuple]],
     ):
         self.pipeline = pipeline
         self.target = target
         self.bound = bound
-        self.signatures = signatures
-        self.intervals: list[_Interval] = [
-            _Interval(shard, start, stop)
-            for shard in sorted(remaining)
-            for start, stop in remaining[shard]
-            if stop > start
-        ]
+        self.queues = {
+            shard: deque(jobs) for shard, jobs in sorted(queues.items())
+        }
+        #: slot → the shard it last claimed.
+        self.owner: dict = {}
         self.payloads: list[dict] = []
         self._chunks = REGISTRY.counter("scheduler.chunks")
         self._steals = REGISTRY.counter("scheduler.steals")
 
-    def _shard_counter(self, shard: int, field: str):
-        label = signature_label(self.signatures[shard])
+    def _shard_counter(self, job: tuple, field: str):
+        label = signature_label(job[3])
         return REGISTRY.counter(
             f"synthesis.shard.{self.target}.b{self.bound}.{label}.{field}"
         )
 
     def _next_chunk(self, slot) -> tuple | None:
-        """Pick the next range for a freed slot (None: nothing left)."""
-        interval = self._own_interval(slot) or self._unowned_interval(slot)
-        if interval is None:
-            interval = self._steal(slot)
-        if interval is None:
+        """Pick the next job for a freed slot (None: nothing left)."""
+        queues = self.queues
+        if not queues:
             return None
-        size = max(MIN_CHUNK, len(interval) // 2)
-        start = interval.start
-        stop = min(interval.stop, start + size)
-        interval.start = stop
-        if not len(interval):
-            self.intervals.remove(interval)
+        shard = self.owner.get(slot)
+        if shard in queues:
+            job = queues[shard].popleft()
+        else:
+            owned = set(self.owner.values())
+            shard = next((s for s in queues if s not in owned), None)
+            if shard is not None:
+                self.owner[slot] = shard
+                job = queues[shard].popleft()
+            else:
+                shard = max(queues, key=lambda s: len(queues[s]))
+                job = queues[shard].pop()
+                self._steals.inc()
+                self._shard_counter(job, "steals").inc()
+        if not queues[shard]:
+            del queues[shard]
         self._chunks.inc()
-        self._shard_counter(interval.shard, "chunks").inc()
-        sig = self.signatures[interval.shard]
-        return ("synth_chunk", self.target, self.bound, sig, start, stop)
-
-    def _own_interval(self, slot) -> _Interval | None:
-        for interval in self.intervals:
-            if interval.owner == slot and len(interval):
-                return interval
-        return None
-
-    def _unowned_interval(self, slot) -> _Interval | None:
-        for interval in self.intervals:
-            if interval.owner is None and len(interval):
-                interval.owner = slot
-                return interval
-        return None
-
-    def _steal(self, slot) -> _Interval | None:
-        victim = max(self.intervals, key=len, default=None)
-        if victim is None or len(victim) < 2 * MIN_CHUNK:
-            return None
-        mid = victim.start + len(victim) // 2
-        stolen = _Interval(victim.shard, mid, victim.stop, owner=slot)
-        victim.stop = mid
-        self.intervals.append(stolen)
-        self._steals.inc()
-        self._shard_counter(victim.shard, "steals").inc()
-        return stolen
+        self._shard_counter(job, "chunks").inc()
+        return job
 
     def _record(self, job: tuple, payload: dict) -> None:
         store = self.pipeline.verdict_cache
         if store is not None:
-            store.record(CHUNK, job_digest(job), payload)
+            store.record(verdict_cache.CHUNK, job_digest(job), payload)
 
     def run(self) -> list[dict]:
-        """Drain every interval; returns the chunk payloads (unsorted)."""
+        """Drain every queue; returns the chunk payloads (unsorted)."""
         workers = self.pipeline.workers
         idle = list(range(workers))
         while True:
             for slot in list(idle):
                 job = self._next_chunk(slot)
                 if job is None:
-                    # This slot found nothing to run *or steal*, but a
-                    # later idle slot may still own an unfinished
-                    # interval too small to steal -- keep trying them.
-                    continue
+                    break
                 idle.remove(slot)
                 self.pipeline.submit(run_shard_job, job, (slot, job))
             if len(idle) == workers:
@@ -334,49 +296,15 @@ def _fold_shard_metrics(
 # ---------------------------------------------------------------------------
 
 
-def _resumed_chunks(
-    cache: VerdictCache | None,
-    target: str,
-    bound: int,
-    index_of: dict[Signature, int],
-    counts: dict[int, dict],
-) -> dict[int, list[dict]]:
-    """The recorded chunk payloads of this bound's counted shards, per
-    shard index, in start order.  A chunk that overlaps one already
-    taken, or runs past its shard's completions, is left out: its range
-    is evaluated again instead of being folded twice."""
-    chunks: dict[int, list[dict]] = {}
-    if cache is None:
-        return chunks
-    recorded = sorted(cache.recorded(CHUNK).values(), key=lambda p: p["start"])
-    for payload in recorded:
-        if payload["target"] != target or payload["bound"] != bound:
-            continue
-        shard = index_of.get(tuple(payload["sig"]))
-        if shard not in counts:
-            continue  # replayed whole from its shard record
-        taken = chunks.setdefault(shard, [])
-        if payload["stop"] > counts[shard]["completions"] or (
-            taken and payload["start"] < taken[-1]["stop"]
-        ):
-            continue
-        taken.append(payload)
-    return chunks
-
-
-def _gaps(
-    total: int, covered: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The sub-ranges of ``[0, total)`` not covered by ``covered``."""
-    out: list[tuple[int, int]] = []
-    position = 0
-    for start, stop in sorted(covered):
-        if start > position:
-            out.append((position, min(start, total)))
-        position = max(position, stop)
-    if position < total:
-        out.append((position, total))
-    return out
+def _describes(payload: dict, job: tuple) -> bool:
+    """Whether a recorded chunk payload carries its job's coordinates."""
+    return (
+        payload["target"],
+        payload["bound"],
+        tuple(payload["sig"]),
+        payload["start"],
+        payload["stop"],
+    ) == job[1:]
 
 
 def synthesise_sharded(
@@ -409,19 +337,7 @@ def synthesise_sharded(
                 result, pipeline, target, bound, config, seen_forbidden, started
             )
 
-        # Allow = one-step weakenings of the Forbid tests, deduplicated
-        # (identical to the sequential enumerator's pass).
-        with TRACER.span(f"synthesis:{target}:weakenings"):
-            seen_allowed: set[tuple] = set()
-            for x in result.forbidden:
-                for child in weakenings(x, config):
-                    if len(child) == 0:
-                        continue
-                    key = canonical_key(child)
-                    if key in seen_allowed or key in seen_forbidden:
-                        continue
-                    seen_allowed.add(key)
-                    result.allowed.append(child)
+        add_allowed(result, config, seen_forbidden)
 
     result.elapsed = time.monotonic() - started
     return result
@@ -447,20 +363,13 @@ def _record_shards(
     counts: dict[int, dict],
     chunks: dict[int, list[dict]],
 ) -> None:
-    """Record every counted shard whose chunk payloads -- resumed or
-    fresh -- tile ``[0, completions)`` exactly, empty shards included."""
+    """Record every counted shard from its chunk payloads, in start
+    order, empty shards included."""
     for shard, count in counts.items():
         key = keys[shard]
         if key is None:
             continue
-        ordered = sorted(chunks.get(shard, []), key=lambda p: p["start"])
-        position = 0
-        for payload in ordered:
-            if payload["start"] != position:
-                break
-            position = payload["stop"]
-        if position != count["completions"]:
-            continue
+        ordered = chunks[shard]
         counters = {
             name: sum(p["counters"][name] for p in ordered)
             for name in verdict_cache.SHARD_COUNTERS
@@ -511,49 +420,41 @@ def _sharded_bound(
             sum(count["skeletons"] for count in counts.values())
             + sum(payload["skeletons"] for payload in stored.values())
         )
-        chunks = _resumed_chunks(cache, target, bound, index_of, counts)
-        for shard_chunks in chunks.values():
-            for payload in shard_chunks:
-                _fold_shard_metrics(target, bound, payload)
-        remaining = {
-            shard: _gaps(
-                count["completions"],
-                [(p["start"], p["stop"]) for p in chunks.get(shard, [])],
-            )
-            for shard, count in counts.items()
-        }
-        scheduler = WorkStealingScheduler(
-            pipeline, target, bound, signatures, remaining
-        )
+        recorded = {} if cache is None else cache.recorded(verdict_cache.CHUNK)
+        chunks: dict[int, list[dict]] = {}
+        queues: dict[int, list[tuple]] = {}
+        for shard, count in counts.items():
+            chunks[shard] = []
+            sig, total = signatures[shard], count["completions"]
+            for start in range(0, total, CHUNK):
+                stop = min(start + CHUNK, total)
+                job = ("synth_chunk", target, bound, sig, start, stop)
+                payload = recorded.get(job_digest(job))
+                if payload is not None and _describes(payload, job):
+                    _fold_shard_metrics(target, bound, payload)
+                    chunks[shard].append(payload)
+                else:
+                    queues.setdefault(shard, []).append(job)
+        scheduler = WorkStealingScheduler(pipeline, target, bound, queues)
         for payload in scheduler.run():
-            shard = index_of[tuple(payload["sig"])]
-            chunks.setdefault(shard, []).append(payload)
+            chunks[index_of[tuple(payload["sig"])]].append(payload)
+        for shard_chunks in chunks.values():
+            shard_chunks.sort(key=lambda p: p["start"])
         if cache is not None:
             _record_shards(cache, keys, counts, chunks)
 
-        replayed = [
-            dict(
-                payload,
-                sig=list(signatures[shard]),
-                start=0,
-                stop=payload["completions"],
-            )
-            for shard, payload in stored.items()
-        ]
-        for payload in replayed:
-            _fold_shard_metrics(target, bound, payload)
-        ordered = sorted(
-            [p for shard_chunks in chunks.values() for p in shard_chunks]
-            + replayed,
-            key=lambda p: (index_of[tuple(p["sig"])], p["start"]),
-        )
+        for shard, payload in stored.items():
+            sig = list(signatures[shard])
+            _fold_shard_metrics(target, bound, dict(payload, sig=sig))
+            chunks[shard] = [payload]
+
         c_candidates = REGISTRY.counter(f"{prefix}.candidates")
         c_consistent = REGISTRY.counter(f"{prefix}.pruned_consistent")
         c_baseline = REGISTRY.counter(f"{prefix}.pruned_baseline")
         c_nonminimal = REGISTRY.counter(f"{prefix}.pruned_nonminimal")
         c_duplicate = REGISTRY.counter(f"{prefix}.pruned_duplicate")
         c_forbidden = REGISTRY.counter(f"{prefix}.forbidden")
-        for payload in ordered:
+        for payload in (p for shard in sorted(chunks) for p in chunks[shard]):
             counters = payload["counters"]
             result.candidates_examined += counters["candidates"]
             c_candidates.inc(counters["candidates"])

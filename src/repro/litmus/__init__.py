@@ -4,7 +4,6 @@ from .candidates import (
     Candidate,
     Witness,
     allowed,
-    allowed_outcomes,
     candidate_executions,
     find_witness,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "TxnsSucceeded",
     "Witness",
     "allowed",
-    "allowed_outcomes",
     "candidate_executions",
     "execution_to_litmus",
     "find_witness",

@@ -345,16 +345,3 @@ def allowed(program: Program, model: MemoryModel) -> bool:
     """Is the program's postcondition reachable under the model?"""
     return find_witness(program, model) is not None
 
-
-def allowed_outcomes(
-    program: Program, model: MemoryModel
-) -> set[tuple[tuple[tuple[int, str], int], ...]]:
-    """All reachable final register valuations under the model (used by
-    the lock-elision checker to compare against the serialised spec)."""
-    outcomes = set()
-    for candidate in candidate_executions(program):
-        if model.consistent(candidate.execution):
-            reg_part = tuple(sorted(candidate.registers.items()))
-            mem_part = tuple(sorted(candidate.memory.items()))
-            outcomes.add((reg_part, mem_part))
-    return outcomes

@@ -3,7 +3,6 @@
 from .abstract import (
     abstract_wellformedness_violations,
     cr_order_ok,
-    mutual_exclusion_ok,
     scr,
     scr_transactional,
 )
@@ -34,7 +33,6 @@ from .monotonicity import (
 )
 from .transform import (
     is_functional_expansion,
-    pi_relation,
     preserves_program_order,
     preserves_stxn,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "compile_execution",
     "cr_order_ok",
     "is_functional_expansion",
-    "mutual_exclusion_ok",
-    "pi_relation",
     "preserves_program_order",
     "preserves_stxn",
     "scr",

@@ -95,8 +95,3 @@ def cr_order_ok(x: Execution) -> bool:
     """The CROrder axiom: ``acyclic(weaklift(po ∪ com, scr))``."""
     return weaklift(x.po | x.com, scr(x)).is_acyclic()
 
-
-def mutual_exclusion_ok(x: Execution, model) -> bool:
-    """The abstract consistency predicate of §8.3: the architecture's
-    axioms plus CROrder."""
-    return model.consistent(x) and cr_order_ok(x)

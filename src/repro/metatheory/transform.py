@@ -17,14 +17,6 @@ themselves.
 from __future__ import annotations
 
 from ..events import Execution
-from ..relations import Relation
-
-
-def pi_relation(pi: dict[int, tuple[int, ...]], universe) -> Relation:
-    """The π mapping as a relation (source eid → target eid)."""
-    return Relation(
-        ((src, tgt) for src, tgts in pi.items() for tgt in tgts), universe
-    )
 
 
 def preserves_stxn(

@@ -241,6 +241,15 @@ def _junk_survivor(chunk: dict) -> None:
     chunk["survivors"].insert(0, {"junk": 1})
 
 
+def _other_shard(chunk: dict) -> None:
+    # Still loads: only the coordinates no longer match the chunk's key.
+    chunk["sig"] = next(
+        list(sig)
+        for sig in shard_signatures(get_config("x86"), chunk["bound"])
+        if list(sig) != chunk["sig"]
+    )
+
+
 def _count_without_completions(count: dict) -> None:
     count.clear()
     count["skeletons"] = 1
@@ -252,12 +261,14 @@ def _count_without_completions(count: dict) -> None:
         ("synth_chunk", _drop_start),
         ("synth_chunk", _empty_counters),
         ("synth_chunk", _junk_survivor),
+        ("synth_chunk", _other_shard),
         ("synth_count", _count_without_completions),
     ],
     ids=[
         "chunk-without-start",
         "chunk-empty-counters",
         "chunk-junk-survivor",
+        "chunk-other-shard",
         "count-without-completions",
     ],
 )

@@ -144,8 +144,8 @@ class TestShardedSynthesis:
     )
     def test_every_target_matches_sequential(self, target):
         # x86 has the fewest transaction groups; these targets have the
-        # most, and chunk boundaries split them differently at each
-        # worker count.
+        # most, and their largest shards span several chunks, which
+        # workers run in any order and steal from each other.
         sequential = synthesise(target, 3)
         for workers in (1, 2):
             with CheckPipeline(workers=workers) as pipeline:
@@ -206,6 +206,49 @@ class TestShardedSynthesis:
         resumed = REGISTRY.snapshot()["counters"].get("scheduler.chunks", 0)
         assert resumed == 0  # every range answered from its chunk record
         reset_observability()
+
+    @pytest.mark.parametrize("chunk", [scheduler.CHUNK, 100])
+    def test_chunk_ranges_are_fixed_at_every_worker_count(
+        self, tmp_path, legacy, monkeypatch, chunk
+    ):
+        # Each shard's chunks are [k*CHUNK, min((k+1)*CHUNK, completions))
+        # whoever runs them, so uncompacted stores filled at different
+        # worker counts record the same chunk keys.  The small chunk
+        # size splits the larger x86 bound-3 shards into several.
+        monkeypatch.setattr(scheduler, "CHUNK", chunk)
+        monkeypatch.setattr(VerdictCache, "compact", lambda self: None)
+        keys = {}
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            with CheckPipeline(workers=workers, cache=root) as pipeline:
+                _assert_identical(legacy, pipeline.synthesis("x86", 3))
+            records = [
+                json.loads(line)
+                for segment in sorted(root.glob("shards-*.jsonl"))
+                for line in segment.read_text().splitlines()
+            ]
+            completions = {}
+            ranges = {}
+            for record in records:
+                payload = record["result"]
+                if record["kind"] == "synth_count":
+                    shard = (payload["bound"], tuple(payload["sig"]))
+                    completions[shard] = payload["completions"]
+                elif record["kind"] == "synth_chunk":
+                    shard = (payload["bound"], tuple(payload["sig"]))
+                    ranges.setdefault(shard, []).append(
+                        (payload["start"], payload["stop"])
+                    )
+            assert set(ranges) <= set(completions)
+            for shard, total in completions.items():
+                assert sorted(ranges.get(shard, [])) == [
+                    (start, min(start + chunk, total))
+                    for start in range(0, total, chunk)
+                ]
+            keys[workers] = sorted(
+                r["key"] for r in records if r["kind"] == "synth_chunk"
+            )
+        assert keys[1] == keys[2]
 
     def test_verdict_cache_warm_run_skips_verdicts(self, tmp_path, legacy):
         reset_observability()
