@@ -93,8 +93,17 @@ def completion_count(skeleton: Skeleton) -> int:
 
 def shard_completion_counts(skeletons: list[Skeleton]) -> list[int]:
     """Per-skeleton completion counts for one shard's skeletons (as
-    built by :func:`shard_skeletons`)."""
-    return [completion_count(s) for s in skeletons]
+    built by :func:`shard_skeletons`).  A transaction layout leaves the
+    rf/co choice space alone, so each run of one group's layouts is
+    priced once."""
+    counts: list[int] = []
+    parts = None
+    for skeleton in skeletons:
+        if parts is None or not _same_group(parts, skeleton):
+            parts = _group_parts(skeleton)
+            count = completion_count(skeleton)
+        counts.append(count)
+    return counts
 
 
 def _decode(index: int, sizes: list[int]) -> list[int]:
@@ -117,6 +126,15 @@ def _group_parts(skeleton: Skeleton) -> tuple:
         skeleton.data,
         skeleton.rmw,
     )
+
+
+def _same_group(parts: tuple, skeleton: Skeleton) -> bool:
+    """Whether ``skeleton`` is another layout of the group whose
+    :func:`_group_parts` are ``parts``.
+    :func:`~repro.enumeration.shapes._elaborate_structure` yields a
+    group's layouts over the very same objects, so identity is enough
+    (and never wrong: identical objects are equal)."""
+    return all(map(operator.is_, parts, _group_parts(skeleton)))
 
 
 class _Group:
@@ -149,11 +167,8 @@ class _Group:
         )
 
     def holds(self, skeleton: Skeleton) -> bool:
-        """Whether ``skeleton`` is another layout of this group.
-        :func:`~repro.enumeration.shapes._elaborate_structure` yields a
-        group's layouts over the very same objects, so identity is
-        enough (and never wrong: identical objects are equal)."""
-        return all(map(operator.is_, self.parts, _group_parts(skeleton)))
+        """Whether ``skeleton`` is another layout of this group."""
+        return _same_group(self.parts, skeleton)
 
     def completions(self, start: int, stop: int) -> Iterator[Execution]:
         """Completions ``start <= index < stop`` of the current layout."""

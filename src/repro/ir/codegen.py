@@ -28,8 +28,13 @@ Three kinds of function are emitted:
   them for the derived communication relations (``fr``, ``com``,
   ``rfe``, ...) and any node whose inline code would be large
   (:func:`_outlined`), so a TM model and its baseline compute ``fr``
-  once per execution between them; lazy thunks, ``ir.evaluate`` and
-  interned static nodes run them directly;
+  once per execution between them.  The free part that transaction
+  hoisting split off a transactional union (:func:`_free_part`) is
+  called too, however small, so every transaction layout of one rf/co
+  choice reads its one shared value; the choice reads only the union
+  and its child, so a runner's source does not depend on which model
+  compiled first.  Lazy thunks, ``ir.evaluate`` and interned static
+  nodes run evaluators directly;
 * **fix-group functions** (:func:`_group_function`) solve a ``let rec``
   group by Kleene iteration from the kind-appropriate bottoms, interned
   across executions on ``("irfix", group, n, *input values)``.
@@ -125,20 +130,25 @@ class _Emitter:
         transaction layouts share."""
         return "vals" if t.txn else "shared"
 
-    def calls(self, t: Term) -> bool:
-        """Whether ``t`` is emitted as a call to its own evaluator."""
-        return t is not self.inline and not t.intern_root and _outlined(t)
+    def calls(self, t: Term, part: bool = False) -> bool:
+        """Whether ``t`` is emitted as a call to its own evaluator
+        (``part``: ``t`` is a transactional union's free part)."""
+        return (
+            t is not self.inline
+            and not t.intern_root
+            and (part or _outlined(t))
+        )
 
-    def ensure(self, t: Term, ind: int) -> None:
+    def ensure(self, t: Term, ind: int, part: bool = False) -> None:
         """Emit a guarded block assigning ``v{uid}`` at this indent."""
         if t.uid in self.bound:
             return
         name = self.name(t)
         self.terms[t.uid] = t
         self.w(ind, f"if {name} is _M:")
-        if not self.profile or self.calls(t):
+        if not self.profile or self.calls(t, part):
             # A called evaluator times itself.
-            self.node(t, ind + 1)
+            self.node(t, ind + 1, part)
             return
         self.ns[f"_t{t.uid}"] = t
         clock = f"_c{t.uid}"
@@ -151,7 +161,7 @@ class _Emitter:
         self.w(ind + 2, "raise")
         self.w(ind + 1, f"_pe(_t{t.uid}, _pc() - {clock}, {name})")
 
-    def node(self, t: Term, ind: int) -> None:
+    def node(self, t: Term, ind: int, part: bool = False) -> None:
         name = self.name(t)
         op = t.op
         if t.intern_root and t is not self.inline:
@@ -163,7 +173,7 @@ class _Emitter:
             self.w(
                 ind, f"{name} = {store}.get({t.skey!r}) or _s(st, _t{t.uid})"
             )
-        elif self.calls(t):
+        elif self.calls(t, part):
             # One shared evaluator per term, memoised in the execution's
             # node memo: every plan checking the execution computes the
             # node once, and its code is emitted once, not at every
@@ -259,7 +269,7 @@ class _Emitter:
     def union(self, t: Term, ind: int) -> None:
         name = self.name(t)
         for child in t.args:
-            self.ensure(child, ind)
+            self.ensure(child, ind, _free_part(t, child))
         parts = [self.name(c) for c in t.args]
         if t.kind == "set":
             self.w(ind, f"{name} = " + " | ".join(parts))
@@ -412,6 +422,20 @@ def _outlined(t: Term) -> bool:
     return t.op not in _INLINE_OPS and _inline_size(t) >= _OUTLINE_MIN
 
 
+def _free_part(parent: Term, child: Term) -> bool:
+    """Whether ``child`` is the free part a transactional union hoisted
+    (a dynamic, var-free composite reading no transaction relation),
+    which gets its own evaluator: every transaction layout of one rf/co
+    choice then reads its one value from the shared memo.  A var-bearing
+    child is never memoised: that would keep one Kleene iterate."""
+    return (
+        parent.op == "union"
+        and parent.txn
+        and not (child.txn or child.static or child.has_var)
+        and child.op not in _INLINE_OPS
+    )
+
+
 def _inline_size(t: Term) -> int:
     """Nodes emitted inline for ``t`` (calls count as one)."""
     size = _SIZES.get(t.uid)
@@ -420,7 +444,8 @@ def _inline_size(t: Term) -> int:
         if not (t.intern_root or t.op in _INLINE_OPS):
             for child in t.args:
                 if isinstance(child, Term):
-                    size += 1 if _outlined(child) else _inline_size(child)
+                    called = _outlined(child) or _free_part(t, child)
+                    size += 1 if called else _inline_size(child)
         _SIZES[t.uid] = size
     return size
 

@@ -25,6 +25,14 @@ when one of its leaves reads the transaction layout (``stxn``,
 ``stxnat``, ``tfence``).  A transaction-free term has the same value
 under every transaction layout of one skeleton and rf/co choice, so the
 executor keeps its memo entries where all those layouts share them.
+That drives **transaction hoisting**: a union mixing transaction-free
+and transactional children, at least two of them free, is rebuilt as
+``(free part) ∪ transactional children``.  The free part is built from
+the operands with their transactional terms dropped, as a model's
+baseline (which binds them to ``0``) writes them, so it hash-conses to
+the baseline's own term: ARMv8+TM's ``ob`` is ARMv8's ``ob ∪ tfence``,
+x86+TM's ``hb`` is x86's ``hb ∪ tfence``.  Its value is then computed
+once per rf/co choice, not once per transaction layout.
 
 Static classification.  A term is *static* when its value is fixed by
 the candidate skeleton (program order, locations, fences, transaction
@@ -36,7 +44,9 @@ skeleton reads a static node from the skeleton's shared store) and
 dynamic children is rebuilt as ``(static-part) ∪ dynamic children`` so
 the skeleton-constant part is folded once per skeleton rather than once
 per candidate.  This mechanically recreates what the hand-fused kernels
-called ``_hb_static``/``_dob_static``/``_rs_static``.
+called ``_hb_static``/``_dob_static``/``_rs_static``.  Transaction
+hoisting runs first, so a transaction-free static part lands in the
+group's store, not in each layout's.
 
 Kind discipline.  Terms are either relations (``"rel"``) or event sets
 (``"set"``); builders enforce the same typing rules as the cat
@@ -425,10 +435,24 @@ def _check_same_kind(terms: Sequence[Term], name: str) -> str:
     return kind
 
 
+def _free_terms(term: Term) -> list[Term]:
+    """The transaction-free operands ``term`` contributes to a union:
+    itself if free, the free operands of a transactional union, and
+    nothing else -- the baseline binds every transactional relation to
+    ``0``, which empties the rest."""
+    if not term.txn:
+        return [term]
+    if term.op != "union":
+        return []
+    return [f for child in term.args for f in _free_terms(child)]
+
+
 def union(*terms: Term) -> Term:
     """N-ary union: flattened, deduplicated, empties dropped, children
-    sorted by uid (so ``a|b`` and ``b|a`` hash-cons together), and the
-    skeleton-static part hoisted into its own shared node."""
+    sorted by uid (so ``a|b`` and ``b|a`` hash-cons together), then
+    hoisted twice: the transaction-free part into the baseline's own
+    term (transaction hoisting), then the skeleton-static part into its
+    own shared node (static hoisting)."""
     if not terms:
         raise ValueError("union needs at least one term")
     kind = _check_same_kind(terms, "union")
@@ -449,6 +473,12 @@ def union(*terms: Term) -> Term:
     if len(children) == 1:
         return children[0]
     children.sort(key=lambda t: t.uid)
+    txns = [c for c in children if c.txn]
+    if txns and len(children) - len(txns) >= 2:
+        # Rebuilt from the operands as written, so the free part
+        # flattens as the baseline's union does and is its very term.
+        free = union(*[f for term in terms for f in _free_terms(term)])
+        children = sorted([free] + txns, key=lambda t: t.uid)
     statics = [c for c in children if c.static]
     dynamics = [c for c in children if not c.static]
     if len(statics) >= 2 and dynamics:

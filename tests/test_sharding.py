@@ -112,6 +112,17 @@ class TestShardSpace:
         ]
         assert left + right == full
 
+    @pytest.mark.parametrize("target", ["x86", "power", "armv8", "cpp", "sc"])
+    def test_grouped_counts_match_per_skeleton_counts(self, target):
+        # A shard prices each transaction group once; every layout of
+        # the group must still get its own skeleton's count.
+        config = get_config(target)
+        for signature in shard_signatures(config, 3):
+            skeletons = shard_skeletons(config, signature)
+            assert shard_completion_counts(skeletons) == [
+                completion_count(skeleton) for skeleton in skeletons
+            ]
+
 
 def _assert_identical(legacy, sharded):
     assert [x.fingerprint() for x in sharded.forbidden] == [
