@@ -304,11 +304,13 @@ _IR_FUNCTIONS = {
 def _base_term_env() -> dict[str, ir.Term]:
     """The builtin identifier environment as IR leaves.  The vocabulary
     is exactly :data:`~repro.events.CAT_BUILTINS`'s: every base relation
-    and event set the walker reads has an IR leaf of the same name."""
+    and event set the walker reads has an IR leaf of the same name.
+    Leaves are built in sorted name order, so their uids (and with them
+    ``inter``'s factor order) do not depend on the string hash seed."""
     env: dict[str, ir.Term] = {
-        name: ir.rel(name) for name in ir.BASE_RELATIONS
+        name: ir.rel(name) for name in sorted(ir.BASE_RELATIONS)
     }
-    env.update({name: ir.evset(name) for name in ir.EVENT_SETS})
+    env.update({name: ir.evset(name) for name in sorted(ir.EVENT_SETS)})
     return env
 
 

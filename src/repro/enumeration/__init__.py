@@ -1,7 +1,6 @@
 """Exhaustive execution enumeration and conformance-test synthesis (§4)."""
 
 from .canonical import canonical_key, dedup
-from .complete import complete_skeleton, enumerate_executions
 from .config import (
     ARMV8_CONFIG,
     CONFIGS,
@@ -15,9 +14,10 @@ from .config import (
 from .minimality import is_minimal_inconsistent, weakenings
 from .sharding import (
     complete_shard_range,
-    complete_skeleton_range,
+    complete_skeleton,
     completion_count,
     cumulative_counts,
+    enumerate_executions,
     shard_completion_counts,
     shard_signatures,
     shard_skeletons,
@@ -50,7 +50,6 @@ __all__ = [
     "canonical_key",
     "complete_shard_range",
     "complete_skeleton",
-    "complete_skeleton_range",
     "completion_count",
     "cumulative_counts",
     "dedup",

@@ -3,7 +3,7 @@
 A *skeleton* fixes everything about an execution except rf and co: the
 partition of events into threads, event kinds and annotations, fence
 flavours, locations, dependency edges, rmw pairs, and the transaction
-structure.  :mod:`repro.enumeration.complete` then closes each skeleton
+structure.  :mod:`repro.enumeration.sharding` then closes each skeleton
 under all rf/co choices, yielding candidate executions (§2).
 
 Mild, soundness-preserving pruning keeps the space manageable:

@@ -1,4 +1,13 @@
-"""Sharding the synthesis enumeration space by skeleton signature.
+"""Completing skeletons with rf/co choices, whole or sharded.
+
+Every skeleton is completed over
+:func:`~repro.events.execution.choice_space` (§2's candidate step), by
+one :class:`_Group` per run of transaction layouts of one skeleton:
+:func:`enumerate_executions` for a whole event bound,
+:func:`complete_skeleton` for one skeleton (the sequential reference,
+one fresh group each), :func:`complete_shard_range` for a work unit.
+
+Synthesis is sharded by skeleton signature.
 
 One *shard* is the set of skeletons sharing a canonical signature --
 the per-thread kind strings produced by
@@ -12,11 +21,11 @@ deterministic fold rests on.
 Within a shard, every candidate execution has a global *completion
 index*: skeletons in elaboration order, and within one skeleton the
 mixed-radix index of its rf/co choice (rf digits outermost, co digits
-innermost -- the iteration order of
-:func:`~repro.enumeration.complete.complete_skeleton`).  A work unit is
-then just ``(signature, start, stop)``: self-describing, splittable at
-any index (how idle workers steal half of a remaining range), and
-resumable (the cross-run store records completed ranges as plain data).
+innermost, each in :func:`~repro.events.execution.choice_space`
+order).  A work unit is then just ``(signature, start, stop)``:
+self-describing, splittable at any index (how idle workers steal half
+of a remaining range), and resumable (the cross-run store records
+completed ranges as plain data).
 
 :func:`completion_count` prices a skeleton arithmetically --
 ``Π (1 + |writes at the read's location|) × Π |writes at loc|!`` --
@@ -32,10 +41,16 @@ import operator
 from bisect import bisect_right
 from typing import Iterator
 
-from ..events import Execution, READ, WRITE
-from ..events.execution import SkeletonCompleter
+from ..events import Execution
+from ..events.execution import SkeletonCompleter, choice_space
 from .config import EnumerationConfig
-from .shapes import Skeleton, _elaborate, _kind_assignments, partitions
+from .shapes import (
+    Skeleton,
+    _elaborate,
+    _kind_assignments,
+    enumerate_skeletons,
+    partitions,
+)
 
 #: One shard signature: per-thread kind strings, e.g. ``("RW", "W")``.
 Signature = tuple[str, ...]
@@ -64,31 +79,12 @@ def shard_skeletons(
     return list(_elaborate(config, sizes, kinds))
 
 
-def _choice_space(skeleton: Skeleton):
-    """The rf/co choice space of one skeleton, mirroring
-    :func:`~repro.enumeration.complete.complete_skeleton` exactly."""
-    reads = [e.eid for e in skeleton.events if e.kind == READ]
-    writes_by_loc: dict[str, list[int]] = {}
-    for e in skeleton.events:
-        if e.kind == WRITE:
-            writes_by_loc.setdefault(e.loc, []).append(e.eid)
-    by_eid = {e.eid: e for e in skeleton.events}
-    read_options: list[list[int | None]] = [
-        [None] + writes_by_loc.get(by_eid[r].loc, []) for r in reads
-    ]
-    locs = sorted(writes_by_loc)
-    return reads, read_options, writes_by_loc, locs
-
-
 def completion_count(skeleton: Skeleton) -> int:
     """How many rf/co completions the skeleton has (pure arithmetic)."""
-    _, read_options, writes_by_loc, locs = _choice_space(skeleton)
-    count = 1
-    for options in read_options:
-        count *= len(options)
-    for loc in locs:
-        count *= math.factorial(len(writes_by_loc[loc]))
-    return count
+    _, options, writes = choice_space(skeleton.events)
+    return math.prod(map(len, options)) * math.prod(
+        math.factorial(len(order)) for order in writes.values()
+    )
 
 
 def shard_completion_counts(skeletons: list[Skeleton]) -> list[int]:
@@ -144,36 +140,32 @@ class _Group:
 
     def __init__(self, skeleton: Skeleton):
         self.parts = _group_parts(skeleton)
-        reads, read_options, writes_by_loc, locs = _choice_space(skeleton)
-        self.reads = reads
-        self.read_options = read_options
+        self.reads, self.read_options, writes = choice_space(skeleton.events)
         # One rf block holds every co choice, in ``itertools.product``
         # order (the innermost digits of the completion index).
         self.co_choices = list(
-            itertools.product(
-                *(itertools.permutations(writes_by_loc[loc]) for loc in locs)
-            )
+            itertools.product(*map(itertools.permutations, writes.values()))
         )
-        self.rf_sizes = [len(options) for options in read_options]
-        self.completer = SkeletonCompleter(
-            events=skeleton.events,
-            threads=skeleton.threads,
-            addr=skeleton.addr,
-            ctrl=skeleton.ctrl,
-            data=skeleton.data,
-            rmw=skeleton.rmw,
-            txn_of=skeleton.txn_of,
-            atomic_txns=skeleton.atomic_txns,
-        )
+        self.rf_sizes = [len(options) for options in self.read_options]
+        self.completer = SkeletonCompleter.of(skeleton)
 
-    def holds(self, skeleton: Skeleton) -> bool:
-        """Whether ``skeleton`` is another layout of this group."""
-        return _same_group(self.parts, skeleton)
+    def next(self, skeleton: Skeleton) -> "_Group":
+        """The group completing ``skeleton``: this one moved to its
+        transaction layout if it is another layout of this group, else
+        a fresh one."""
+        if not _same_group(self.parts, skeleton):
+            return _Group(skeleton)
+        self.completer.start_txn(skeleton.txn_of, skeleton.atomic_txns)
+        return self
 
-    def completions(self, start: int, stop: int) -> Iterator[Execution]:
-        """Completions ``start <= index < stop`` of the current layout."""
+    def completions(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[Execution]:
+        """Completions ``start <= index < stop`` of the current layout
+        (to the last one when ``stop`` is ``None``)."""
         block = len(self.co_choices)
-        stop = min(stop, block * math.prod(self.rf_sizes))
+        total = block * math.prod(self.rf_sizes)
+        stop = total if stop is None else min(stop, total)
         start = max(0, start)
         completer = self.completer
         for rf_index in range(start // block, (stop - 1) // block + 1):
@@ -193,18 +185,25 @@ class _Group:
                 yield completer.complete(co_orders)
 
 
-def complete_skeleton_range(
-    skeleton: Skeleton, start: int, stop: int
+def enumerate_executions(
+    config: EnumerationConfig, n_events: int
 ) -> Iterator[Execution]:
-    """Completions ``start <= index < stop`` of one skeleton.
+    """All candidate executions with exactly ``n_events`` events, in
+    :func:`~repro.enumeration.shapes.enumerate_skeletons` order.  Each
+    transaction group is completed by one :class:`_Group`."""
+    group = None
+    for skeleton in enumerate_skeletons(config, n_events):
+        group = _Group(skeleton) if group is None else group.next(skeleton)
+        yield from group.completions()
 
-    ``complete_skeleton_range(s, 0, completion_count(s))`` yields
-    exactly the same executions, in the same order, as
-    :func:`~repro.enumeration.complete.complete_skeleton` -- pinned by
-    ``tests/test_sharding.py``.  Slicing by index instead of islicing
-    the full product keeps a tail range cheap: whole rf blocks before
-    ``start`` are skipped by arithmetic, not enumerated.
-    """
+
+def complete_skeleton(
+    skeleton: Skeleton, start: int = 0, stop: int | None = None
+) -> Iterator[Execution]:
+    """Completions ``start <= index < stop`` of one skeleton, all of
+    them by default, by a fresh :class:`_Group` that shares nothing
+    with other layouts.  Whole rf blocks before ``start`` are skipped
+    by arithmetic, not enumerated."""
     return _Group(skeleton).completions(start, stop)
 
 
@@ -233,10 +232,7 @@ def complete_shard_range(
         if base >= stop:
             break
         skeleton = skeletons[index]
-        if group is not None and group.holds(skeleton):
-            group.completer.start_txn(skeleton.txn_of, skeleton.atomic_txns)
-        else:
-            group = _Group(skeleton)
+        group = _Group(skeleton) if group is None else group.next(skeleton)
         yield from group.completions(start - base, stop - base)
 
 

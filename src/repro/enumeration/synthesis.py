@@ -26,10 +26,10 @@ from ..models import get_model
 from ..models.base import MemoryModel
 from ..obs import REGISTRY, TRACER
 from .canonical import canonical_key
-from .complete import complete_skeleton
 from .config import EnumerationConfig, get_config
 from .minimality import is_minimal_inconsistent, weakenings
 from .shapes import enumerate_skeletons
+from .sharding import complete_skeleton
 
 
 @dataclass

@@ -615,13 +615,37 @@ CAT_BUILTINS: dict[str, Callable[[Execution], Relation | frozenset]] = {
 }
 
 
+def choice_space(
+    events: Iterable[Event],
+) -> tuple[list[int], list[list[int | None]], dict[str, tuple[int, ...]]]:
+    """The rf/co choice space of a skeleton's events (§2's candidate
+    step): every read observes the initial value or one same-location
+    write, and every location's writes take every total order.
+
+    Returns the reads in eid order; each read's options, ``None`` (the
+    initial value) first, then its location's writes in eid order; and
+    each location's writes in eid order, keyed by location in sorted
+    order.  Every candidate enumerator and the fuzz sampler complete
+    skeletons over exactly this space.
+    """
+    events = sorted(events, key=attrgetter("eid"))
+    by_loc: dict[str, list[int]] = {}
+    for e in events:
+        if e.kind == WRITE:
+            by_loc.setdefault(e.loc, []).append(e.eid)
+    reads = [e for e in events if e.kind == READ]
+    options = [[None, *by_loc.get(e.loc, ())] for e in reads]
+    writes = {loc: tuple(by_loc[loc]) for loc in sorted(by_loc)}
+    return [e.eid for e in reads], options, writes
+
+
 class SkeletonCompleter:
     """Builds one skeleton's rf/co completions over shared static rows.
 
-    The candidate enumerators (``repro.enumeration.complete``,
-    ``repro.enumeration.sharding``, ``repro.litmus.candidates``) and the
-    fuzz generator complete a fixed skeleton -- events, threads,
-    dependency edges, transaction structure -- with many rf/co choices.
+    The candidate enumerators (``repro.enumeration.sharding``,
+    ``repro.litmus.candidates``) and the fuzz generator complete a fixed
+    skeleton -- events, threads, dependency edges, transaction
+    structure -- with rf/co choices from :func:`choice_space`.
     This helper owns what they must agree on: the skeleton normalised
     as ``Execution.__init__`` normalises it (events sorted by eid, empty
     threads dropped, unknown event ids rejected), and one
@@ -643,8 +667,7 @@ class SkeletonCompleter:
 
     Usage::
 
-        completer = SkeletonCompleter(events, threads, addr, ctrl,
-                                      data, rmw, txn_of, atomic_txns)
+        completer = SkeletonCompleter.of(skeleton)
         for rf_pairs in ...:
             completer.start_rf(rf_pairs)
             for co_orders in ...:  # one tuple of writes per location
@@ -676,6 +699,22 @@ class SkeletonCompleter:
         #: rf rows → co orders → the transaction-free memo.
         self._memos: dict[tuple, dict[tuple, dict]] = {}
         self.start_rf(())
+
+    @classmethod
+    def of(cls, skeleton) -> "SkeletonCompleter":
+        """The completer of any object carrying a skeleton's fields
+        (``events``, ``threads``, ``addr``, ``ctrl``, ``data``,
+        ``rmw``, ``txn_of``, ``atomic_txns``)."""
+        return cls(
+            skeleton.events,
+            skeleton.threads,
+            skeleton.addr,
+            skeleton.ctrl,
+            skeleton.data,
+            skeleton.rmw,
+            skeleton.txn_of,
+            skeleton.atomic_txns,
+        )
 
     def start_txn(
         self, txn_of: Mapping[int, int], atomic_txns: Iterable[int]

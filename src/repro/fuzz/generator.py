@@ -33,7 +33,7 @@ from ..enumeration.shapes import (
     sample_partition,
 )
 from ..events import FENCE, NA, READ, WRITE, Event, Execution
-from ..events.execution import SkeletonCompleter
+from ..events.execution import SkeletonCompleter, choice_space
 from ..events.wellformed import is_well_formed
 from ..obs import REGISTRY
 
@@ -163,45 +163,26 @@ def sample_skeleton(
 
 
 def sample_completion(rng: random.Random, skeleton: Skeleton) -> Execution:
-    """One random rf/co completion of a skeleton.
+    """One random rf/co completion of a skeleton, drawn from its
+    :func:`~repro.events.execution.choice_space`.
 
-    Each read reads from a random same-location write or the initial
-    value (rf constrained to rmw semantics is *not* enforced here; the
-    models decide what such executions mean).  Each location's writes
-    get a random coherence permutation.
+    Each read, in eid order, reads from a random same-location write or
+    the initial value (rf constrained to rmw semantics is *not* enforced
+    here; the models decide what such executions mean).  Then each
+    location's writes, in sorted location order, get a random coherence
+    permutation.
     """
-    by_eid = {e.eid: e for e in skeleton.events}
-    writes_by_loc: dict[str, list[int]] = {}
-    for e in skeleton.events:
-        if e.kind == WRITE and e.loc is not None:
-            writes_by_loc.setdefault(e.loc, []).append(e.eid)
-
-    rf_pairs: list[tuple[int, int]] = []
-    for e in skeleton.events:
-        if e.kind != READ or e.loc is None:
-            continue
-        sources: list[int | None] = [None] + writes_by_loc.get(e.loc, [])
-        src = rng.choice(sources)
-        if src is not None:
-            rf_pairs.append((src, e.eid))
-
-    co_orders: list[tuple[int, ...]] = []
-    for loc in sorted(writes_by_loc):
-        order = list(writes_by_loc[loc])
+    reads, read_options, writes = choice_space(skeleton.events)
+    rf_pairs = [
+        (rng.choice(options), r) for r, options in zip(reads, read_options)
+    ]
+    co_orders = []
+    for order in writes.values():
+        order = list(order)
         rng.shuffle(order)
         co_orders.append(tuple(order))
-
-    completer = SkeletonCompleter(
-        skeleton.events,
-        skeleton.threads,
-        skeleton.addr,
-        skeleton.ctrl,
-        skeleton.data,
-        skeleton.rmw,
-        skeleton.txn_of,
-        skeleton.atomic_txns,
-    )
-    completer.start_rf(rf_pairs)
+    completer = SkeletonCompleter.of(skeleton)
+    completer.start_rf(pair for pair in rf_pairs if pair[0] is not None)
     return completer.complete(tuple(co_orders))
 
 

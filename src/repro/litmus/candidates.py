@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..events import Event, Execution, FENCE, READ, WRITE
-from ..events.execution import SkeletonCompleter
+from ..events.execution import SkeletonCompleter, choice_space
 from ..models.base import MemoryModel
 from .program import (
     AbortUnless,
@@ -87,7 +87,6 @@ class _Skeleton:
     txn_of: dict[int, int] = field(default_factory=dict)
     atomic_txns: set[int] = field(default_factory=set)
     write_value: dict[int, int] = field(default_factory=dict)
-    reads: list[int] = field(default_factory=list)
     #: read eid → (tid, register name)
     reg_of_read: dict[int, tuple[int, str]] = field(default_factory=dict)
     #: (read-eid, required value) constraints from AbortUnless
@@ -158,7 +157,6 @@ def _build_skeleton(program: Program, committed: frozenset[int]) -> _Skeleton:
             if isinstance(ins, Load):
                 new = fresh(READ, ins.loc, ins.tags)
                 reg_def[ins.reg] = new
-                sk.reads.append(new)
                 sk.reg_of_read[new] = (tid, ins.reg)
                 add_deps(new, addr_regs=ins.addr_regs, ctrl_regs=ins.ctrl_regs)
             elif isinstance(ins, Store):
@@ -173,7 +171,6 @@ def _build_skeleton(program: Program, committed: frozenset[int]) -> _Skeleton:
             elif isinstance(ins, Rmw):
                 read = fresh(READ, ins.loc, ins.read_tags)
                 reg_def[ins.reg] = read
-                sk.reads.append(read)
                 sk.reg_of_read[read] = (tid, ins.reg)
                 add_deps(read, ctrl_regs=ins.ctrl_regs)
                 write = fresh(WRITE, ins.loc, ins.write_tags)
@@ -184,7 +181,6 @@ def _build_skeleton(program: Program, committed: frozenset[int]) -> _Skeleton:
             elif isinstance(ins, LoadLinked):
                 new = fresh(READ, ins.loc, ins.tags)
                 reg_def[ins.reg] = new
-                sk.reads.append(new)
                 sk.reg_of_read[new] = (tid, ins.reg)
                 pending_sc[ins.reg] = new
                 add_deps(new, ctrl_regs=ins.ctrl_regs)
@@ -246,46 +242,18 @@ def _complete_skeleton(
     committed: frozenset[int],
     total_txns: int,
 ) -> Iterator[Candidate]:
-    events_by_eid = {e.eid: e for e in sk.events}
-    writes_by_loc: dict[str, list[int]] = {}
-    for e in sk.events:
-        if e.kind == WRITE:
-            writes_by_loc.setdefault(e.loc, []).append(e.eid)
-
-    # rf choices: each read observes a same-location write or None (init).
-    read_choices: list[list[int | None]] = []
-    for r in sk.reads:
-        loc = events_by_eid[r].loc
-        read_choices.append([None] + writes_by_loc.get(loc, []))
-
-    # co choices: a permutation per location.
-    locs = sorted(writes_by_loc)
-    co_choices_per_loc = [
-        list(itertools.permutations(writes_by_loc[loc])) for loc in locs
-    ]
-
-    all_committed = len(committed) == total_txns
-
-    # The completer owns the shared static parts; all completions of
-    # one skeleton share one row bundle (po/sloc/stxn/...).
-    completer = SkeletonCompleter(
-        events=sk.events,
-        threads=sk.threads,
-        addr=sk.addr,
-        ctrl=sk.ctrl,
-        data=sk.data,
-        rmw=sk.rmw,
-        txn_of=sk.txn_of,
-        atomic_txns=sk.atomic_txns,
+    reads, read_options, writes = choice_space(sk.events)
+    co_choices = list(
+        itertools.product(*map(itertools.permutations, writes.values()))
     )
+    all_committed = len(committed) == total_txns
+    # All completions of one skeleton share one row bundle.
+    completer = SkeletonCompleter.of(sk)
 
-    for rf_choice in itertools.product(*read_choices):
-        rf_pairs = [
-            (src, r) for src, r in zip(rf_choice, sk.reads) if src is not None
-        ]
+    for rf_choice in itertools.product(*read_options):
         read_values: dict[int, int] = {
             r: (sk.write_value[src] if src is not None else 0)
-            for src, r in zip(rf_choice, sk.reads)
+            for src, r in zip(rf_choice, reads)
         }
         if any(
             read_values[r] != expected for r, expected in sk.abort_constraints
@@ -296,12 +264,14 @@ def _complete_skeleton(
             sk.reg_of_read[r]: value for r, value in read_values.items()
         }
 
-        completer.start_rf(rf_pairs)
-        for co_perm in itertools.product(*co_choices_per_loc):
-            execution = completer.complete(co_perm)
+        completer.start_rf(
+            (src, r) for src, r in zip(rf_choice, reads) if src is not None
+        )
+        for co_orders in co_choices:
+            execution = completer.complete(co_orders)
             memory = {
-                loc: (sk.write_value[perm[-1]] if perm else 0)
-                for loc, perm in zip(locs, co_perm)
+                loc: sk.write_value[order[-1]]
+                for loc, order in zip(writes, co_orders)
             }
             yield Candidate(
                 execution=execution,

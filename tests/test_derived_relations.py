@@ -9,9 +9,10 @@ tests pin them three ways:
   plain pair sets, and so do ``Execution``'s Relation-level reference
   values (which the cat builtins return to the walker and
   ``fallback_value``);
-* every bound-2 ARMv8 and Power completion carries the same rows and
-  pair views as an ``Execution`` built through the public constructor
-  from the completion's rf/co choice;
+* every bound-2 completion of every enumeration target carries the
+  same rows and pair views as an ``Execution`` built through the
+  public constructor from the completion's rf/co choice, in the order
+  of the choice space restated here as an independent reference;
 * the verdict-cache digest of ``fr`` sees every part of its definition.
 """
 
@@ -25,8 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ir
-from repro.enumeration import get_config
-from repro.enumeration.complete import complete_skeleton
+from repro.enumeration import complete_skeleton, get_config
 from repro.enumeration.config import CONFIGS
 from repro.enumeration.shapes import enumerate_skeletons
 from repro.events import READ, WRITE, Execution
@@ -114,8 +114,9 @@ def test_derived_terms_on_init_reads_and_long_co_chains(target):
 
 
 def _choices(skeleton):
-    """The rf/co choices of one skeleton, in ``complete_skeleton``'s
-    order, as plain pairs."""
+    """The rf/co choices of one skeleton, in completion order, as plain
+    pairs: §2's candidate rule restated independently of
+    ``repro.events.execution.choice_space``."""
     reads = [e.eid for e in skeleton.events if e.kind == READ]
     writes_by_loc: dict[str, list[int]] = {}
     for e in skeleton.events:
@@ -134,7 +135,25 @@ def _choices(skeleton):
             yield rf, co
 
 
-@pytest.mark.parametrize("target", ["armv8", "power"])
+def _reference_completions(skeleton):
+    """``(rf, execution)`` per choice of :func:`_choices`, the execution
+    built through the public constructor."""
+    for rf, co in _choices(skeleton):
+        yield rf, Execution(
+            skeleton.events,
+            skeleton.threads,
+            rf=rf,
+            co=co,
+            addr=skeleton.addr,
+            ctrl=skeleton.ctrl,
+            data=skeleton.data,
+            rmw=skeleton.rmw,
+            txn_of=skeleton.txn_of,
+            atomic_txns=skeleton.atomic_txns,
+        )
+
+
+@pytest.mark.parametrize("target", sorted(CONFIGS))
 def test_completions_match_public_constructor(target):
     """A completion's rf/co rows, its static rows and its pair views
     equal those of the same execution built from its rf/co choice
@@ -144,21 +163,9 @@ def test_completions_match_public_constructor(target):
     for n_events in (1, 2):
         for skeleton in enumerate_skeletons(config, n_events):
             completions = complete_skeleton(skeleton)
-            for (rf, co), x in itertools.zip_longest(
-                _choices(skeleton), completions
+            for (rf, y), x in itertools.zip_longest(
+                _reference_completions(skeleton), completions
             ):
-                y = Execution(
-                    skeleton.events,
-                    skeleton.threads,
-                    rf=rf,
-                    co=co,
-                    addr=skeleton.addr,
-                    ctrl=skeleton.ctrl,
-                    data=skeleton.data,
-                    rmw=skeleton.rmw,
-                    txn_of=skeleton.txn_of,
-                    atomic_txns=skeleton.atomic_txns,
-                )
                 # Built alike: the constructor carries what a completion
                 # carries, bar the completer's shared IR memo.
                 assert set(vars(y)) == set(vars(x)) - {"_ir_shared"}

@@ -1,9 +1,12 @@
 """Litmus programs, conversion, candidates, and rendering (§2.2, §3.2)."""
 
+import hashlib
+
 import pytest
 
 from repro.catalog import classics, figures
 from repro.events import ACQ, MFENCE, REL
+from repro.fuzz import execution_digest
 from repro.litmus import (
     AbortUnless,
     Fence,
@@ -195,6 +198,15 @@ class TestConversion:
             assert test.program.distinct_value_warnings() == []
 
 
+_CLASSICS = (
+    "corr coww sb sb_txn mp mp_txn mp_txn_reader lb wrc wrc_txn iriw "
+    "iriw_txn"
+).split()
+_CLASSICS_SHA256 = (
+    "ab3595abd2bcb1226e05e1803862db0afebf6424d8b9cad2151dfcbe0b58e92f"
+)
+
+
 class TestCandidates:
     def test_sb_candidate_count(self):
         test = execution_to_litmus(classics.sb(), "sb")
@@ -265,6 +277,27 @@ class TestCandidates:
             # The only candidates are those where the transaction
             # committed (otherwise the SC could not succeed).
             assert c.committed == frozenset({0})
+
+    def test_classics_candidate_stream_is_pinned(self):
+        # Every candidate of the twelve classic shapes, in order, with
+        # its final state: the golden pins the rf/co choice order and
+        # the per-rf-choice values and AbortUnless filter.
+        digest = hashlib.sha256()
+        count = 0
+        for name in _CLASSICS:
+            test = execution_to_litmus(getattr(classics, name)(), name)
+            for c in candidate_executions(test.program):
+                row = (
+                    execution_digest(c.execution),
+                    sorted(c.registers.items()),
+                    sorted(c.memory.items()),
+                    sorted(c.committed),
+                    c.all_txns_committed,
+                )
+                digest.update(f"{row!r}\n".encode())
+                count += 1
+        assert count == 110
+        assert digest.hexdigest() == _CLASSICS_SHA256
 
     def test_co_value_sequences(self):
         test = execution_to_litmus(figures.fig1(), "fig1")

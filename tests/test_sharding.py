@@ -13,9 +13,10 @@ import pytest
 
 from repro.enumeration import (
     complete_shard_range,
-    complete_skeleton_range,
+    complete_skeleton,
     completion_count,
     cumulative_counts,
+    enumerate_executions,
     get_config,
     shard_completion_counts,
     shard_signatures,
@@ -23,13 +24,14 @@ from repro.enumeration import (
     signature_label,
     synthesise,
 )
-from repro.enumeration.complete import complete_skeleton
 from repro.enumeration.shapes import enumerate_skeletons
 from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.scheduler import run_shard_job, synthesise_sharded
 from repro.harness.verdict_cache import VerdictCache
 from repro.obs import REGISTRY, reset_observability
+
+from .test_derived_relations import _choices, _reference_completions
 
 
 @pytest.fixture(scope="module")
@@ -69,25 +71,47 @@ class TestShardSpace:
         for skeleton in itertools.islice(
             enumerate_skeletons(config, 3), 120
         ):
-            expected = len(list(complete_skeleton(skeleton)))
+            expected = sum(1 for _ in _choices(skeleton))
             assert completion_count(skeleton) == expected
 
     def test_range_slices_tile_the_skeleton(self, config):
         skeletons = itertools.islice(enumerate_skeletons(config, 3), 40)
         for skeleton in skeletons:
-            full = [x.fingerprint() for x in complete_skeleton(skeleton)]
+            full = [
+                y.fingerprint() for _, y in _reference_completions(skeleton)
+            ]
             total = completion_count(skeleton)
             assert total == len(full)
+            assert [
+                x.fingerprint() for x in complete_skeleton(skeleton)
+            ] == full
             for split in {0, 1, total // 3, total - 1, total}:
                 left = [
                     x.fingerprint()
-                    for x in complete_skeleton_range(skeleton, 0, split)
+                    for x in complete_skeleton(skeleton, 0, split)
                 ]
                 right = [
                     x.fingerprint()
-                    for x in complete_skeleton_range(skeleton, split, total)
+                    for x in complete_skeleton(skeleton, split, total)
                 ]
                 assert left + right == full
+
+    def test_enumeration_shares_memos_across_layouts(self, config):
+        # ``enumerate_executions`` completes a transaction group's
+        # layouts with one completer: the stream is the per-skeleton
+        # one, and layouts of one rf/co choice share one memo.
+        shared = list(enumerate_executions(config, 3))
+        fresh = [
+            x
+            for skeleton in enumerate_skeletons(config, 3)
+            for x in complete_skeleton(skeleton)
+        ]
+        assert [x.fingerprint() for x in shared] == [
+            x.fingerprint() for x in fresh
+        ]
+        memos = {id(x._ir_shared) for x in shared}
+        assert len(memos) < len(shared)
+        assert len({id(x._ir_shared) for x in fresh}) == len(fresh)
 
     def test_shard_range_concatenates_skeletons(self, config):
         signature = next(iter(shard_signatures(config, 3)))

@@ -104,13 +104,6 @@ for name in ("armv8tm", "x86tm"):
 
 def test_runner_source_independent_of_compile_order():
     root = Path(__file__).resolve().parent.parent
-    # Leaf uids follow the string-hash order of the base vocabulary, so
-    # both processes take one hash seed; only the compile order differs.
-    env = {
-        "PYTHONPATH": str(root / "src"),
-        "PATH": "/usr/bin:/bin",
-        "PYTHONHASHSEED": "0",
-    }
     runs = [
         subprocess.run(
             [sys.executable, "-c", _SNIPPET, order],
@@ -118,9 +111,16 @@ def test_runner_source_independent_of_compile_order():
             text=True,
             check=True,
             cwd=root,
-            env=env,
+            env={
+                "PYTHONPATH": str(root / "src"),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONHASHSEED": seed,
+            },
         ).stdout
-        for order in ("armv8,x86,armv8tm,x86tm", "armv8tm,x86tm,armv8,x86")
+        for order, seed in (
+            ("armv8,x86,armv8tm,x86tm", "1"),
+            ("armv8tm,x86tm,armv8,x86", "2"),
+        )
     ]
     assert runs[0] == runs[1]
     assert "armv8tm calls its free part: True" in runs[0]
