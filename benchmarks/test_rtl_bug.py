@@ -15,6 +15,8 @@ def test_rtl_bug_detected(benchmark):
         lambda: run_rtl_bug(max_events=3), iterations=1, rounds=1
     )
     assert result.bug_detected, "the suite must flag the TxnOrder bug"
+    assert result.forbid_total == 7
+    assert result.flagged_by_suite == ["mp+dmb+txnreader"]
     assert result.false_alarms_on_good_rtl == []
     print()
     print(result.render())

@@ -10,10 +10,10 @@ workflow (§4), in miniature.
 Run:  python examples/cat_interpreter.py
 """
 
-from repro.cat import load_cat_model, parse
-from repro.cat.eval import CatModel
+from repro.cat import CatModel, parse
 from repro.catalog import classics, figures
 from repro.enumeration import enumerate_executions, get_config
+from repro.models import get_model
 
 # An x86 TM model whose author forgot the implicit transaction fences
 # (the tfence term of Fig. 5) -- a plausible modelling mistake.
@@ -35,7 +35,7 @@ acyclic stronglift(hb, stxn) as TxnOrder
 
 def main() -> None:
     broken = CatModel(parse(BROKEN_X86_TM))
-    full = load_cat_model("x86tm")
+    full = get_model("x86tm")
     print(f"loaded: {full.name!r}")
     print(f"custom: {broken.name!r}")
     print()

@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cat import CatModel
     from .enumeration import SynthesisResult
     from .events import Execution
-    from .models.base import MemoryModel
 
 __all__ = ["check", "load_model", "run_table", "synthesize"]
 
@@ -56,7 +56,7 @@ def _cache(cache: str | Path | None) -> str | Path | None:
     return cache if cache is not None else env_str("REPRO_CACHE") or None
 
 
-def load_model(name: str) -> "MemoryModel":
+def load_model(name: str) -> "CatModel":
     """The memory model registered under ``name``.
 
     ``repro.models.model_names()`` lists the registry; the transactional
@@ -68,7 +68,7 @@ def load_model(name: str) -> "MemoryModel":
     return get_model(name)
 
 
-def check(execution: "Execution", model: "MemoryModel | str") -> bool:
+def check(execution: "Execution", model: "CatModel | str") -> bool:
     """Is ``execution`` consistent under ``model``?
 
     ``model`` may be a model object or a registry name.  For the axioms

@@ -12,7 +12,10 @@ independent check of the lowering.
 
 Each bundled file defines a transactional model; its baseline is the
 same file with ``tfence``, ``stxn`` and ``stxnat`` bound to ``0`` and
-every check naming them dropped (:meth:`Model.baseline`).
+every check naming them dropped (:meth:`Model.baseline`).  Every other
+model variant is an edit of a parsed file too (:meth:`Model.without`
+drops checks; the POWER8 oracle appends one), so :class:`CatModel` is
+the one model class.
 
 Dialect deviations from herd (documented design choices):
 
@@ -28,12 +31,7 @@ from .ast import Check, Expr, Let, Model
 from .errors import CatError, CatNameError, CatSyntaxError, CatTypeError
 from .eval import CatModel, Evaluator
 from .lexer import Token, tokenize
-from .loader import (
-    available_cat_models,
-    bundled_model,
-    load_cat_file,
-    load_cat_model,
-)
+from .loader import available_cat_models, bundled_model, load_cat_file
 from .parser import parse
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "available_cat_models",
     "bundled_model",
     "load_cat_file",
-    "load_cat_model",
     "parse",
     "tokenize",
 ]

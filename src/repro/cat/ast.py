@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: The transactional base relations.  A model's baseline binds them to
 #: ``0`` (see :meth:`Model.baseline`).
@@ -191,3 +191,26 @@ class Model:
             or TXN_RELATIONS.isdisjoint(identifiers(s.expr))
         )
         return Model(self.name if name is None else name, (zero, *kept))
+
+    def without(self, axioms: Iterable[str]) -> "Model":
+        """This model with the checks named ``axioms`` dropped, named
+        ``"<name>-<axiom>..."`` (the §6.2 RTL prototype is ARMv8+TM
+        without TxnOrder: ``"ARMv8+TM-TxnOrder"``).
+
+        Every ``let`` stays, so the remaining checks lower to the same
+        terms as in this model.  Naming an axiom the model does not
+        check is an error rather than a silent no-op.
+        """
+        drops = tuple(axioms)
+        unknown = sorted(set(drops) - set(self.axiom_names()))
+        if unknown:
+            raise KeyError(
+                f"{self.name} has no axiom {', '.join(unknown)}; "
+                f"axioms: {', '.join(self.axiom_names())}"
+            )
+        kept = tuple(
+            s
+            for s in self.statements
+            if isinstance(s, Let) or s.name not in drops
+        )
+        return Model(self.name + "".join(f"-{a}" for a in drops), kept)

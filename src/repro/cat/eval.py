@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ..events import CAT_BUILTINS, Execution
-from ..models.base import IRModel
 from ..obs import REGISTRY
 from ..relations import Relation, stronglift, weaklift
 from .. import ir
@@ -459,35 +458,70 @@ def _compile_model(model: Model) -> Lowered:
     return lowered
 
 
-class CatModel(IRModel):
-    """A parsed cat model exposed through the MemoryModel interface.
+class CatModel:
+    """A memory model: a named set of axioms over executions (§2),
+    written in cat and run by the IR executor.
 
+    Every model in the reproduction is one: the registry's ten
+    (:mod:`repro.models.registry`) and each variant the experiments
+    build from them, as an edit of their parsed source
+    (:meth:`Model.baseline`, :meth:`Model.without`, an appended check).
     The AST is lowered to an IR plan once per parsed model (shared
-    across instances over equal ASTs); consistency checks, axiom thunks
-    and diagnostics all run on the shared IR executor.  The model is
-    named by the file's title string.  ``baseline`` is the model
-    :meth:`baseline` returns; by default, the one :meth:`Model.baseline`
+    across instances over equal ASTs, and term by term with every model
+    writing the same relation); consistency checks and diagnostics both
+    run the plan's compiled runner, so they can never disagree.  The
+    model is named by the file's title string.  ``baseline`` is the
+    model :meth:`baseline` returns; by default, the model itself for a
+    non-transactional model, else the one :meth:`Model.baseline`
     derives.
     """
 
     def __init__(self, model: Model, baseline: "CatModel | None" = None):
         self.model = model
         self.name = model.name
+        #: Whether the model includes the paper's TM axioms.
         self.is_transactional = model.is_transactional
         self._plan, self._lets = _compile_model(model)
         self._baseline = baseline
 
     def plan(self) -> ir.Plan:
+        """The compiled constraint plan."""
         return self._plan
 
     def lets(self) -> dict[str, ir.Term]:
+        """The model's named derived relations (its ``let`` bindings)."""
         return self._lets
 
+    def consistent(self, execution: Execution) -> bool:
+        """Does the execution satisfy every axiom?"""
+        return ir.consistent(self._plan, execution)
+
+    def violated_axioms(self, execution: Execution) -> list[str]:
+        """Names of all axioms the execution violates, in declaration
+        order."""
+        return ir.violated_axioms(self._plan, execution)
+
+    def relation(self, name: str, execution: Execution) -> Relation:
+        """The value of the derived relation ``name`` on ``execution``
+        (C++'s ``hb``, Power's ``ppo``, ...; a frozenset for a
+        set-valued let), interned per execution."""
+        if name not in self._lets:
+            raise KeyError(
+                f"{self.name} defines no relation {name!r}; "
+                f"defined: {', '.join(sorted(self._lets))}"
+            )
+        return ir.evaluate(self._lets[name], execution)
+
     def baseline(self) -> "CatModel":
-        if not self.is_transactional:
-            return self
+        """The non-transactional model this one extends (§5.3 compares
+        the TM models against these)."""
         if self._baseline is None:
-            self._baseline = CatModel(
-                self.model.baseline(f"{self.name} baseline")
+            self._baseline = (
+                CatModel(self.model.baseline(f"{self.name} baseline"))
+                if self.is_transactional
+                else self
             )
         return self._baseline
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<CatModel {self.name}>"

@@ -29,16 +29,6 @@ def bundled_model(name: str) -> Model:
     return parse(path.read_text())
 
 
-def load_cat_model(name: str) -> CatModel:
-    """A bundled model file as a runnable :class:`CatModel`: the
-    registry's model of that name, whose ``baseline()`` is the
-    registry's baseline."""
-    from ..models import get_model
-
-    bundled_model(name)  # unknown names fail with the list of files
-    return get_model(name)
-
-
 def load_cat_file(path: str | Path) -> CatModel:
     """Parse an arbitrary .cat file."""
     return CatModel(parse(Path(path).read_text()))

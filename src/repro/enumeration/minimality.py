@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..cat import CatModel
 from ..events import Execution
-from ..models.base import MemoryModel
 from .config import EnumerationConfig
 
 
@@ -55,7 +55,7 @@ def weakenings(
 
 def is_minimal_inconsistent(
     execution: Execution,
-    model: MemoryModel,
+    model: CatModel,
     config: EnumerationConfig,
     known_inconsistent: bool = False,
 ) -> bool:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..cat import CatModel
 from ..events import Execution
 from ..models import get_model
-from ..models.base import MemoryModel
 from ..obs import REGISTRY, TRACER
 from .canonical import canonical_key
 from .config import EnumerationConfig, get_config
@@ -131,8 +131,8 @@ def _synthesise_bound(
     result: SynthesisResult,
     target: str,
     n_events: int,
-    model: MemoryModel,
-    baseline: MemoryModel,
+    model: CatModel,
+    baseline: CatModel,
     config: EnumerationConfig,
     seen_forbidden: set[tuple],
     start: float,

@@ -3,9 +3,12 @@
 The paper's figure plots, for the 7-event x86 run, the cumulative
 percentage of Forbid tests found against wall-clock time, observing that
 98% of tests appear within the first 6% of the run.  This driver
-computes the same curve from the per-test discovery timestamps recorded
-by :func:`repro.enumeration.synthesise` and renders it as an ASCII plot
-plus the headline percentiles.
+computes the same curve from the per-test discovery timestamps of the
+pipeline's synthesis run -- the sharded scheduler
+(:func:`repro.harness.scheduler.synthesise_sharded`) -- and renders it
+as an ASCII plot plus the headline percentiles.  The scheduler stamps a
+test when its fold admits it, and it folds each bound once all of that
+bound's chunks are in, so the curve steps once per bound.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ model?".  :class:`CheckPipeline` evaluates such job lists through one
 shared cache layer:
 
 * **synthesis cache** -- Table 1, Figure 7, and the ablation all consume
-  the same :func:`~repro.enumeration.synthesise` run; the pipeline
-  computes it once per ``(arch, max_events)``.
+  the same synthesis run, which the work-stealing scheduler
+  (:func:`~repro.harness.scheduler.synthesise_sharded`) computes once
+  per ``(arch, max_events)`` on this pipeline's workers.
 * **one submission primitive** -- :meth:`CheckPipeline.submit` queues
   a job and :meth:`CheckPipeline.next_result` returns the next finished
   one, inline (the default) or from a ``multiprocessing`` pool
@@ -39,7 +40,8 @@ shared cache layer:
 
 Jobs reference hardware and models *by name* so that worker processes
 can rebuild them locally instead of pickling model objects; each worker
-keeps a per-process registry.
+keeps a per-process registry.  A job's dropped axioms name a variant
+that :func:`model_for` compiles from the registry model's cat source.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .._env import env_int
+from ..cat import CatModel
 from ..enumeration import SynthesisResult
 from ..models import get_model
-from ..models.base import MemoryModel
 from ..obs import PROFILER, REGISTRY, TRACER, RunLog, reset_observability
 from . import verdict_cache as _verdict_cache
 from .checkpoint import job_digest
@@ -67,7 +69,7 @@ _HEARTBEAT_SECONDS = 30.0
 # ---------------------------------------------------------------------------
 
 _HARDWARE_CACHE: dict[str, object] = {}
-_MODEL_CACHE: dict[tuple[str, tuple[str, ...]], MemoryModel] = {}
+_MODEL_CACHE: dict[tuple[str, tuple[str, ...]], CatModel] = {}
 
 
 def hardware_for(arch: str):
@@ -94,16 +96,16 @@ def hardware_for(arch: str):
     return machine
 
 
-def model_for(name: str, drop_axioms: tuple[str, ...] = ()) -> MemoryModel:
-    """A (possibly axiom-filtered) model instance, cached per process."""
+def model_for(name: str, drop_axioms: tuple[str, ...] = ()) -> CatModel:
+    """The registry model ``name`` without the axioms ``drop_axioms``
+    (:meth:`repro.cat.Model.without`), cached per process.  A variant's
+    ``baseline()`` is the registry model's."""
     key = (name, drop_axioms)
     model = _MODEL_CACHE.get(key)
     if model is None:
         model = get_model(name)
         if drop_axioms:
-            from ..sim import FilteredModel
-
-            model = FilteredModel(model, drop_axioms=drop_axioms)
+            model = CatModel(model.model.without(drop_axioms), model.baseline())
         _MODEL_CACHE[key] = model
     return model
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .. import api
 from ..litmus import execution_to_litmus
 from ..models import get_model
-from ..sim import OracleHardware
+from ..sim import OracleHardware, run_suite
 
 
 @dataclass
@@ -75,10 +75,9 @@ def run_rtl_bug(
             execution_to_litmus(mp_txn_reader("dmb"), "mp+dmb+txnreader")
         )
 
-    result = RTLBugResult(forbid_total=len(suite), elapsed=synthesis.elapsed)
-    for test in suite:
-        if buggy.observable(test.program, test.intended_co):
-            result.flagged_by_suite.append(test.program.name)
-        if good.observable(test.program, test.intended_co):
-            result.false_alarms_on_good_rtl.append(test.program.name)
-    return result
+    return RTLBugResult(
+        forbid_total=len(suite),
+        flagged_by_suite=list(run_suite(suite, buggy).seen_tests),
+        false_alarms_on_good_rtl=list(run_suite(suite, good).seen_tests),
+        elapsed=synthesis.elapsed,
+    )

@@ -10,13 +10,7 @@ one set of obs counters serve all models.  See ``docs/ir.md``.
 """
 
 from .digest import model_digest, plan_digest, term_digest
-from .executor import (
-    axiom_thunks,
-    consistent,
-    evaluate,
-    fallback_value,
-    violated_axioms,
-)
+from .executor import consistent, evaluate, fallback_value, violated_axioms
 from .plan import Constraint, Plan, acyclic, compile_model, empty_c, irreflexive
 from .terms import (
     BASE_RELATIONS,
@@ -59,7 +53,6 @@ __all__ = [
     "Plan",
     "Term",
     "acyclic",
-    "axiom_thunks",
     "comp",
     "compile_model",
     "consistent",

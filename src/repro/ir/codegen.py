@@ -33,8 +33,8 @@ Three kinds of function are emitted:
   called too, however small, so every transaction layout of one rf/co
   choice reads its one shared value; the choice reads only the union
   and its child, so a runner's source does not depend on which model
-  compiled first.  Lazy thunks, ``ir.evaluate`` and interned static
-  nodes run evaluators directly;
+  compiled first.  ``ir.evaluate`` and interned static nodes run
+  evaluators directly;
 * **fix-group functions** (:func:`_group_function`) solve a ``let rec``
   group by Kleene iteration from the kind-appropriate bottoms, interned
   across executions on ``("irfix", group, n, *input values)``.

@@ -109,29 +109,8 @@ def plan_digest(plan: Plan) -> str:
     return _sha("plan\x1e" + payload)
 
 
-def model_digest(model) -> str | None:
-    """A stable digest identifying a model's semantics, or ``None``.
-
-    ``None`` means "this model cannot be digested reliably": it has no
-    plan, or adds opaque axioms.  IR-planned models digest via their
-    plan; axiom-filtered
-    wrappers (:class:`repro.sim.FilteredModel`) digest as the base
-    model's digest plus the dropped-axiom names, provided they add no
-    opaque extra axioms.
-    """
-    plan = getattr(model, "plan", None)
-    if callable(plan):
-        try:
-            return plan_digest(plan())
-        except Exception:
-            return None
-    base = getattr(model, "base", None)
-    if base is not None and hasattr(model, "drop_axioms"):
-        if getattr(model, "_extra", ()):
-            return None  # opaque thunks: semantics not digestable
-        inner = model_digest(base)
-        if inner is None:
-            return None
-        drops = ",".join(sorted(model.drop_axioms))
-        return _sha(f"filtered\x1f{inner}\x1f{drops}")
-    return None
+def model_digest(model) -> str:
+    """A stable digest identifying a model's semantics: its plan's
+    digest.  A variant (:meth:`repro.cat.Model.without`, an appended
+    check) is compiled like any model, so it digests the same way."""
+    return plan_digest(model.plan())

@@ -1,7 +1,7 @@
 """The IR executor: decides plans over executions at bitset-row level.
 
 One engine replaces the three historical consistency paths (generic
-``axiom_thunks``, per-architecture hand-fused kernels, compiled ``.cat``
+per-axiom thunks, per-architecture hand-fused kernels, compiled ``.cat``
 closures).  Every row-level evaluation runs code that
 :mod:`repro.ir.codegen` emits from the term DAG; this module supplies
 its primitives (leaf fetchers, row kernels, the per-execution state)
@@ -54,12 +54,13 @@ Entry points:
   (counted by ``ir.exec.constraint_short_circuits``);
 * :func:`violated_axioms` runs the same runner deciding every
   constraint;
-* :func:`axiom_thunks` decides each constraint alone, through the
-  compiled evaluator of its term, so dropped axioms stay unevaluated;
-* :func:`evaluate` materialises one term the same way.
+* :func:`evaluate` materialises one term through its compiled
+  evaluator, sharing the runners' node memo.
 
-All four read and record the same verdict memo, skipping any
-constraint already decided.
+The runners read and record one verdict memo, skipping any constraint
+already decided.  A model variant (a dropped or an added axiom) is its
+own plan, compiled from its own cat source, so it too decides only
+its own constraints.
 
 Every execution is row-aligned: its constructor rejects threads,
 relation pairs and ``txn_of`` keys that name events outside it, so
@@ -94,7 +95,7 @@ from ..relations.relation import (
     transpose_rows,
 )
 from . import codegen
-from .plan import Constraint, Plan
+from .plan import Plan
 from .terms import _LEAF_SDEPS, Term, derived_name
 
 _SHORT_CIRCUITS = REGISTRY.counter("ir.exec.constraint_short_circuits")
@@ -362,30 +363,6 @@ def _value(st: _State, t: Term):
     return codegen._node_function(t, _CODEGEN_NS, PROFILER.enabled)(st)
 
 
-def _verdict(st: _State, constraint: Constraint) -> bool:
-    rows = _value(st, constraint.term)
-    kind = constraint.kind
-    if kind == "acyclic":
-        ok = acyclic_rows_cached(rows)
-    elif kind == "irreflexive":
-        ok = not _has_reflexive(rows)
-    else:
-        ok = not any(rows)
-    st.memo(constraint.term)[constraint.vkey] = ok
-    return ok
-
-
-def _decide(st: _State, plan: Plan, constraint: Constraint) -> bool:
-    """Decide one constraint alone (a lazy thunk) and record it."""
-    if PROFILER.enabled:
-        PROFILER.note_plan(plan)
-        name = f"ir.constraint.{plan.name}.{constraint.name}"
-        with PROFILER.constraint(plan.name, constraint.name):
-            with REGISTRY.timer(name).time():
-                return _verdict(st, constraint)
-    return _verdict(st, constraint)
-
-
 # ---------------------------------------------------------------------------
 # Relation-level reference semantics
 # ---------------------------------------------------------------------------
@@ -511,24 +488,6 @@ def violated_axioms(plan: Plan, x) -> list[str]:
     return [
         c.name for c in plan.constraints if not st.memo(c.term)[c.vkey]
     ]
-
-
-def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
-    """``(name, thunk)`` pairs in declaration order.  A thunk answers
-    from the verdict memo the runners share, else decides its own
-    constraint alone -- the others stay unevaluated."""
-    st = _state(x)
-
-    def thunk_for(constraint: Constraint):
-        def thunk() -> bool:
-            ok = st.memo(constraint.term).get(constraint.vkey)
-            if ok is None:
-                ok = _decide(st, plan, constraint)
-            return ok
-
-        return thunk
-
-    return [(c.name, thunk_for(c)) for c in plan.constraints]
 
 
 def evaluate(term: Term, x):

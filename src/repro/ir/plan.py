@@ -3,7 +3,7 @@
 A *model spec* is a sequence of named constraints over IR terms
 (:mod:`repro.ir.terms`).  :func:`compile_model` turns one into a
 :class:`Plan`: the constraints in declaration order (the order
-``axiom_thunks``/``violated_axioms`` report them in) plus a scheduled
+``violated_axioms`` reports them in) plus a scheduled
 evaluation order -- cheapest constraint first, by a static cost estimate
 over the term DAG -- so the executor's early exit rejects inconsistent
 candidates with as little work as possible.

@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..cat import CatModel
 from ..events import Event, Execution, FENCE, READ, WRITE
 from ..events.execution import SkeletonCompleter, choice_space
-from ..models.base import MemoryModel
 from .program import (
     AbortUnless,
     Fence,
@@ -297,7 +297,7 @@ class Witness:
 
 def find_witness(
     program: Program,
-    model: MemoryModel,
+    model: CatModel,
     require_postcondition: bool = True,
 ) -> Witness | None:
     """The first consistent candidate (satisfying the postcondition,
@@ -311,7 +311,7 @@ def find_witness(
     return None
 
 
-def allowed(program: Program, model: MemoryModel) -> bool:
+def allowed(program: Program, model: CatModel) -> bool:
     """Is the program's postcondition reachable under the model?"""
     return find_witness(program, model) is not None
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from ..cat import CatModel
 from ..enumeration import enumerate_executions, get_config
 from ..events import (
     ACQ,
@@ -49,7 +50,6 @@ from ..events import (
     Execution,
 )
 from ..models import get_model
-from ..models.base import MemoryModel
 
 TARGETS = ("x86", "power", "armv8")
 
@@ -176,7 +176,7 @@ class CompilationResult:
 def check_compilation(
     target: str,
     max_events: int,
-    target_model: MemoryModel | None = None,
+    target_model: CatModel | None = None,
 ) -> CompilationResult:
     """Search for (X inconsistent-C++, race-free) with π(X) consistent
     on the target, up to a source-event bound."""

@@ -44,6 +44,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
+from ..cat import CatModel
 from ..events import ACQ, DMB, ISYNC, REL, SYNC
 from ..litmus import (
     AbortUnless,
@@ -61,7 +62,6 @@ from ..litmus import (
     find_witness,
 )
 from ..models import get_model
-from ..models.base import MemoryModel
 
 ARCHES = ("x86", "power", "armv8", "armv8-fixed")
 
@@ -343,7 +343,7 @@ class ElisionResult:
 def check_lock_elision(
     arch: str,
     bodies: tuple[tuple[BodyOp, ...], ...] = DEFAULT_BODIES,
-    model: MemoryModel | None = None,
+    model: CatModel | None = None,
 ) -> ElisionResult:
     """Search the body menu for a reachable non-serialisable outcome."""
     model = model or get_model(

@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..cat import CatModel
 from ..enumeration import enumerate_executions, get_config
 from ..events import Execution
 from ..models import get_model
-from ..models.base import MemoryModel
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class MonotonicityResult:
 def check_monotonicity(
     target: str,
     max_events: int,
-    model: MemoryModel | None = None,
+    model: CatModel | None = None,
 ) -> MonotonicityResult:
     """Search for a monotonicity counterexample up to a bound."""
     config = get_config(target)

@@ -8,8 +8,10 @@ serves a transactional model and its baseline, which
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .base import MemoryModel
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cat import CatModel
 
 #: Bundled file → (the baseline's registry key, the baseline's name).
 #: The file's own model is named by its title string.
@@ -25,7 +27,7 @@ _BASELINES = {base: stem for stem, (base, _) in _FILES.items()}
 
 
 @lru_cache(maxsize=None)
-def _load(stem: str) -> tuple[MemoryModel, MemoryModel]:
+def _load(stem: str) -> tuple["CatModel", "CatModel"]:
     """The file's model and its baseline, lowered once per process."""
     from ..cat import CatModel, bundled_model
 
@@ -39,7 +41,7 @@ def model_names() -> list[str]:
     return sorted([*_FILES, *_BASELINES])
 
 
-def get_model(name: str) -> MemoryModel:
+def get_model(name: str) -> "CatModel":
     """The model registered under ``name`` (``"x86tm"``, ``"power"``,
     ...); one shared instance per process."""
     key = name.lower().replace("+", "").replace("-", "").replace("_", "")

@@ -1,12 +1,11 @@
 """Simulated hardware: the substitution layer for the paper's machines."""
 
-from .oracle import FilteredModel, OracleHardware, TSOHardware
+from .oracle import OracleHardware, TSOHardware
 from .random_runner import RandomisedRunner, SamplingResult
 from .runner import Hardware, SuiteResult, run_suite
 from .tso import FinalState, TSOMachine
 
 __all__ = [
-    "FilteredModel",
     "RandomisedRunner",
     "SamplingResult",
     "FinalState",

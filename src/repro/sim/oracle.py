@@ -6,62 +6,35 @@ hardware is an *oracle*: a machine that exhibits exactly the behaviours
 some axiomatic model allows, optionally restricted by implementation
 conservatism.
 
-Two knobs reproduce the paper's empirical observations:
+Both of the paper's empirical observations are model variants, edits of
+the architecture's cat source compiled like any other model:
 
-* ``no_load_buffering`` -- POWER8 has never been observed to perform the
-  LB shape (§5.3: "Many of the unobserved Power Allow tests are based on
-  the load-buffering (LB) shape, which has never actually been observed
-  on a Power machine").  The filter adds ``acyclic(po ∪ rf)`` to the
-  implementation, so LB-shaped Allow tests come back "not seen" exactly
-  as in Table 1.
+* :meth:`OracleHardware.power8` -- POWER8 has never been observed to
+  perform the LB shape (§5.3: "Many of the unobserved Power Allow tests
+  are based on the load-buffering (LB) shape, which has never actually
+  been observed on a Power machine").  The implementation is Power+TM
+  plus the check ``acyclic po | rf as NoLB``, so LB-shaped Allow tests
+  come back "not seen" exactly as in Table 1.
 
-* ``drop_axiom`` -- the §6.2 story: ARM architects used the generated
-  conformance suite to find a TxnOrder violation in an RTL prototype.
-  ``drop_axiom="TxnOrder"`` builds that buggy implementation; running
-  the Forbid suite against it flags the bug.
+* :meth:`OracleHardware.armv8_rtl_buggy` -- the §6.2 story: ARM
+  architects used the generated conformance suite to find a TxnOrder
+  violation in an RTL prototype.  The implementation is ARMv8+TM
+  without TxnOrder (:meth:`repro.cat.Model.without`); running the
+  Forbid suite against it flags the bug.
 """
 
 from __future__ import annotations
 
-from ..events import Execution
+from ..cat import CatModel, Model, parse
 from ..litmus.candidates import candidate_executions
 from ..litmus.program import Program
-from ..models.base import AxiomThunk, MemoryModel
 from ..obs import REGISTRY
 
 _OBSERVABLE_TIMER = REGISTRY.timer("sim.observable.seconds")
 _CANDIDATES = REGISTRY.counter("sim.observable.candidates")
 
-
-class FilteredModel(MemoryModel):
-    """A model with named axioms removed and/or extra axioms added."""
-
-    def __init__(
-        self,
-        base: MemoryModel,
-        drop_axioms: tuple[str, ...] = (),
-        extra_axioms: tuple[AxiomThunk, ...] = (),
-        name: str | None = None,
-    ):
-        self.base = base
-        self.drop_axioms = tuple(drop_axioms)
-        self._extra = tuple(extra_axioms)
-        self.is_transactional = base.is_transactional
-        self.name = name or (
-            base.name
-            + "".join(f"-{a}" for a in drop_axioms)
-        )
-
-    def axiom_thunks(self, execution: Execution) -> list[AxiomThunk]:
-        thunks = [
-            (axiom, thunk)
-            for axiom, thunk in self.base.axiom_thunks(execution)
-            if axiom not in self.drop_axioms
-        ]
-        return thunks
-
-    def baseline(self) -> MemoryModel:
-        return self.base.baseline()
+#: POWER8 never shows load buffering (§5.3).
+_NO_LB = parse('"NoLB" acyclic po | rf as NoLB').statements
 
 
 class OracleHardware:
@@ -69,36 +42,28 @@ class OracleHardware:
     executions consistent with ``implementation`` (a sub-model of the
     architecture)."""
 
-    def __init__(
-        self,
-        implementation: MemoryModel,
-        no_load_buffering: bool = False,
-        name: str = "oracle",
-    ):
+    def __init__(self, implementation: CatModel, name: str = "oracle"):
         self.implementation = implementation
-        self.no_load_buffering = no_load_buffering
         self.name = name
 
     @staticmethod
-    def power8(model: MemoryModel) -> "OracleHardware":
+    def power8(model: CatModel) -> "OracleHardware":
         """A POWER8-like machine: model-exact except LB shapes never
-        manifest."""
-        return OracleHardware(model, no_load_buffering=True, name="POWER8-sim")
+        manifest (``model`` plus the ``NoLB`` check)."""
+        source = model.model
+        implementation = CatModel(
+            Model(f"{source.name}+NoLB", (*source.statements, *_NO_LB)),
+            baseline=model.baseline(),
+        )
+        return OracleHardware(implementation, name="POWER8-sim")
 
     @staticmethod
-    def armv8_rtl_buggy(model: MemoryModel) -> "OracleHardware":
+    def armv8_rtl_buggy(model: CatModel) -> "OracleHardware":
         """The §6.2 RTL prototype with its TxnOrder bug."""
         return OracleHardware(
-            FilteredModel(model, drop_axioms=("TxnOrder",)),
+            CatModel(model.model.without(("TxnOrder",)), model.baseline()),
             name="ARM-RTL-buggy",
         )
-
-    # ------------------------------------------------------------------
-
-    def _implementation_allows(self, execution: Execution) -> bool:
-        if self.no_load_buffering and not (execution.po | execution.rf).is_acyclic():
-            return False
-        return self.implementation.consistent(execution)
 
     def observable(
         self,
@@ -117,7 +82,7 @@ class OracleHardware:
                     candidate, intended_co
                 ):
                     continue
-                if self._implementation_allows(candidate.execution):
+                if self.implementation.consistent(candidate.execution):
                     return True
             return False
 

@@ -19,7 +19,11 @@ class Hardware(Protocol):
 
     name: str
 
-    def observable(self, program) -> bool: ...
+    def observable(
+        self,
+        program,
+        intended_co: dict[str, tuple[int, ...]] | None = None,
+    ) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,12 @@ def run_suite(
     tests: Sequence[LitmusTest],
     hardware: Hardware,
 ) -> SuiteResult:
-    """Run every test; return the tallies."""
+    """Run every test, each against its intended coherence order;
+    return the tallies."""
     seen_names: list[str] = []
     unseen_names: list[str] = []
     for test in tests:
-        if hardware.observable(test.program):
+        if hardware.observable(test.program, test.intended_co):
             seen_names.append(test.program.name)
         else:
             unseen_names.append(test.program.name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ir
-from repro.cat import load_cat_model, parse
+from repro.cat import parse
 from repro.cat.eval import CatModel, _compile_model
 from repro.cat.loader import MODELS_DIR
 from repro.events import ExecutionBuilder
@@ -35,7 +35,7 @@ def test_compilation_shared_across_instances():
     first = CatModel(parse((MODELS_DIR / "powertm.cat").read_text()))
     second = CatModel(parse((MODELS_DIR / "powertm.cat").read_text()))
     assert first is not second
-    assert first.plan() is second.plan() is load_cat_model("powertm").plan()
+    assert first.plan() is second.plan() is get_model("powertm").plan()
 
 
 def test_distinct_models_get_distinct_plans():
@@ -242,4 +242,4 @@ def test_failed_axioms_reported_by_name():
     )
     x = _execution()
     assert cat.violated_axioms(x) == ["NoReads"]
-    assert [name for name, _ in cat.axiom_thunks(x)] == ["Order", "NoReads"]
+    assert [c.name for c in cat.plan().constraints] == ["Order", "NoReads"]

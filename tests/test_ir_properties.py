@@ -3,7 +3,7 @@
 Two independent implementations of every model's semantics exist in
 the codebase: the generated code of :mod:`repro.ir.codegen` (plan
 runners, their profiling builds, and the per-term evaluators behind
-thunks and ``evaluate``) and the Relation-level fallback evaluator
+``evaluate``) and the Relation-level fallback evaluator
 (:func:`repro.ir.fallback_value`, the readable reference).  These tests
 pin them to each other -- over the exhaustively enumerated corpora and
 over hypothesis-generated random executions -- plus the planner's
@@ -50,7 +50,7 @@ def _corpus(request, target: str, stride: int):
 
 
 # ---------------------------------------------------------------------------
-# Verdict agreement: executor vs reference, thunks vs conjunction
+# Verdict agreement: executor vs reference
 # ---------------------------------------------------------------------------
 
 
@@ -68,19 +68,6 @@ def test_verdicts_match_relation_reference(model_name, target, stride, request):
         assert model.violated_axioms(x) == [
             name for name, ok in reference.items() if not ok
         ], x.describe()
-
-
-@pytest.mark.parametrize("model_name,target,stride", MODELS)
-def test_thunk_conjunction_matches_consistent(model_name, target, stride, request):
-    """The axiom-thunk view agrees with the fast path: the conjunction
-    of the named thunks is consistent(), and the thunks' failures are
-    exactly violated_axioms(), in declaration order."""
-    model = get_model(model_name)
-    for x in _corpus(request, target, stride * 3):
-        thunks = model.axiom_thunks(x)
-        failed = [name for name, thunk in thunks if not thunk()]
-        assert model.consistent(x) == (not failed), x.describe()
-        assert model.violated_axioms(x) == failed, x.describe()
 
 
 @given(executions())

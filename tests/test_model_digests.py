@@ -38,9 +38,9 @@ from repro.ir import model_digest
 from repro.models import get_model, model_names
 names = model_names()
 if sys.argv[1] == "cat-first":
-    from repro.cat import available_cat_models, load_cat_model
+    from repro.cat import available_cat_models
     for stem in available_cat_models():
-        load_cat_model(stem)
+        get_model(stem)
     names = names[::-1]
 for name in sorted(names):
     print(name, model_digest(get_model(name)))

@@ -171,58 +171,65 @@ def test_equality_hash_pickle_roundtrip(pairs, uni):
 
 
 def test_x86_kernel_agrees_with_axiom_thunks(x86_executions_3):
-    """The IR executor's fast path (compiled plan runner) is
-    verdict-identical to the axiom-thunk conjunction (TM and baseline)."""
+    """The runner's early-exit verdict (cheapest-first, stopping at the
+    first failure) agrees with its full per-axiom decision (TM and
+    baseline)."""
     for model in (get_model("x86tm"), get_model("x86")):
         for x in x86_executions_3:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 def test_power_kernel_agrees_with_axiom_thunks(power_executions_3):
-    """Power's IR plan (row-level ppo fixpoint, thb, hb, prop) is
-    verdict-identical to the generic axiom-thunk conjunction."""
+    """Power's IR plan (row-level ppo fixpoint, thb, hb, prop): the
+    early-exit verdict agrees with the full per-axiom decision."""
     for model in (get_model("powertm"), get_model("power")):
         for x in power_executions_3:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 @pytest.mark.slow
 def test_armv8_kernel_agrees_with_axiom_thunks(armv8_executions_3):
-    """ARMv8's IR plan (the large ob union) is verdict-identical to the
-    generic axiom-thunk conjunction (full bound-3 sweep: ~190k
+    """ARMv8's IR plan (the large ob union): the early-exit verdict
+    agrees with the full per-axiom decision (full bound-3 sweep: ~190k
     executions)."""
     for model in (get_model("armv8tm"), get_model("armv8")):
         for x in armv8_executions_3:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 def test_armv8_kernel_agrees_on_sample(armv8_executions_3):
     """Fast-lane subset of the ARMv8 sweep above."""
     for model in (get_model("armv8tm"), get_model("armv8")):
         for x in armv8_executions_3[::17]:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 @pytest.mark.slow
 def test_cpp_consistent_agrees_with_axiom_thunks(cpp_executions_3):
-    """C++'s IR plan (shared hb/eco/psc/sw subdags) is
-    verdict-identical to the generic axiom-thunk conjunction."""
+    """C++'s IR plan (shared hb/eco/psc/sw subdags): the early-exit
+    verdict agrees with the full per-axiom decision."""
     for model in (get_model("cpptm"), get_model("cpp")):
         for x in cpp_executions_3:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 def test_cpp_consistent_agrees_on_sample(cpp_executions_3):
     """Fast-lane subset of the C++ sweep above."""
     for model in (get_model("cpptm"), get_model("cpp")):
         for x in cpp_executions_3[::17]:
-            generic = all(thunk() for _, thunk in model.axiom_thunks(x))
-            assert model.consistent(x) == generic, x.describe()
+            assert model.consistent(x) == (
+                model.violated_axioms(x) == []
+            ), x.describe()
 
 
 def _sb_events():
@@ -297,8 +304,8 @@ def _holds(constraint, value) -> bool:
 
 def test_kernels_agree_on_hand_built_catalog():
     """On the hand-built paper catalog, and on an input whose threads
-    leave an event out, every entry point -- ``consistent``, the thunk
-    conjunction, ``violated_axioms`` and ``evaluate`` -- agrees with the
+    leave an event out, every entry point -- ``consistent``,
+    ``violated_axioms`` and ``evaluate`` -- agrees with the
     Relation-level reference, in every model.  Each path gets its own
     freshly built execution, so none answers from another's memo."""
     from repro import ir
@@ -332,8 +339,6 @@ def test_kernels_agree_on_hand_built_catalog():
             failed = [name for name, ok in reference.items() if not ok]
             where = (label, model.name)
             assert model.consistent(build()) == (not failed), where
-            thunks = model.axiom_thunks(build())
-            assert all(thunk() for _, thunk in thunks) == (not failed), where
             assert model.violated_axioms(build()) == failed, where
             evaluated = build()
             for c in plan.constraints:
