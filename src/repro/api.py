@@ -94,8 +94,8 @@ def synthesize(
     enumerator), only wall-clock varies.  ``cache`` (default:
     ``REPRO_CACHE``) points at a cross-run store directory: a killed
     run restarted on it resumes, a rerun of the same code replays every
-    shard from it without judging a candidate, and any source edit
-    makes it miss.
+    shard count and chunk from it without judging a candidate, and any
+    source edit makes it miss.
     """
     from .harness.pipeline import CheckPipeline
 

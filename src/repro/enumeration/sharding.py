@@ -23,9 +23,9 @@ index*: skeletons in elaboration order, and within one skeleton the
 mixed-radix index of its rf/co choice (rf digits outermost, co digits
 innermost, each in :func:`~repro.events.execution.choice_space`
 order).  A work unit is then just ``(signature, start, stop)``:
-self-describing, splittable at any index (how idle workers steal half
-of a remaining range), and resumable (the cross-run store records
-completed ranges as plain data).
+self-describing, cut at multiples of the scheduler's ``CHUNK`` (idle
+workers steal whole chunks, never part of one), and resumable (the
+cross-run store records completed chunks as plain data).
 
 :func:`completion_count` prices a skeleton arithmetically --
 ``Π (1 + |writes at the read's location|) × Π |writes at loc|!`` --

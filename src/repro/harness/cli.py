@@ -25,7 +25,7 @@ table + planner-calibration report on stderr, samples as JSON;
 file per profiled model).  The drivers also take ``--cache``
 (cross-run store directory, default ``REPRO_CACHE`` -- a killed run
 restarted on the same directory resumes instead of recomputing, and a
-rerun of the same code replays every finished shard and job from disk;
+rerun of the same code replays every finished chunk and job from disk;
 any source edit misses); ``fuzz`` runs no synthesis and takes no store.
 The ``stats`` subcommand pretty-prints a stats dump.
 """

@@ -19,12 +19,14 @@ shared cache layer:
   fuzzer use on top of them, so verdicts are identical either way.
 * **one cross-run store** -- with a ``cache`` directory
   (:mod:`repro.harness.verdict_cache`), every job
-  :meth:`~CheckPipeline.map` completes is recorded under its stable
-  digest (:func:`~repro.harness.checkpoint.job_digest`) as it lands,
-  and the synthesis records its counts, chunks and finished shards.  A
-  killed run restarted on the same directory resumes from what was
-  recorded; a rerun of the same code replays it.  Nothing recorded
-  under other code is served.
+  :meth:`~CheckPipeline.map` completes -- the synthesis's shard counts
+  among them -- is recorded under its stable digest
+  (:func:`~repro.harness.checkpoint.job_digest`) as it lands, and so is
+  every synthesis chunk.  A killed run restarted on the same directory
+  resumes from what was recorded; a rerun of the same code replays it.
+  Both read through one lookup,
+  :meth:`~repro.harness.verdict_cache.VerdictCache.lookup`.  Nothing
+  recorded under other code is served.
 * **observability** -- per-job wall time, queue wait, and worker
   utilization land in :data:`repro.obs.REGISTRY` (both as timers and as
   log2 histograms with p50/p90/p99).  Pool workers accumulate
@@ -63,6 +65,10 @@ from .checkpoint import job_digest
 
 #: Seconds between ``run.heartbeat`` events while a batch drains.
 _HEARTBEAT_SECONDS = 30.0
+
+#: What a store lookup returns for an unrecorded job (a recorded
+#: result may be ``None``).
+_MISSING = object()
 
 # ---------------------------------------------------------------------------
 # Per-process registries (shared by the driver process and pool workers)
@@ -447,16 +453,11 @@ class CheckPipeline:
             digests = [job_digest(item) for item in items]
             pending = []
             for index, (kind, digest) in enumerate(zip(kinds, digests)):
-                recorded = store.recorded(kind)
-                if digest in recorded:
-                    results[index] = recorded[digest]
-                else:
+                result = store.lookup(kind, digest, _MISSING)
+                if result is _MISSING:
                     pending.append(index)
-            REGISTRY.counter("pipeline.checkpoint.lookups").inc(len(items))
-            REGISTRY.counter("pipeline.checkpoint.hits").inc(
-                len(items) - len(pending)
-            )
-            REGISTRY.counter("pipeline.checkpoint.misses").inc(len(pending))
+                else:
+                    results[index] = result
             if not pending:
                 return results
         with TRACER.span("pipeline.batch"), REGISTRY.timed(

@@ -27,24 +27,23 @@ most left.  Four properties carry the design:
   minimal) and ship survivors; the order-dependent steps (canonical
   dedup, discovery order, the Allow weakening pass) run in the fold,
   where the global ``seen`` set lives.
-* **Resumable, and whole shards are cached.**  With a store open
-  (:mod:`repro.harness.verdict_cache`), the parent looks each shard up
-  (:meth:`VerdictCache.shard_lookup`) before counting or scheduling it;
-  a hit's stored payload -- counters, skeleton and completion counts,
-  survivors in start order -- joins the fold whole, and no count job
-  or chunk runs for it.  Every count and chunk evaluated is recorded
-  as it lands, so a killed run resumes with only its unrecorded chunks
-  left to run.  After each bound, every counted shard -- all its
-  chunks resumed or run by then -- is recorded as a shard.
+* **Resumable and replayable.**  With a store open
+  (:mod:`repro.harness.verdict_cache`), every count and chunk evaluated
+  is recorded under its job's digest as it lands.  A later run on the
+  same store -- a resume after a kill, or a warm rerun -- answers each
+  count job through :meth:`CheckPipeline.map
+  <repro.harness.pipeline.CheckPipeline.map>` and looks each chunk up
+  (:meth:`~repro.harness.verdict_cache.VerdictCache.lookup`) before
+  scheduling it, so only the unrecorded chunks run; a warm rerun runs
+  none.
 
 Scheduling counters: ``scheduler.chunks`` / ``scheduler.steals``
 (steals are zero at ``--workers 1`` by construction: a slot always
 prefers its own shard's next chunk), plus per-shard
 ``synthesis.shard.<target>.b<n>.<label>.{completions,survivors,chunks,
 steals}`` counters and a ``.seconds`` timer feeding the ``--stats``
-per-shard summary.  A shard replayed from the cache, and a chunk
-resumed from a killed run's records, add to ``completions`` and
-``survivors`` only: neither ran in this run.
+per-shard summary.  A chunk answered from the store adds to
+``completions`` and ``survivors`` only: it did not run in this run.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from ..models import get_model
 from ..obs import REGISTRY, TRACER
 from . import verdict_cache
 from .checkpoint import job_digest
-from .verdict_cache import VerdictCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import CheckPipeline
@@ -148,7 +146,7 @@ def run_shard_job(job: tuple):
 
     from ..fuzz.corpus import execution_to_json
 
-    counters = dict.fromkeys(verdict_cache.SHARD_COUNTERS, 0)
+    counters = dict.fromkeys(verdict_cache.CHUNK_COUNTERS, 0)
     survivors: list[dict] = []
     began = time.monotonic()
     label = signature_label(signature)
@@ -277,10 +275,10 @@ class WorkStealingScheduler:
 def _fold_shard_metrics(
     target: str, bound: int, payload: dict, timed: bool = False
 ) -> None:
-    """Per-shard counters for one chunk or shard payload.  Only a chunk
+    """Per-shard counters for one chunk payload.  Only a chunk
     evaluated in this run is ``timed`` and feeds the shard's timer: a
-    resumed chunk still carries the ``seconds`` of the run that
-    recorded it, and a replayed shard carries none."""
+    chunk answered from the store still carries the ``seconds`` of the
+    run that recorded it."""
     label = signature_label(tuple(payload["sig"]))
     base = f"synthesis.shard.{target}.b{bound}.{label}"
     REGISTRY.counter(f"{base}.completions").inc(
@@ -343,48 +341,6 @@ def synthesise_sharded(
     return result
 
 
-def _shard_keys(
-    pipeline: "CheckPipeline",
-    target: str,
-    bound: int,
-    signatures: list[Signature],
-) -> list[str | None]:
-    """Each shard's record key; all ``None`` without a shard store."""
-    if pipeline.verdict_cache is None:
-        return [None] * len(signatures)
-    return [
-        verdict_cache.shard_key(target, bound, sig) for sig in signatures
-    ]
-
-
-def _record_shards(
-    cache: VerdictCache,
-    keys: list[str | None],
-    counts: dict[int, dict],
-    chunks: dict[int, list[dict]],
-) -> None:
-    """Record every counted shard from its chunk payloads, in start
-    order, empty shards included."""
-    for shard, count in counts.items():
-        key = keys[shard]
-        if key is None:
-            continue
-        ordered = chunks[shard]
-        counters = {
-            name: sum(p["counters"][name] for p in ordered)
-            for name in verdict_cache.SHARD_COUNTERS
-        }
-        cache.shard_record(
-            key,
-            {
-                "skeletons": count["skeletons"],
-                "completions": count["completions"],
-                "counters": counters,
-                "survivors": [x for p in ordered for x in p["survivors"]],
-            },
-        )
-
-
 def _sharded_bound(
     result: SynthesisResult,
     pipeline: "CheckPipeline",
@@ -394,8 +350,8 @@ def _sharded_bound(
     seen_forbidden: set[tuple],
     started: float,
 ) -> None:
-    """One event bound: look shards up, count and drain the rest, fold
-    in order, record what was computed."""
+    """One event bound: count every shard, answer its chunks from the
+    store or drain them through the scheduler, fold in order."""
     from ..fuzz.corpus import execution_from_json
 
     prefix = f"enumeration.{target}.bound{bound}"
@@ -405,31 +361,25 @@ def _sharded_bound(
     with TRACER.span(f"synthesis:{target}:bound{bound}"), REGISTRY.timed(
         f"{prefix}.seconds"
     ):
-        keys = _shard_keys(pipeline, target, bound, signatures)
-        stored: dict[int, dict] = {}
-        for shard, key in enumerate(keys):
-            payload = None if key is None else cache.shard_lookup(key)
-            if payload is not None:
-                stored[shard] = payload
-        missed = [s for s in range(len(signatures)) if s not in stored]
-        count_jobs = [
-            ("synth_count", target, bound, signatures[s]) for s in missed
-        ]
-        counts = dict(zip(missed, pipeline.map(run_shard_job, count_jobs)))
-        REGISTRY.counter(f"{prefix}.skeletons").inc(
-            sum(count["skeletons"] for count in counts.values())
-            + sum(payload["skeletons"] for payload in stored.values())
+        counts = pipeline.map(
+            run_shard_job,
+            [("synth_count", target, bound, sig) for sig in signatures],
         )
-        recorded = {} if cache is None else cache.recorded(verdict_cache.CHUNK)
-        chunks: dict[int, list[dict]] = {}
+        REGISTRY.counter(f"{prefix}.skeletons").inc(
+            sum(count["skeletons"] for count in counts)
+        )
+        chunks: list[list[dict]] = [[] for _ in signatures]
         queues: dict[int, list[tuple]] = {}
-        for shard, count in counts.items():
-            chunks[shard] = []
-            sig, total = signatures[shard], count["completions"]
+        for shard, (sig, count) in enumerate(zip(signatures, counts)):
+            total = count["completions"]
             for start in range(0, total, CHUNK):
                 stop = min(start + CHUNK, total)
                 job = ("synth_chunk", target, bound, sig, start, stop)
-                payload = recorded.get(job_digest(job))
+                payload = (
+                    None
+                    if cache is None
+                    else cache.lookup(verdict_cache.CHUNK, job_digest(job))
+                )
                 if payload is not None and _describes(payload, job):
                     _fold_shard_metrics(target, bound, payload)
                     chunks[shard].append(payload)
@@ -438,15 +388,8 @@ def _sharded_bound(
         scheduler = WorkStealingScheduler(pipeline, target, bound, queues)
         for payload in scheduler.run():
             chunks[index_of[tuple(payload["sig"])]].append(payload)
-        for shard_chunks in chunks.values():
+        for shard_chunks in chunks:
             shard_chunks.sort(key=lambda p: p["start"])
-        if cache is not None:
-            _record_shards(cache, keys, counts, chunks)
-
-        for shard, payload in stored.items():
-            sig = list(signatures[shard])
-            _fold_shard_metrics(target, bound, dict(payload, sig=sig))
-            chunks[shard] = [payload]
 
         c_candidates = REGISTRY.counter(f"{prefix}.candidates")
         c_consistent = REGISTRY.counter(f"{prefix}.pruned_consistent")
@@ -454,7 +397,7 @@ def _sharded_bound(
         c_nonminimal = REGISTRY.counter(f"{prefix}.pruned_nonminimal")
         c_duplicate = REGISTRY.counter(f"{prefix}.pruned_duplicate")
         c_forbidden = REGISTRY.counter(f"{prefix}.forbidden")
-        for payload in (p for shard in sorted(chunks) for p in chunks[shard]):
+        for payload in (p for shard_chunks in chunks for p in shard_chunks):
             counters = payload["counters"]
             result.candidates_examined += counters["candidates"]
             c_candidates.inc(counters["candidates"])

@@ -4,16 +4,15 @@
 
     {"code": ..., "kind": ..., "key": ..., "result": ...}
 
-* ``kind: "shard"`` -- one finished synthesis shard: its counters,
-  skeleton and completion counts, and surviving executions in start
-  order (see :mod:`repro.harness.scheduler`), keyed by
-  :func:`shard_key`, ``sha256(code digest, target, bound, signature)``;
-* ``"synth_chunk"`` / ``"synth_count"`` -- one evaluated completion
-  range of an unfinished shard, and one shard's size; both payloads
-  carry their shard's ``target``, ``bound`` and ``sig``;
+one per finished job, keyed by the job's
+:func:`~repro.harness.checkpoint.job_digest`:
+
+* ``kind: "synth_chunk"`` / ``"synth_count"`` -- one evaluated
+  completion range of a synthesis shard (its counters and surviving
+  executions), and one shard's size; both payloads carry their shard's
+  ``target``, ``bound`` and ``sig`` (see :mod:`repro.harness.scheduler`);
 * any other kind -- one :meth:`CheckPipeline.map
-  <repro.harness.pipeline.CheckPipeline.map>` job result, keyed by its
-  :func:`~repro.harness.checkpoint.job_digest`.
+  <repro.harness.pipeline.CheckPipeline.map>` job result.
 
 Every record is stamped with the **code digest** (:func:`code_digest`),
 a hash of the source of the whole ``repro`` package -- models, relation
@@ -26,22 +25,21 @@ writing process appends to a new one, record by record, flushed
 Loading, on the first lookup or record, skips torn, malformed, damaged
 and other-code records: a bad line costs one recomputation, never a
 crash.  :meth:`VerdictCache.compact` merges the segments into one
-(atomically, via tmp+fsync+rename), keeping this code's shard and job
-records minus the chunk and count records of recorded shards; a writer
-compacts on close when that drops something, or once segments pile up.
+(atomically, via tmp+fsync+rename), keeping this code's records; a
+writer compacts on close once segments pile up.
 
 Only the pipeline **parent** opens the store, as its single writer;
 pool workers never touch it.
 
-Metrics: ``verdict_cache.shards.lookups/hits/misses/appends``; job
-records count as ``pipeline.checkpoint.records``.
+Metrics: every :meth:`VerdictCache.lookup` counts under
+``pipeline.checkpoint.lookups/hits/misses``, every record under
+``pipeline.checkpoint.records``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -52,13 +50,12 @@ from ..obs import REGISTRY
 _COMPACT_SEGMENTS = 8
 
 #: Record kinds the scheduler writes (see the module docstring).
-SHARD = "shard"
 CHUNK = "synth_chunk"
 COUNT = "synth_count"
 
-#: The outcome counters of a shard payload, ``candidates`` first (see
+#: The outcome counters of a chunk payload, ``candidates`` first (see
 #: :func:`repro.harness.scheduler.run_shard_job`).
-SHARD_COUNTERS = (
+CHUNK_COUNTERS = (
     "candidates",
     "pruned_consistent",
     "pruned_baseline",
@@ -94,18 +91,6 @@ def code_digest() -> str | None:
     return source_digest(Path(__file__).resolve().parent.parent)
 
 
-def shard_key(
-    target: str, bound: int, signature: tuple[str, ...]
-) -> str | None:
-    """The shard-record key (see the module docstring); ``None`` -- do
-    not cache -- when the code has no digest."""
-    code = code_digest()
-    if code is None:
-        return None
-    fields = [code, target, bound, list(signature)]
-    return hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
-
-
 def _decodable(survivor) -> bool:
     """Whether one stored survivor decodes to an execution."""
     from ..fuzz.corpus import execution_from_json
@@ -119,34 +104,6 @@ def _decodable(survivor) -> bool:
 
 def _counts(*numbers) -> bool:
     return all(type(n) is int and n >= 0 for n in numbers)
-
-
-def _valid_outcome(payload: dict, candidates) -> bool:
-    """Whether a payload's counters and survivors add up to
-    ``candidates`` judged candidates, every survivor an execution."""
-    counters = payload.get("counters")
-    survivors = payload.get("survivors")
-    if not isinstance(counters, dict) or not isinstance(survivors, list):
-        return False
-    numbers = [counters.get(name) for name in SHARD_COUNTERS]
-    if not _counts(candidates, *numbers):
-        return False
-    pruned = sum(numbers[1:])
-    return (
-        numbers[0] == candidates
-        and candidates - pruned == len(survivors)
-        and all(_decodable(x) for x in survivors)
-    )
-
-
-def _valid_shard_payload(payload) -> bool:
-    """Whether a stored shard payload is whole and self-consistent (a
-    hand-mangled record is skipped, never folded)."""
-    return (
-        isinstance(payload, dict)
-        and _counts(payload.get("skeletons"), payload.get("completions"))
-        and _valid_outcome(payload, payload["completions"])
-    )
 
 
 def _has_coordinates(payload) -> bool:
@@ -169,19 +126,31 @@ def _valid_count_payload(payload) -> bool:
 
 
 def _valid_chunk_payload(payload) -> bool:
+    """Whether a chunk payload names its shard and range, and its
+    counters and survivors add up to the range's judged candidates,
+    every survivor an execution."""
     if not _has_coordinates(payload):
         return False
     start, stop = payload.get("start"), payload.get("stop")
-    return (
+    counters, survivors = payload.get("counters"), payload.get("survivors")
+    if not (
         _counts(start, stop)
         and start <= stop
-        and _valid_outcome(payload, stop - start)
+        and isinstance(counters, dict)
+        and isinstance(survivors, list)
+    ):
+        return False
+    numbers = [counters.get(name) for name in CHUNK_COUNTERS]
+    return (
+        _counts(*numbers)
+        and numbers[0] == stop - start
+        and numbers[0] - sum(numbers[1:]) == len(survivors)
+        and all(_decodable(x) for x in survivors)
     )
 
 
 #: Kind → payload check; other kinds hold any JSON result.
 _VALID = {
-    SHARD: _valid_shard_payload,
     CHUNK: _valid_chunk_payload,
     COUNT: _valid_count_payload,
 }
@@ -202,12 +171,10 @@ class VerdictCache:
         #: kind → key → result of this code, parsed on first use.
         self._results: dict[str, dict[str, object]] | None = None
         self._segment: JsonlWriter | None = None
-        self._recorded_shard = False
-        self._lookups = REGISTRY.counter("verdict_cache.shards.lookups")
-        self._hits = REGISTRY.counter("verdict_cache.shards.hits")
-        self._misses = REGISTRY.counter("verdict_cache.shards.misses")
-        self._appends = REGISTRY.counter("verdict_cache.shards.appends")
-        self._job_records = REGISTRY.counter("pipeline.checkpoint.records")
+        self._lookups = REGISTRY.counter("pipeline.checkpoint.lookups")
+        self._hits = REGISTRY.counter("pipeline.checkpoint.hits")
+        self._misses = REGISTRY.counter("pipeline.checkpoint.misses")
+        self._records = REGISTRY.counter("pipeline.checkpoint.records")
 
     # -- loading ---------------------------------------------------------
 
@@ -237,25 +204,22 @@ class VerdictCache:
 
     def recorded(self, kind: str) -> dict[str, object]:
         """This code's results of one ``kind``, by key, in the order
-        they were first recorded."""
+        they were first recorded; uncounted (the pipeline and the
+        scheduler read through :meth:`lookup`)."""
         return self._load().get(kind, {})
 
     # -- lookups and appends ---------------------------------------------
 
-    def shard_lookup(self, key: str) -> dict | None:
-        """The stored payload of one shard (see :func:`shard_key`), or
-        ``None``; counts the lookup."""
+    def lookup(self, kind: str, key: str, default=None):
+        """The result recorded under ``kind`` and ``key``, else
+        ``default``; counts one lookup, hit or miss."""
         self._lookups.inc()
-        payload = self.recorded(SHARD).get(key)
-        if payload is None:
-            self._misses.inc()
-        else:
+        results = self.recorded(kind)
+        if key in results:
             self._hits.inc()
-        return payload
-
-    def shard_record(self, key: str, payload: dict) -> None:
-        """Persist one shard's folded payload."""
-        self.record(SHARD, key, payload)
+            return results[key]
+        self._misses.inc()
+        return default
 
     def record(self, kind: str, key: str, result) -> None:
         """Persist one result (writers only; flushed at once).  A key
@@ -272,11 +236,7 @@ class VerdictCache:
         self._segment.write(
             {"code": code, "kind": kind, "key": key, "result": result}
         )
-        if kind == SHARD:
-            self._recorded_shard = True
-            self._appends.inc()
-        else:
-            self._job_records.inc()
+        self._records.inc()
 
     # -- persistence -----------------------------------------------------
 
@@ -290,14 +250,9 @@ class VerdictCache:
             self._segment.close()
             self._segment = None
 
-    def _superseded(self, result) -> bool:
-        """Whether a chunk or count record's shard has a shard record."""
-        key = shard_key(result["target"], result["bound"], result["sig"])
-        return key in self.recorded(SHARD)
-
     def compact(self) -> Path | None:
         """Merge every segment into one, atomically, keeping this code's
-        records minus the superseded chunk and count records.
+        records.
 
         Idempotent: compacting a compacted store rewrites the same
         records.  Returns the surviving segment path (``None`` when
@@ -311,12 +266,6 @@ class VerdictCache:
         code = code_digest()
         if not segments or code is None:
             return None
-        for kind in (CHUNK, COUNT):
-            results[kind] = {
-                key: result
-                for key, result in results.get(kind, {}).items()
-                if not self._superseded(result)
-            }
         final = self.root / "shards-000001.jsonl"
         tmp = final.with_name(final.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as out:
@@ -333,17 +282,10 @@ class VerdictCache:
         return final
 
     def close(self) -> None:
-        """Close this process's segment; compact when a recorded shard
-        supersedes chunk or count records, or the store is fragmented."""
+        """Close this process's segment; compact once the store is
+        fragmented."""
         self._close_segment()
-        if not self.writer:
-            return
-        superseding = self._recorded_shard and any(
-            self._superseded(result)
-            for kind in (CHUNK, COUNT)
-            for result in self.recorded(kind).values()
-        )
-        if superseding or len(self._segments()) >= _COMPACT_SEGMENTS:
+        if self.writer and len(self._segments()) >= _COMPACT_SEGMENTS:
             self.compact()
 
 

@@ -69,7 +69,6 @@ def stats_snapshot() -> dict:
         "relations.closure_cache",
         "cat.compile_cache",
         "pipeline.checkpoint",
-        "verdict_cache.shards",
     )
     hit_rates = {}
     for prefix in cache_prefixes:

@@ -1,8 +1,11 @@
 """Kill/resume chaos: a ``--workers 2 --cache`` synthesis SIGKILLed at
-seeded random points -- the parent, or one of its pool workers --
-resumes from the same store directory to the uncached result, leaves a
-store that reloads clean, and a warm rerun then replays every shard.
-Damaged resume records are recomputed, never folded.  A resumed run's
+seeded random points of its progress (after a seeded number of new
+store records) -- the parent, or one of its pool workers --
+resumes from the same store directory to the uncached result, leaves
+one count record per shard and one record per chunk, all of which
+reload clean, and a warm rerun then answers every count and chunk from
+them.  A child that dies before the kill fails the test.  Damaged
+resume records are recomputed, never folded.  A resumed run's
 per-shard ``completions`` counters cover every candidate of the bound,
 the resumed chunks included.
 """
@@ -15,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,7 @@ from repro.enumeration import get_config, shard_signatures
 from repro.enumeration.canonical import canonical_key
 from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
-from repro.harness.verdict_cache import VerdictCache
+from repro.harness.verdict_cache import CHUNK, COUNT, VerdictCache
 from repro.obs import REGISTRY, reset_observability
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,12 +106,24 @@ def _workers(pid: int) -> list[int]:
     return [int(token) for token in text.split()]
 
 
-def _kill(child: subprocess.Popen, delay: float, target: str) -> str:
-    """SIGKILL ``target`` (the parent, or one worker) ``delay`` seconds
-    into the run, then the rest of the process group; returns what was
-    actually killed."""
-    time.sleep(delay)
-    killed = "finished"
+def _landed(cache: Path) -> int:
+    """The number of whole records in the store's segments."""
+    return sum(
+        segment.read_bytes().count(b"\n")
+        for segment in cache.glob("shards-*.jsonl")
+    )
+
+
+def _kill(
+    child: subprocess.Popen, cache: Path, goal: int, target: str
+) -> str:
+    """SIGKILL ``target`` (the parent, or one worker) once the store
+    holds ``goal`` records, then the rest of the process group; returns
+    what was actually killed -- or, when the child exited first,
+    ``"finished"`` for a clean exit and ``"crashed"`` for any other."""
+    while child.poll() is None and _landed(cache) < goal:
+        time.sleep(0.001)
+    killed = None
     if child.poll() is None:
         workers = _workers(child.pid) if target == "worker" else []
         victim = workers[0] if workers else child.pid
@@ -115,11 +131,14 @@ def _kill(child: subprocess.Popen, delay: float, target: str) -> str:
             os.kill(victim, signal.SIGKILL)
             killed = "worker" if workers else "parent"
         except ProcessLookupError:
-            pass
-        if workers:
+            pass  # gone already: the child is exiting on its own
+        if killed == "worker":
             # The parent waits forever on the lost chunk; let it run a
             # moment longer (it may record more), then take it down too.
             time.sleep(0.2)
+    if killed is None:
+        child.communicate(timeout=300)
+        killed = "finished" if child.returncode == 0 else "crashed"
     try:
         os.killpg(child.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -136,11 +155,14 @@ def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     expected = _suite_keys(api.synthesize("x86", 3, workers=1))
     cache = tmp_path / "cache"
     rng = random.Random(16)
-    killed = [
-        _kill(_start(cache), rng.uniform(0.0, 0.4), target)
-        for target in ("parent", "worker", rng.choice(["parent", "worker"]))
-    ]
-    assert killed.count("finished") < len(killed), killed
+    killed = []
+    for target in ("parent", "worker", rng.choice(["parent", "worker"])):
+        # Each kill lands after a seeded number of new records: the
+        # first run records 72, so its kill always lands mid-run.
+        goal = _landed(cache) + rng.randint(1, 12)
+        killed.append(_kill(_start(cache), cache, goal, target))
+    assert "crashed" not in killed, killed
+    assert killed[0] != "finished", killed
 
     final = _start(cache)
     out, _ = final.communicate(timeout=300)
@@ -149,24 +171,30 @@ def test_killed_runs_resume_to_the_uncached_suites(tmp_path):
     assert json.loads(suites) == expected
     _assert_shards_cover_candidates(json.loads(counters))
 
-    # Every shard record the killed and resumed runs left loads, and
-    # compaction leaves nothing but them.
+    # The killed and resumed runs left one count record per shard and
+    # one record per chunk; every one loads, and compaction keeps them.
     config = get_config("x86")
     shards = sum(len(list(shard_signatures(config, n))) for n in (2, 3))
-    keys = [r["key"] for r in _records(cache) if r["kind"] == "shard"]
-    assert len(set(keys)) == len(keys) == shards
+    records = _records(cache)
+    kinds = Counter(record["kind"] for record in records)
+    assert set(kinds) == {COUNT, CHUNK}
+    assert kinds[COUNT] == shards
+    keys = [record["key"] for record in records]
+    assert len(set(keys)) == len(keys)
     reader = VerdictCache(cache)
-    assert all(reader.shard_lookup(key) is not None for key in keys)
+    assert all(reader.lookup(r["kind"], r["key"]) is not None for r in records)
     VerdictCache(cache, writer=True).compact()
     assert sorted(record["key"] for record in _records(cache)) == sorted(keys)
 
-    # A warm rerun replays every shard and evaluates no chunk.
+    # A warm rerun answers every count and chunk from the store and
+    # evaluates no chunk.
     reset_observability()
     with CheckPipeline(workers=2, cache=cache, runlog=False) as pipeline:
         assert _suite_keys(pipeline.synthesis("x86", 3)) == expected
     counters = REGISTRY.snapshot()["counters"]
     reset_observability()
-    assert counters["verdict_cache.shards.hits"] == shards
+    lookups = counters["pipeline.checkpoint.lookups"]
+    assert counters["pipeline.checkpoint.hits"] == lookups == len(keys)
     assert counters.get("scheduler.chunks", 0) == 0
     _assert_shards_cover_candidates(counters)
 
@@ -185,8 +213,8 @@ class Killed(RuntimeError):
 
 def _interrupted_store(root: Path, monkeypatch) -> None:
     """The store an x86 bound-3 run leaves when it dies after its first
-    few bound-3 chunks: bound 2's shard records, plus bound 3's count
-    records and those chunks' records."""
+    few bound-3 chunks: bound 2's count and chunk records, plus bound
+    3's count records and those chunks' records."""
     fuse = {"chunks": 6}
     original = scheduler.run_shard_job
 
@@ -210,7 +238,11 @@ def test_resumed_chunks_reach_the_shard_metrics(tmp_path, monkeypatch):
     chunks it evaluates, but not to the shards' timers."""
     root = tmp_path / "cache"
     _interrupted_store(root, monkeypatch)
-    resumed = [r["result"] for r in _records(root) if r["kind"] == "synth_chunk"]
+    resumed = [
+        r["result"]
+        for r in _records(root)
+        if r["kind"] == CHUNK and r["result"]["bound"] == 3
+    ]
     assert len(resumed) == 6
 
     reset_observability()
@@ -296,6 +328,8 @@ def test_damaged_resume_records_are_recomputed(
         assert _suite_keys(pipeline.synthesis("x86", 3)) == expected
     counters = REGISTRY.snapshot()["counters"]
     reset_observability()
-    if kind == "synth_count":
-        assert counters["pipeline.checkpoint.misses"] == 1
+    if kind == COUNT:
+        # One count job ran; every other job run is a chunk.
+        jobs = counters["pipeline.jobs.completed"]
+        assert jobs - counters["scheduler.chunks"] == 1
     assert counters["scheduler.chunks"] > 0

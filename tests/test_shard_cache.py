@@ -1,17 +1,19 @@
-"""The shard store: whole shards replayed on a warm run.
+"""The store on a warm run: every shard replayed from its count and
+chunk records.
 
-A warm synthesis rerun looks every shard up before counting or
-scheduling it; a hit's stored payload joins the fold like a resumed
-chunk range.  The pins: the folded result is identical to the sequential
-enumerator's whether shards come from disk or not; a warm run does no
-verdict work at all; any change to what a shard depends on -- the code
-(models included), the bound, the signature -- misses; damaged,
-partial, stale or double-counted records never reach the fold; and
-compaction keeps exactly the current code's whole records.
+A warm synthesis rerun answers each shard's count job through
+``CheckPipeline.map`` and looks each of its chunks up by job digest,
+the same path a resume takes.  The pins: the folded result is identical
+to the sequential enumerator's whether chunks come from disk or not; a
+warm run does no verdict work at all; any change to what a record
+depends on -- the code (models included), the bound, the signature --
+misses; damaged, partial, stale or double-counted records never reach
+the fold; and compaction keeps exactly the current code's records.
 """
 
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -19,9 +21,11 @@ from repro.enumeration import get_config, shard_signatures, synthesise
 from repro.harness import scheduler, verdict_cache
 from repro.harness.checkpoint import job_digest
 from repro.harness.pipeline import CheckPipeline
+from repro.harness.table1 import run_table1
 from repro.harness.verdict_cache import (
+    CHUNK,
+    COUNT,
     VerdictCache,
-    shard_key,
     source_digest,
 )
 from repro.obs import REGISTRY, reset_observability
@@ -73,13 +77,8 @@ def _records(root) -> list[dict]:
     ]
 
 
-def _shard_lines(root) -> list[str]:
-    """The store's shard records, as lines."""
-    return [
-        json.dumps(record)
-        for record in _records(root)
-        if record["kind"] == "shard"
-    ]
+def _kinds(root) -> Counter:
+    return Counter(record["kind"] for record in _records(root))
 
 
 def _rewrite(root, records: list[dict]) -> None:
@@ -92,42 +91,51 @@ def _rewrite(root, records: list[dict]) -> None:
     )
 
 
+def _assert_all_hit(counters: dict, lookups: int) -> None:
+    """Every lookup of a run hit and nothing ran or was recorded."""
+    assert counters["pipeline.checkpoint.lookups"] == lookups > 0
+    assert counters["pipeline.checkpoint.hits"] == lookups
+    assert counters.get("scheduler.chunks", 0) == 0
+    assert counters.get("pipeline.jobs.completed", 0) == 0
+    assert counters.get("pipeline.checkpoint.records", 0) == 0
+
+
 class TestWarmRuns:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cold_warm_and_uncached_match_legacy(
         self, tmp_path, legacy, workers
     ):
-        _assert_identical(legacy, _synth(tmp_path / "c", workers))
-        shards = _shard_count(2, 3)
-        assert _counters()["verdict_cache.shards.appends"] == shards
-        _assert_identical(legacy, _synth(tmp_path / "c", workers))
-        assert _counters()["verdict_cache.shards.hits"] == shards
+        root = tmp_path / "c"
+        _assert_identical(legacy, _synth(root, workers))
+        kinds = _kinds(root)
+        assert kinds[COUNT] == _shard_count(2, 3)
+        assert kinds[CHUNK] == _counters()["scheduler.chunks"] > 0
+        records = _counters()["pipeline.checkpoint.records"]
+        assert records == sum(kinds.values())
+        _assert_identical(legacy, _synth(root, workers))
+        _assert_all_hit(_counters(), len(_records(root)))
         _assert_identical(legacy, _synth(None, workers))
-        assert _counters().get("verdict_cache.shards.lookups", 0) == 0
+        assert _counters().get("pipeline.checkpoint.lookups", 0) == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_run_does_no_verdict_work(self, tmp_path, legacy, workers):
         root = tmp_path / "c"
         _synth(root, workers)
-        shards_on_disk = _segment_bytes(root)
-        assert shards_on_disk
+        on_disk = _segment_bytes(root)
+        assert on_disk
         reset_observability()
         with CheckPipeline(workers=workers, cache=root, runlog=False) as p:
             _assert_identical(legacy, p.synthesis("x86", 3))
             assert p._pool is None
         counters = _counters()
-        shards = _shard_count(2, 3)
-        assert counters["verdict_cache.shards.lookups"] == shards
-        assert counters["verdict_cache.shards.hits"] == shards
-        assert counters.get("scheduler.chunks", 0) == 0
-        assert counters.get("verdict_cache.shards.appends", 0) == 0
-        assert _segment_bytes(root) == shards_on_disk
+        _assert_all_hit(counters, len(_records(root)))
+        assert _segment_bytes(root) == on_disk
         assert (
             counters["enumeration.x86.bound3.candidates"]
             + counters["enumeration.x86.bound2.candidates"]
             == legacy.candidates_examined
         )
-        # Replayed shards still report their per-shard counters.
+        # Replayed chunks still report their per-shard counters.
         per_shard: dict[str, int] = {}
         for name, value in counters.items():
             if name.startswith("synthesis.shard.x86."):
@@ -143,12 +151,41 @@ class TestWarmRuns:
         _synth(tmp_path / "c", bound=2)
         _synth(tmp_path / "c", bound=2)
         hit_rates = stats_snapshot()["hit_rates"]
-        assert hit_rates["verdict_cache.shards"] == 1.0
+        assert hit_rates["pipeline.checkpoint"] == 1.0
         assert "verdict_cache" not in hit_rates
+
+    def test_every_job_is_one_lookup(self, tmp_path):
+        # Table 1 runs count and chunk jobs for the synthesis and one
+        # validation job per test through map: each is one lookup.
+        root = tmp_path / "c"
+        for run in ("cold", "warm"):
+            reset_observability()
+            run_table1("x86", 3, workers=1, cache=root)
+            counters = _counters()
+            lookups = counters["pipeline.checkpoint.lookups"]
+            assert lookups == (
+                counters.get("pipeline.checkpoint.hits", 0)
+                + counters.get("pipeline.checkpoint.misses", 0)
+            )
+        kinds = _kinds(root)
+        assert kinds[COUNT] == _shard_count(2, 3)
+        assert kinds[CHUNK] > 0 and kinds["observable"] > 0
+        assert lookups == sum(kinds.values()) == len(_records(root))
+        _assert_all_hit(counters, lookups)
 
 
 class TestKeys:
     BASE = ("x86", 3, ("RW", "W"))
+
+    @staticmethod
+    def _keys(target, bound, signature) -> tuple[str, str]:
+        """The record keys of a shard's count job and first chunk."""
+        return (
+            job_digest(("synth_count", target, bound, signature)),
+            job_digest(
+                ("synth_chunk", target, bound, signature, 0, scheduler.CHUNK)
+            ),
+        )
 
     @pytest.mark.parametrize(
         "position, other",
@@ -158,12 +195,19 @@ class TestKeys:
     def test_every_component_changes_the_key(self, position, other):
         changed = list(self.BASE)
         changed[position] = other
-        assert shard_key(*changed) != shard_key(*self.BASE)
+        base, moved = self._keys(*self.BASE), self._keys(*changed)
+        assert not set(base) & set(moved)
 
-    def test_code_digest_is_part_of_the_key(self, monkeypatch):
-        before = shard_key(*self.BASE)
+    def test_code_digest_is_part_of_the_key(self, tmp_path, monkeypatch):
+        # Only records stamped with this code's digest are served.
+        job = ("synth_count", *self.BASE)
+        count = job_digest(job)
+        store = VerdictCache(tmp_path, writer=True)
+        store.record(COUNT, count, scheduler.run_shard_job(job))
+        store.close()
+        assert VerdictCache(tmp_path).lookup(COUNT, count) is not None
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
-        assert shard_key(*self.BASE) != before
+        assert VerdictCache(tmp_path).lookup(COUNT, count) is None
 
     def test_source_digest_tracks_every_source_file(self, tmp_path):
         package = tmp_path / "pkg"
@@ -191,29 +235,33 @@ class TestMisses:
     ):
         root = tmp_path / "c"
         _synth(root)
+        recorded = len(_records(root))
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
         _assert_identical(legacy, _synth(root))
         counters = _counters()
-        shards = _shard_count(2, 3)
-        assert counters["verdict_cache.shards.hits"] == 0
-        assert counters["verdict_cache.shards.misses"] == shards
+        assert counters.get("pipeline.checkpoint.hits", 0) == 0
+        assert counters["pipeline.checkpoint.misses"] == recorded
         # Every shard was recomputed in full and recorded anew.
-        assert counters["scheduler.chunks"] > 0
-        assert counters["verdict_cache.shards.appends"] == shards
+        assert counters["scheduler.chunks"] == _kinds(root)[CHUNK] // 2
+        assert counters["pipeline.checkpoint.records"] == recorded
 
     def test_unpinned_code_is_not_cached(self, tmp_path, legacy, monkeypatch):
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: None)
         _assert_identical(legacy, _synth(tmp_path / "c"))
-        assert _counters().get("verdict_cache.shards.lookups", 0) == 0
-        assert not _shard_lines(tmp_path / "c")
+        assert _counters().get("pipeline.checkpoint.hits", 0) == 0
+        assert _counters().get("pipeline.checkpoint.records", 0) == 0
+        assert not _records(tmp_path / "c")
 
     def test_other_bound_misses(self, tmp_path, legacy):
         root = tmp_path / "c"
         _synth(root, bound=2)
+        bound2 = len(_records(root))
         _assert_identical(legacy, _synth(root, bound=3))
         counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == _shard_count(2)
-        assert counters["verdict_cache.shards.misses"] == _shard_count(3)
+        assert counters["pipeline.checkpoint.hits"] == bound2
+        assert counters["pipeline.checkpoint.misses"] == (
+            len(_records(root)) - bound2
+        )
 
 
 class TestDamage:
@@ -226,7 +274,9 @@ class TestDamage:
         lines = segment.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         fruitful = [
-            i for i, r in enumerate(records) if r["result"]["survivors"]
+            i
+            for i, r in enumerate(records)
+            if r["kind"] == CHUNK and r["result"]["survivors"]
         ]
         assert len(fruitful) >= 3
         mangled, torn, undecodable = fruitful[:3]
@@ -236,7 +286,7 @@ class TestDamage:
         bad = json.loads(lines[undecodable])
         bad["result"]["survivors"][0] = {}  # adds up, but is no execution
         lines[undecodable] = json.dumps(bad)
-        plain = next(i for i in range(len(lines)) if i not in fruitful)
+        plain = next(i for i, r in enumerate(records) if r["kind"] == COUNT)
         lines[plain] = "not json at all"
         # Move a survivor-bearing record to the end and tear it.
         lines.append(lines.pop(torn))
@@ -245,63 +295,51 @@ class TestDamage:
 
         _assert_identical(legacy, _synth(root))
         counters = _counters()
-        assert counters["verdict_cache.shards.misses"] == 4
-        assert counters["verdict_cache.shards.appends"] == 4
-        # Recording them superseded their chunks: the close compacted.
-        assert len(list(root.glob("shards-*.jsonl"))) == 1
-        assert len(_records(root)) == _shard_count(2, 3)
+        assert counters["pipeline.checkpoint.misses"] == 4
+        assert counters["pipeline.checkpoint.records"] == 4
+        # The lost count's chunks were still found: only three ran.
+        assert counters["scheduler.chunks"] == 3
+        assert counters["pipeline.jobs.completed"] == 4
         _assert_identical(legacy, _synth(root))
-        assert _counters()["verdict_cache.shards.hits"] == _shard_count(2, 3)
+        _assert_all_hit(_counters(), len(records))
 
 
 class TestCheckpointAndCompaction:
-    """Chunk and count records resume unfinished shards; compaction
-    drops them once their shard is recorded."""
+    """Count and chunk records resume unfinished shards and replay
+    finished ones; compaction keeps them all."""
 
-    def test_checkpointed_and_cached_shard_folds_once(
-        self, tmp_path, legacy, monkeypatch
-    ):
-        # A store still holding the chunk and count records next to the
-        # shard records they built (compaction never ran).
+    def test_checkpointed_and_cached_shard_folds_once(self, tmp_path, legacy):
+        # A store holding every record twice, in two segments.
         root = tmp_path / "c"
-        with monkeypatch.context() as uncompacted:
-            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
-            _assert_identical(legacy, _synth(root))
-        assert {r["kind"] for r in _records(root)} == {
-            "shard",
-            "synth_chunk",
-            "synth_count",
-        }
+        _assert_identical(legacy, _synth(root))
+        records = _records(root)
+        (root / "shards-000002.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
         warm = _synth(root)
         _assert_identical(legacy, warm)
         assert warm.candidates_examined == legacy.candidates_examined
-        counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
-        assert counters.get("scheduler.chunks", 0) == 0
+        _assert_all_hit(_counters(), len(records))
 
-    def test_checkpoint_resumed_shards_are_recorded(
-        self, tmp_path, legacy, monkeypatch
-    ):
-        # A store of chunk and count records only: every shard's range
-        # was evaluated, but no shard record was written.
+    def test_checkpoint_resumed_shards_are_recorded(self, tmp_path, legacy):
+        # A store missing every other chunk record: a run killed
+        # midway.  The resume runs exactly the missing chunks.
         root = tmp_path / "c"
-        with monkeypatch.context() as uncompacted:
-            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
-            _synth(root)
-        _rewrite(root, [r for r in _records(root) if r["kind"] != "shard"])
-        cached = _synth(root)
-        _assert_identical(legacy, cached)
-        # Every count and chunk came back from the store, which carries
-        # this code's digest: every shard is recorded without computing
-        # a chunk, the empty ones included, and the records that built
-        # them are compacted away.
-        counters = _counters()
-        shards = _shard_count(2, 3)
-        assert counters["verdict_cache.shards.misses"] == shards
-        assert counters.get("scheduler.chunks", 0) == 0
-        assert len(_records(root)) == len(_shard_lines(root)) == shards
+        _synth(root)
+        records = _records(root)
+        chunks = [r for r in records if r["kind"] == CHUNK]
+        lost = chunks[::2]
+        _rewrite(root, [r for r in records if r not in lost])
         _assert_identical(legacy, _synth(root))
-        assert _counters()["verdict_cache.shards.hits"] == shards
+        counters = _counters()
+        assert counters["scheduler.chunks"] == len(lost)
+        assert counters["pipeline.checkpoint.misses"] == len(lost)
+        assert counters["pipeline.checkpoint.records"] == len(lost)
+        assert sorted(r["key"] for r in _records(root)) == sorted(
+            r["key"] for r in records
+        )
+        _assert_identical(legacy, _synth(root))
+        _assert_all_hit(_counters(), len(records))
 
     def test_stale_checkpointed_count_is_not_recorded(
         self, tmp_path, legacy
@@ -316,7 +354,7 @@ class TestCheckpointAndCompaction:
         stale = max(signatures, key=lambda sig: counts[sig]["completions"])
         job = ("synth_count", "x86", 3, stale)
         record = {
-            "kind": "synth_count",
+            "kind": COUNT,
             "key": job_digest(job),
             "result": dict(
                 counts[stale], completions=counts[stale]["completions"] // 2
@@ -325,82 +363,86 @@ class TestCheckpointAndCompaction:
         root = tmp_path / "c"
         # Stamped with this code, the record would be served ...
         _rewrite(root, [dict(record, code=verdict_cache.code_digest())])
-        assert job_digest(job) in VerdictCache(root).recorded("synth_count")
+        assert job_digest(job) in VerdictCache(root).recorded(COUNT)
         # ... but it was computed under another code digest.
         _rewrite(root, [dict(record, code="other")])
-        assert not VerdictCache(root).recorded("synth_count")
+        assert not VerdictCache(root).recorded(COUNT)
         _assert_identical(legacy, _synth(root))
-        recorded = {
-            entry["key"]: entry["result"]
-            for entry in map(json.loads, _shard_lines(root))
-        }
+        recorded = VerdictCache(root).recorded(COUNT)
         assert len(recorded) == _shard_count(2, 3)
-        assert (
-            recorded[shard_key("x86", 3, stale)]["completions"]
-            == counts[stale]["completions"]
-        )
+        assert recorded[job_digest(job)] == counts[stale]
         _assert_identical(legacy, _synth(root))
-        counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
-        assert counters.get("verdict_cache.shards.appends", 0) == 0
+        _assert_all_hit(_counters(), len(_records(root)) - 1)
 
-    def test_cold_run_leaves_only_shard_records(self, tmp_path, legacy):
+    def test_cold_run_leaves_one_count_record_per_shard_and_one_record_per_chunk(
+        self, tmp_path
+    ):
         root = tmp_path / "c"
-        _assert_identical(legacy, _synth(root, workers=2))
+        result = _synth(root, workers=2, bound=4)
+        assert len(result.forbidden) == 26
+        assert len(result.allowed) == 109
+        assert result.candidates_examined == 150_823
         records = _records(root)
-        assert [r["kind"] for r in records] == ["shard"] * _shard_count(2, 3)
+        assert Counter(r["kind"] for r in records) == {COUNT: 144, CHUNK: 145}
+        assert _counters()["scheduler.chunks"] == 145
         assert len({r["key"] for r in records}) == len(records)
 
-    def test_compaction_keeps_shard_records_servable(self, tmp_path, legacy):
+    def test_compaction_keeps_every_record_servable(self, tmp_path, legacy):
         root = tmp_path / "c"
         _synth(root)
+        before = sorted(json.dumps(r, sort_keys=True) for r in _records(root))
         cache = VerdictCache(root, writer=True)
         cache.compact()
         cache.close()
         assert len(list(root.glob("shards-*.jsonl"))) == 1
-        assert len(_shard_lines(root)) == _shard_count(2, 3)
+        after = sorted(json.dumps(r, sort_keys=True) for r in _records(root))
+        assert after == before
         _assert_identical(legacy, _synth(root))
-        counters = _counters()
-        assert counters["verdict_cache.shards.hits"] == _shard_count(2, 3)
-        assert counters.get("scheduler.chunks", 0) == 0
+        _assert_all_hit(_counters(), len(before))
 
     def test_compaction_prunes_records_of_other_code(
         self, tmp_path, legacy, monkeypatch
     ):
         root = tmp_path / "c"
         _synth(root)
+        ours = len(_records(root))
         with monkeypatch.context() as edited:
             edited.setattr(verdict_cache, "code_digest", lambda: "edited")
-            edited.setattr(VerdictCache, "compact", lambda self: None)
             _synth(root)
-        shards = _shard_count(2, 3)
-        assert len(_shard_lines(root)) == 2 * shards
+        assert len(_records(root)) == 2 * ours
         cache = VerdictCache(root, writer=True)
         cache.compact()
         cache.close()
-        records = [json.loads(line) for line in _shard_lines(root)]
-        assert len(records) == shards
+        records = _records(root)
+        assert len(records) == ours
         assert {r["code"] for r in records} == {verdict_cache.code_digest()}
         _assert_identical(legacy, _synth(root))
-        assert _counters()["verdict_cache.shards.hits"] == shards
+        _assert_all_hit(_counters(), ours)
 
     def test_compaction_drops_a_torn_shard_line(self, tmp_path, legacy):
         root = tmp_path / "c"
         _synth(root)
         (segment,) = root.glob("shards-*.jsonl")
         lines = segment.read_text().splitlines()
+        chunk = next(
+            i
+            for i, line in enumerate(lines)
+            if json.loads(line)["kind"] == CHUNK
+        )
+        lines.append(lines.pop(chunk))
         torn = json.loads(lines[-1])["key"]
         segment.write_text("\n".join(lines[:-1] + [lines[-1][:40]]))
         cache = VerdictCache(root, writer=True)
         cache.compact()
         cache.close()
-        keys = [json.loads(line)["key"] for line in _shard_lines(root)]
-        assert len(keys) == _shard_count(2, 3) - 1
+        keys = [r["key"] for r in _records(root)]
+        assert len(keys) == len(lines) - 1
         assert torn not in keys
         _assert_identical(legacy, _synth(root))
         counters = _counters()
-        assert counters["verdict_cache.shards.misses"] == 1
-        assert counters["verdict_cache.shards.appends"] == 1
+        assert counters["pipeline.checkpoint.misses"] == 1
+        assert counters["pipeline.checkpoint.records"] == 1
+        assert counters["scheduler.chunks"] == 1
 
 
 @pytest.mark.skipif(
@@ -408,14 +450,17 @@ class TestCheckpointAndCompaction:
     reason="forked pool workers only",
 )
 def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
-    """When one shard misses, the parent forks workers to recompute it;
-    they never touch the store, so it ends with each shard recorded
+    """When one chunk misses, the parent forks workers to recompute it;
+    they never touch the store, so it ends with each job recorded
     exactly once and every record servable."""
     root = tmp_path / "c"
     _synth(root)
     (segment,) = root.glob("shards-*.jsonl")
     records = [json.loads(line) for line in segment.read_text().splitlines()]
-    largest = max(records, key=lambda r: r["result"]["completions"])
+    largest = max(
+        (r for r in records if r["kind"] == CHUNK),
+        key=lambda r: r["result"]["stop"] - r["result"]["start"],
+    )
     segment.write_text(
         "".join(
             json.dumps(r) + "\n" for r in records if r is not largest
@@ -426,9 +471,10 @@ def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
         _assert_identical(legacy, p.synthesis("x86", 3))
         assert p._pool is not None
     counters = _counters()
-    assert counters["verdict_cache.shards.misses"] == 1
-    assert counters["verdict_cache.shards.appends"] == 1
-    keys = [json.loads(line)["key"] for line in _shard_lines(root)]
-    assert sorted(keys) == sorted(r["key"] for r in records)
+    assert counters["pipeline.checkpoint.misses"] == 1
+    assert counters["pipeline.checkpoint.records"] == 1
+    assert counters["scheduler.chunks"] == 1
+    after = _records(root)
+    assert sorted(r["key"] for r in after) == sorted(r["key"] for r in records)
     reader = VerdictCache(root)
-    assert all(reader.shard_lookup(key) is not None for key in keys)
+    assert all(reader.lookup(r["kind"], r["key"]) is not None for r in after)

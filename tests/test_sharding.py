@@ -28,7 +28,6 @@ from repro.enumeration.shapes import enumerate_skeletons
 from repro.harness import scheduler
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.scheduler import run_shard_job, synthesise_sharded
-from repro.harness.verdict_cache import VerdictCache
 from repro.obs import REGISTRY, reset_observability
 
 from .test_derived_relations import _choices, _reference_completions
@@ -214,25 +213,21 @@ class TestShardedSynthesis:
         assert total == counters["enumeration.x86.bound2.candidates"]
         reset_observability()
 
-    def test_checkpoint_resume_replays_chunks(
-        self, tmp_path, legacy, monkeypatch
-    ):
+    def test_checkpoint_resume_replays_chunks(self, tmp_path, legacy):
         reset_observability()
         root = tmp_path / "store"
-        with monkeypatch.context() as uncompacted:
-            uncompacted.setattr(VerdictCache, "compact", lambda self: None)
-            with CheckPipeline(workers=1, cache=root) as pipeline:
-                _assert_identical(legacy, pipeline.synthesis("x86", 3))
+        with CheckPipeline(workers=1, cache=root) as pipeline:
+            _assert_identical(legacy, pipeline.synthesis("x86", 3))
         first = REGISTRY.snapshot()["counters"]["scheduler.chunks"]
         assert first > 0
-        # Keep only the chunk and count records: a run killed just
-        # before recording its shards.
+        # Drop the count records: the counts are recomputed, and each
+        # chunk is still found by its job digest.
         (segment,) = root.glob("shards-*.jsonl")
         segment.write_text(
             "".join(
                 line + "\n"
                 for line in segment.read_text().splitlines()
-                if json.loads(line)["kind"] != "shard"
+                if json.loads(line)["kind"] == "synth_chunk"
             )
         )
         reset_observability()
@@ -247,11 +242,10 @@ class TestShardedSynthesis:
         self, tmp_path, legacy, monkeypatch, chunk
     ):
         # Each shard's chunks are [k*CHUNK, min((k+1)*CHUNK, completions))
-        # whoever runs them, so uncompacted stores filled at different
+        # whoever runs them, so stores filled at different
         # worker counts record the same chunk keys.  The small chunk
         # size splits the larger x86 bound-3 shards into several.
         monkeypatch.setattr(scheduler, "CHUNK", chunk)
-        monkeypatch.setattr(VerdictCache, "compact", lambda self: None)
         keys = {}
         for workers in (1, 2):
             root = tmp_path / f"w{workers}"
@@ -292,12 +286,14 @@ class TestShardedSynthesis:
         reset_observability()
         with CheckPipeline(workers=1, cache=tmp_path / "shards") as p:
             _assert_identical(legacy, p.synthesis("x86", 3))
-        # Every shard replays from its record: no chunk judges a verdict.
+        # Every count and chunk replays from its record: no chunk judges
+        # a verdict.
         counters = REGISTRY.snapshot()["counters"]
-        lookups = counters["verdict_cache.shards.lookups"]
+        lookups = counters["pipeline.checkpoint.lookups"]
         assert lookups > 0
-        assert counters["verdict_cache.shards.hits"] == lookups
+        assert counters["pipeline.checkpoint.hits"] == lookups
         assert counters.get("scheduler.chunks", 0) == 0
+        assert counters.get("pipeline.jobs.completed", 0) == 0
         reset_observability()
 
 

@@ -1,4 +1,4 @@
-"""The disk-backed store's shard records: hits, crash tolerance,
+"""The disk-backed store's chunk records: hits, crash tolerance,
 compaction."""
 
 import json
@@ -10,17 +10,20 @@ from repro.catalog import classics
 from repro.fuzz.corpus import execution_to_json
 from repro.harness import verdict_cache
 from repro.harness.pipeline import CheckPipeline
-from repro.harness.verdict_cache import VerdictCache, code_digest
+from repro.harness.verdict_cache import CHUNK, VerdictCache, code_digest
 
 
 def _payload(pruned: int, survivors=()) -> dict:
-    """A well-formed shard payload: ``pruned`` consistent candidates
+    """A well-formed chunk payload: ``pruned`` consistent candidates
     plus one candidate per survivor."""
     survivors = list(survivors)
     total = pruned + len(survivors)
     return {
-        "skeletons": 1,
-        "completions": total,
+        "target": "x86",
+        "bound": 2,
+        "sig": ["R", "W"],
+        "start": 0,
+        "stop": total,
         "counters": {
             "candidates": total,
             "pruned_consistent": pruned,
@@ -46,23 +49,23 @@ def payloads() -> dict[str, dict]:
 def _write(root, payloads: dict) -> None:
     cache = VerdictCache(root, writer=True)
     for key, payload in payloads.items():
-        cache.shard_record(key, payload)
+        cache.record(CHUNK, key, payload)
     cache.close()
 
 
 def _served(root, keys) -> dict:
     reader = VerdictCache(root)
-    return {key: reader.shard_lookup(key) for key in keys}
+    return {key: reader.lookup(CHUNK, key) for key in keys}
 
 
 class TestHits:
     def test_hit_returns_identical_verdict(self, tmp_path, payloads):
         cache = VerdictCache(tmp_path, writer=True)
         for key, payload in payloads.items():
-            cache.shard_record(key, payload)
+            cache.record(CHUNK, key, payload)
         for key, payload in payloads.items():
-            assert cache.shard_lookup(key) == payload
-        assert cache.shard_lookup("absent") is None
+            assert cache.lookup(CHUNK, key) == payload
+        assert cache.lookup(CHUNK, "absent") is None
         cache.close()
 
     def test_cross_run_persistence(self, tmp_path, payloads):
@@ -92,9 +95,9 @@ class TestCrashTolerance:
         broken["result"]["survivors"] = []  # no longer adds up
         lines[1] = json.dumps(broken)
         lines[2] = "not json at all"
-        good = {"kind": "shard", "key": "extra", "result": _payload(1)}
+        good = {"kind": CHUNK, "key": "extra", "result": _payload(1)}
         lines += [
-            json.dumps({"code": code_digest(), "kind": "shard", "key": "bare"}),
+            json.dumps({"code": code_digest(), "kind": CHUNK, "key": "bare"}),
             json.dumps(dict(good, code="other code")),
             json.dumps(good),  # no code stamp
             json.dumps([1]),
@@ -113,7 +116,7 @@ class TestCrashTolerance:
 
     def test_missing_directory_is_empty_cache(self, tmp_path):
         cache = VerdictCache(tmp_path / "never-created")
-        assert cache.shard_lookup("k0") is None
+        assert cache.lookup(CHUNK, "k0") is None
         cache.close()
         assert not (tmp_path / "never-created").exists()
 
@@ -136,7 +139,7 @@ class TestCompaction:
     def test_compaction_is_idempotent(self, tmp_path, payloads):
         cache = VerdictCache(tmp_path, writer=True)
         for key, payload in payloads.items():
-            cache.shard_record(key, payload)
+            cache.record(CHUNK, key, payload)
         first = cache.compact()
         before = first.read_text()
         second = cache.compact()
@@ -164,7 +167,7 @@ class TestCompaction:
         with pytest.raises(RuntimeError):
             cache.compact()
         with pytest.raises(RuntimeError):
-            cache.shard_record("k0", payloads["k0"])
+            cache.record(CHUNK, "k0", payloads["k0"])
         assert not list(tmp_path.glob("shards-*.jsonl"))
 
     def test_close_autocompacts_fragmented_cache(self, tmp_path):
@@ -193,18 +196,18 @@ def test_forked_workers_never_write_the_parents_shard_lines(
     more per worker."""
     root = tmp_path / "shards"
     with CheckPipeline(workers=2, cache=root, runlog=False) as pipe:
-        pipe.verdict_cache.shard_record("k1", payloads["k1"])
+        pipe.verdict_cache.record(CHUNK, "k1", payloads["k1"])
         assert pipe.map(_noop, range(4)) == list(range(4))
         pipe._pool.close()
         pipe._pool.join()
         pipe._pool = None
-        pipe.verdict_cache.shard_record("k2", payloads["k2"])
+        pipe.verdict_cache.record(CHUNK, "k2", payloads["k2"])
     records = [
         json.loads(line)
         for segment in root.glob("shards-*.jsonl")
         for line in segment.read_text().splitlines()
     ]
-    assert [r["key"] for r in records if r["kind"] == "shard"] == ["k1", "k2"]
+    assert [r["key"] for r in records if r["kind"] == CHUNK] == ["k1", "k2"]
     # The mapped jobs were recorded by the parent, each exactly once.
     jobs = [r["key"] for r in records if r["kind"] == "_noop"]
     assert len(jobs) == len(set(jobs)) == 4
