@@ -1,6 +1,7 @@
 """Crash-tolerant JSONL files, shared by the cross-run store
-(:mod:`repro.harness.verdict_cache`) and the run log
-(:mod:`repro.obs.runlog`): one JSON object per line, appended by
+(:mod:`repro.harness.verdict_cache`), the run log
+(:mod:`repro.obs.runlog`) and the fuzz corpus
+(:mod:`repro.fuzz.corpus`): one JSON object per line, appended by
 processes that may be killed at any instant.
 
 :class:`JsonlWriter` opens lazily, flushes every record, and starts on
@@ -16,8 +17,9 @@ from typing import Iterator
 
 
 def encode(record) -> str:
-    """One record as its canonical line (without the newline)."""
-    return json.dumps(record, sort_keys=True)
+    """One record as its canonical line (without the newline): sorted
+    keys, compact separators."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class JsonlWriter:

@@ -10,7 +10,6 @@ in a replayable JSONL corpus.  See ``docs/fuzzing.md``.
 """
 
 from .corpus import (
-    CorpusWriter,
     execution_digest,
     execution_from_json,
     execution_to_json,
@@ -34,7 +33,6 @@ from .oracles import (
 from .shrink import shrink
 
 __all__ = [
-    "CorpusWriter",
     "CoverageMap",
     "DIFF_MODELS",
     "FuzzCase",

@@ -4,7 +4,7 @@ Every discrepancy the fuzzer finds lands as one JSON line in
 ``results/fuzz-corpus.jsonl`` (or wherever ``--corpus`` points):
 
 * ``digest`` -- a PYTHONHASHSEED-stable SHA-256 of the (shrunk)
-  execution, the replay key (same scheme as the PR 3 checkpoints);
+  execution, the replay key;
 * ``execution`` -- the shrunk witness, as primitive JSON (events,
   threads, rf/co/deps/rmw pairs, transaction structure), rebuildable
   with :func:`execution_from_json`;
@@ -15,17 +15,18 @@ Every discrepancy the fuzzer finds lands as one JSON line in
   generation ``arch``/``seed``/``case`` index, and the original
   (pre-shrink) execution's digest.
 
-Records are written in case order with sorted keys and no timestamps,
-so the same seed and budget produce a byte-identical file -- including
-under ``--workers 2`` (pipeline results return in submission order).
+Records are written through :mod:`repro._jsonl` in case order, with
+sorted keys and no timestamps, so the same seed and budget produce a
+byte-identical file -- including under ``--workers 2`` (pipeline
+results return in submission order).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
+from .._jsonl import encode, read_jsonl
 from ..events import Event, Execution
 
 
@@ -71,60 +72,14 @@ def execution_from_json(data: dict) -> Execution:
 
 def execution_digest(execution: Execution) -> str:
     """A stable hex digest of an execution (the corpus replay key)."""
-    encoded = json.dumps(
-        execution_to_json(execution), sort_keys=True, separators=(",", ":")
-    )
+    encoded = encode(execution_to_json(execution))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def encode_record(record: dict) -> str:
-    """One canonical JSONL line (sorted keys, compact separators)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-class CorpusWriter:
-    """Appends witness records to a corpus file, creating (truncating)
-    it up front so a clean run leaves a verifiably empty corpus."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "w", encoding="utf-8")
-        self.written = 0
-
-    def write(self, record: dict) -> None:
-        self._handle.write(encode_record(record) + "\n")
-        self._handle.flush()
-        self.written += 1
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "CorpusWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def load_corpus(path: str | Path) -> list[dict]:
-    """All records of a corpus file (tolerates a torn trailing line,
-    like the checkpoint store)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return records
+    """All well-formed records of a corpus file (a torn or malformed
+    line costs only itself, as in the cross-run store)."""
+    return list(read_jsonl(path))
 
 
 def find_record(path: str | Path, digest: str) -> dict | None:

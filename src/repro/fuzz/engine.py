@@ -31,18 +31,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .._env import env_int
+from .._jsonl import JsonlWriter
 from ..enumeration.config import get_config
 from ..events import Execution
 from ..harness.pipeline import CheckPipeline
 from ..litmus.convert import execution_to_litmus
 from ..litmus.format import write_litmus
 from ..obs import REGISTRY
-from .corpus import (
-    CorpusWriter,
-    execution_digest,
-    execution_from_json,
-    execution_to_json,
-)
+from .corpus import execution_digest, execution_from_json, execution_to_json
 from .coverage import CoverageMap, record_ir_node_kinds
 from .generator import sample_execution
 from .mutate import mutate
@@ -236,16 +232,19 @@ def run_fuzz(config: FuzzConfig, pipeline: CheckPipeline | None = None) -> FuzzR
             if "execution" in record and len(pool) < _POOL_LIMIT:
                 pool.append(execution_from_json(record["execution"]))
 
+    corpus = Path(config.corpus) if config.corpus else None
     own_pipeline = pipeline is None
     if own_pipeline:
         runlog = None
-        if config.corpus:
-            corpus_path = Path(config.corpus)
-            runlog = corpus_path.with_name(
-                corpus_path.stem + ".events.jsonl"
-            )
+        if corpus is not None:
+            runlog = corpus.with_name(corpus.stem + ".events.jsonl")
         pipeline = CheckPipeline(workers=config.workers, runlog=runlog)
-    writer = CorpusWriter(config.corpus) if config.corpus else None
+    writer = None
+    if corpus is not None:
+        # Truncated up front, so a clean run leaves an empty corpus.
+        corpus.parent.mkdir(parents=True, exist_ok=True)
+        corpus.write_text("", encoding="utf-8")
+        writer = JsonlWriter(corpus)
     pipeline.log_event(
         "fuzz.start",
         arch=config.arch,
@@ -310,7 +309,7 @@ def run_fuzz(config: FuzzConfig, pipeline: CheckPipeline | None = None) -> FuzzR
         )
     finally:
         if writer is not None:
-            report.corpus_records = writer.written
+            report.corpus_records = len(report.discrepancies)
             writer.close()
         pipeline.log_event(
             "fuzz.end",

@@ -20,11 +20,10 @@ shared cache layer:
 * **one cross-run store** -- with a ``cache`` directory
   (:mod:`repro.harness.verdict_cache`), every job
   :meth:`~CheckPipeline.map` completes -- the synthesis's shard counts
-  among them -- is recorded under its stable digest
-  (:func:`~repro.harness.checkpoint.job_digest`) as it lands, and so is
-  every synthesis chunk.  A killed run restarted on the same directory
-  resumes from what was recorded; a rerun of the same code replays it.
-  Both read through one lookup,
+  among them -- is recorded as it lands, and so is every synthesis
+  chunk; the store keys each job and encodes each result.  A killed
+  run restarted on the same directory resumes from what was recorded;
+  a rerun of the same code replays it.  Both read through one lookup,
   :meth:`~repro.harness.verdict_cache.VerdictCache.lookup`.  Nothing
   recorded under other code is served.
 * **observability** -- per-job wall time, queue wait, and worker
@@ -60,8 +59,7 @@ from ..cat import CatModel
 from ..enumeration import SynthesisResult
 from ..models import get_model
 from ..obs import PROFILER, REGISTRY, TRACER, RunLog, reset_observability
-from . import verdict_cache as _verdict_cache
-from .checkpoint import job_digest
+from .verdict_cache import VerdictCache
 
 #: Seconds between ``run.heartbeat`` events while a batch drains.
 _HEARTBEAT_SECONDS = 30.0
@@ -239,8 +237,8 @@ class CheckPipeline:
         cache: optional directory of the cross-run store
             (:mod:`repro.harness.verdict_cache`) that resumes killed
             runs and replays finished work; ``None`` opens none.  Only
-            this (parent) process opens it, as the single writer; pool
-            workers never touch it.
+            this (parent) process opens it; pool workers never touch
+            it.
     """
 
     def __init__(
@@ -252,9 +250,7 @@ class CheckPipeline:
         if workers is None:
             workers = env_int("REPRO_WORKERS", 1)
         self.workers = max(1, workers)
-        self.verdict_cache = (
-            _verdict_cache.configure(cache) if cache is not None else None
-        )
+        self.verdict_cache = VerdictCache(cache) if cache is not None else None
         if runlog is None and cache is not None:
             runlog = Path(cache) / "events.jsonl"
         self.runlog = RunLog(runlog) if runlog else None
@@ -437,12 +433,11 @@ class CheckPipeline:
     def map(self, fn: Callable, items: Iterable) -> list:
         """``[fn(item) for item in items]`` through :meth:`submit`.
 
-        With a store open, an item whose ``kind`` (:func:`_job_kind`)
-        and :func:`~repro.harness.checkpoint.job_digest` are recorded is
-        answered from it, and each other result is recorded as it
-        lands, so a crash mid-batch loses only the jobs in flight;
-        results must then be JSON-serialisable.  Results come back in
-        submission order.
+        With a store open, an item recorded under its ``kind``
+        (:func:`_job_kind`) is answered from it, and each other result
+        is recorded as it lands, so a crash mid-batch loses only the
+        jobs in flight; results must then be JSON-serialisable.
+        Results come back in submission order.
         """
         items = list(items)
         results: list = [None] * len(items)
@@ -450,10 +445,9 @@ class CheckPipeline:
         store = self.verdict_cache
         if store is not None and items:
             kinds = [_job_kind(fn, item) for item in items]
-            digests = [job_digest(item) for item in items]
             pending = []
-            for index, (kind, digest) in enumerate(zip(kinds, digests)):
-                result = store.lookup(kind, digest, _MISSING)
+            for index, (kind, item) in enumerate(zip(kinds, items)):
+                result = store.lookup(kind, item, _MISSING)
                 if result is _MISSING:
                     pending.append(index)
                 else:
@@ -475,7 +469,7 @@ class CheckPipeline:
             for done in range(1, len(pending) + 1):
                 index, result = self.next_result()
                 if store is not None:
-                    store.record(kinds[index], digests[index], result)
+                    store.record(kinds[index], items[index], result)
                 results[index] = result
                 for following in islice(backlog, 1):
                     self.submit(fn, items[following], following)

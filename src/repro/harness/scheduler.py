@@ -19,9 +19,9 @@ most left.  Four properties carry the design:
 * **Self-description.**  A work unit is the tuple ``("synth_chunk",
   target, bound, signature, start, stop)`` and its payload repeats
   those coordinates.  Because the boundaries never move, a resumed run
-  finds each recorded chunk by its job's digest (exact lookup); a
-  record whose coordinates differ from its job's is recomputed, never
-  folded.
+  finds each recorded chunk by its job (exact lookup); a record whose
+  coordinates do not digest to its key is never loaded, so its
+  recomputation replaces it.
 * **Global filtering stays in the parent.**  Workers apply the
   *per-candidate* filters (model-inconsistent, baseline-consistent,
   minimal) and ship survivors; the order-dependent steps (canonical
@@ -29,10 +29,10 @@ most left.  Four properties carry the design:
   where the global ``seen`` set lives.
 * **Resumable and replayable.**  With a store open
   (:mod:`repro.harness.verdict_cache`), every count and chunk evaluated
-  is recorded under its job's digest as it lands.  A later run on the
-  same store -- a resume after a kill, or a warm rerun -- answers each
-  count job through :meth:`CheckPipeline.map
-  <repro.harness.pipeline.CheckPipeline.map>` and looks each chunk up
+  is recorded as it lands.  A later run on the same store -- a resume
+  after a kill, or a warm rerun -- answers each count job through
+  :meth:`CheckPipeline.map <repro.harness.pipeline.CheckPipeline.map>`
+  and looks each chunk up by its job
   (:meth:`~repro.harness.verdict_cache.VerdictCache.lookup`) before
   scheduling it, so only the unrecorded chunks run; a warm rerun runs
   none.
@@ -68,9 +68,9 @@ from ..enumeration.synthesis import SynthesisResult, add_allowed
 from ..models import get_model
 from ..obs import REGISTRY, TRACER
 from . import verdict_cache
-from .checkpoint import job_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..events import Execution
     from .pipeline import CheckPipeline
 
 #: Completions per chunk job.  Smaller chunks pay more per-chunk
@@ -87,26 +87,12 @@ CHUNK = 4096
 #: built once per worker process per shard it touches.
 _SPACE_CACHE: dict[tuple, tuple[list, list[int]]] = {}
 
-#: target → (config, model, baseline).
-_TARGET_CACHE: dict[str, tuple] = {}
-
-
-def _target_context(target: str):
-    context = _TARGET_CACHE.get(target)
-    if context is None:
-        config = get_config(target)
-        model = get_model(config.model_name)
-        context = (config, model, model.baseline())
-        _TARGET_CACHE[target] = context
-    return context
-
 
 def _shard_space(target: str, bound: int, signature: Signature):
     key = (target, bound, signature)
     space = _SPACE_CACHE.get(key)
     if space is None:
-        config = _target_context(target)[0]
-        skeletons = shard_skeletons(config, signature)
+        skeletons = shard_skeletons(get_config(target), signature)
         cumulative = cumulative_counts(shard_completion_counts(skeletons))
         space = (skeletons, cumulative)
         _SPACE_CACHE[key] = space
@@ -120,7 +106,7 @@ def run_shard_job(job: tuple):
       counts for one shard;
     * ``("synth_chunk", target, bound, sig, start, stop)`` → the chunk
       payload: per-outcome counters plus the surviving (forbidden-
-      candidate) executions as JSON.
+      candidate) executions.
 
     Both payloads echo their shard's coordinates, so the parent can
     fold and record them as self-contained data.
@@ -141,13 +127,12 @@ def run_shard_job(job: tuple):
         raise ValueError(f"unknown shard job kind {kind!r}")
     _, target, bound, signature, start, stop = job
     signature = tuple(signature)
-    config, model, baseline = _target_context(target)
+    config = get_config(target)
+    model = get_model(config.model_name)
+    baseline = model.baseline()
     skeletons, cumulative = _shard_space(target, bound, signature)
-
-    from ..fuzz.corpus import execution_to_json
-
     counters = dict.fromkeys(verdict_cache.CHUNK_COUNTERS, 0)
-    survivors: list[dict] = []
+    survivors: list[Execution] = []
     began = time.monotonic()
     label = signature_label(signature)
     with TRACER.span(
@@ -166,7 +151,7 @@ def run_shard_job(job: tuple):
             ):
                 counters["pruned_nonminimal"] += 1
                 continue
-            survivors.append(execution_to_json(x))
+            survivors.append(x)
     return {
         "target": target,
         "bound": bound,
@@ -249,7 +234,7 @@ class WorkStealingScheduler:
     def _record(self, job: tuple, payload: dict) -> None:
         store = self.pipeline.verdict_cache
         if store is not None:
-            store.record(verdict_cache.CHUNK, job_digest(job), payload)
+            store.record(verdict_cache.CHUNK, job, payload)
 
     def run(self) -> list[dict]:
         """Drain every queue; returns the chunk payloads (unsorted)."""
@@ -292,17 +277,6 @@ def _fold_shard_metrics(
 # ---------------------------------------------------------------------------
 # The sharded synthesis driver (what CheckPipeline.synthesis calls)
 # ---------------------------------------------------------------------------
-
-
-def _describes(payload: dict, job: tuple) -> bool:
-    """Whether a recorded chunk payload carries its job's coordinates."""
-    return (
-        payload["target"],
-        payload["bound"],
-        tuple(payload["sig"]),
-        payload["start"],
-        payload["stop"],
-    ) == job[1:]
 
 
 def synthesise_sharded(
@@ -352,8 +326,6 @@ def _sharded_bound(
 ) -> None:
     """One event bound: count every shard, answer its chunks from the
     store or drain them through the scheduler, fold in order."""
-    from ..fuzz.corpus import execution_from_json
-
     prefix = f"enumeration.{target}.bound{bound}"
     signatures = list(shard_signatures(config, bound))
     index_of = {sig: i for i, sig in enumerate(signatures)}
@@ -376,11 +348,9 @@ def _sharded_bound(
                 stop = min(start + CHUNK, total)
                 job = ("synth_chunk", target, bound, sig, start, stop)
                 payload = (
-                    None
-                    if cache is None
-                    else cache.lookup(verdict_cache.CHUNK, job_digest(job))
+                    cache.lookup(verdict_cache.CHUNK, job) if cache else None
                 )
-                if payload is not None and _describes(payload, job):
+                if payload is not None:
                     _fold_shard_metrics(target, bound, payload)
                     chunks[shard].append(payload)
                 else:
@@ -404,8 +374,7 @@ def _sharded_bound(
             c_consistent.inc(counters["pruned_consistent"])
             c_baseline.inc(counters["pruned_baseline"])
             c_nonminimal.inc(counters["pruned_nonminimal"])
-            for encoded in payload["survivors"]:
-                x = execution_from_json(encoded)
+            for x in payload["survivors"]:
                 key = canonical_key(x)
                 if key in seen_forbidden:
                     c_duplicate.inc()

@@ -4,13 +4,17 @@
 
     {"code": ..., "kind": ..., "key": ..., "result": ...}
 
-one per finished job, keyed by the job's
-:func:`~repro.harness.checkpoint.job_digest`:
+one per finished job.  This module is the only one that knows keys and
+record encodings: callers hand it jobs, and it keys each job's result
+on :func:`job_digest`, a stable digest of the job itself.
 
 * ``kind: "synth_chunk"`` / ``"synth_count"`` -- one evaluated
   completion range of a synthesis shard (its counters and surviving
   executions), and one shard's size; both payloads carry their shard's
-  ``target``, ``bound`` and ``sig`` (see :mod:`repro.harness.scheduler`);
+  ``target``, ``bound`` and ``sig``, and a chunk its ``start`` and
+  ``stop`` (see :mod:`repro.harness.scheduler`).  In memory a chunk's
+  survivors are :class:`~repro.events.Execution` objects; a record
+  holds them as :func:`~repro.fuzz.corpus.execution_to_json` data.
 * any other kind -- one :meth:`CheckPipeline.map
   <repro.harness.pipeline.CheckPipeline.map>` job result.
 
@@ -22,14 +26,17 @@ semantics it was computed under.
 The records live in *segments*, ``shards-000001.jsonl`` and so on; each
 writing process appends to a new one, record by record, flushed
 (:mod:`repro._jsonl`), so a killed run loses only the work in flight.
-Loading, on the first lookup or record, skips torn, malformed, damaged
-and other-code records: a bad line costs one recomputation, never a
-crash.  :meth:`VerdictCache.compact` merges the segments into one
-(atomically, via tmp+fsync+rename), keeping this code's records; a
-writer compacts on close once segments pile up.
+Loading, on the first lookup or record, skips torn, malformed and
+other-code records, and a count or chunk record unless its own
+coordinates digest to its key, its counters add up and its survivors
+decode (each is decoded once, here).  A skipped record costs one
+recomputation, which is recorded in its place; never a crash.
+:meth:`VerdictCache.compact` merges the segments into one (atomically,
+via tmp+fsync+rename), keeping this code's records; closing the store
+compacts it once segments pile up.
 
-Only the pipeline **parent** opens the store, as its single writer;
-pool workers never touch it.
+Only the pipeline **parent** opens the store; pool workers compute
+jobs and never record them.
 
 Metrics: every :meth:`VerdictCache.lookup` counts under
 ``pipeline.checkpoint.lookups/hits/misses``, every record under
@@ -38,13 +45,16 @@ Metrics: every :meth:`VerdictCache.lookup` counts under
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import os
 from pathlib import Path
 
 from .._jsonl import JsonlWriter, encode, read_jsonl
+from ..events import Execution
 from ..obs import REGISTRY
+from ..relations import Relation
 
 #: Compact on close once this many segments accumulate.
 _COMPACT_SEGMENTS = 8
@@ -91,84 +101,135 @@ def code_digest() -> str | None:
     return source_digest(Path(__file__).resolve().parent.parent)
 
 
-def _decodable(survivor) -> bool:
-    """Whether one stored survivor decodes to an execution."""
-    from ..fuzz.corpus import execution_from_json
+def _canon(obj) -> object:
+    """A deterministic, process-independent encoding of ``obj``.
 
-    try:
-        execution_from_json(survivor)
-    except Exception:  # any mangling: the record is skipped, not folded
-        return False
-    return True
+    The encoding is injective on the value shapes that appear in
+    pipeline jobs (tuples of primitives, executions, litmus programs,
+    postconditions, intended-co dicts); unknown objects raise so that a
+    silently unstable digest can never ship.
+    """
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, Execution):
+        return ("execution", _canon(obj.fingerprint()))
+    if isinstance(obj, Relation):
+        return (
+            "relation",
+            tuple(sorted(obj.pairs)),
+            tuple(sorted(obj.universe)),
+        )
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (
+            type(obj).__name__,
+            tuple(
+                (f.name, _canon(getattr(obj, f.name)))
+                for f in dataclasses.fields(obj)
+            ),
+        )
+    if isinstance(obj, (list, tuple)):
+        return tuple(_canon(item) for item in obj)
+    if isinstance(obj, (set, frozenset)):
+        return ("set", tuple(sorted((repr(_canon(item)) for item in obj))))
+    if isinstance(obj, dict):
+        return (
+            "dict",
+            tuple(
+                sorted(
+                    ((repr(_canon(k)), _canon(v)) for k, v in obj.items()),
+                    key=lambda kv: kv[0],
+                )
+            ),
+        )
+    raise TypeError(
+        f"cannot canonicalise {type(obj).__name__!r} for a job digest"
+    )
+
+
+def job_digest(job) -> str:
+    """A stable hex digest identifying one job across runs: the key the
+    store records its result under."""
+    return hashlib.sha256(repr(_canon(job)).encode("utf-8")).hexdigest()
 
 
 def _counts(*numbers) -> bool:
     return all(type(n) is int and n >= 0 for n in numbers)
 
 
-def _has_coordinates(payload) -> bool:
-    """Whether a chunk or count payload names its shard."""
-    if not isinstance(payload, dict):
-        return False
-    sig = payload.get("sig")
-    return (
-        isinstance(payload.get("target"), str)
-        and _counts(payload.get("bound"))
-        and isinstance(sig, list)
-        and all(isinstance(event, str) for event in sig)
+def _names(kind: str, key: str, payload, *fields: str) -> bool:
+    """Whether a count or chunk payload's own coordinates -- its shard
+    and, for a chunk, its range -- digest to ``key``."""
+    return isinstance(payload, dict) and key == job_digest(
+        (kind, *(payload.get(f) for f in ("target", "bound", "sig", *fields)))
     )
 
 
-def _valid_count_payload(payload) -> bool:
-    return _has_coordinates(payload) and _counts(
+def _load_count(key: str, payload) -> dict | None:
+    """The count payload, if it names its key's shard and its counts
+    are counts."""
+    if _names(COUNT, key, payload) and _counts(
         payload.get("skeletons"), payload.get("completions")
-    )
+    ):
+        return payload
+    return None
 
 
-def _valid_chunk_payload(payload) -> bool:
-    """Whether a chunk payload names its shard and range, and its
-    counters and survivors add up to the range's judged candidates,
-    every survivor an execution."""
-    if not _has_coordinates(payload):
-        return False
-    start, stop = payload.get("start"), payload.get("stop")
+def _load_chunk(key: str, payload) -> dict | None:
+    """The chunk payload with its survivors decoded, if it names its
+    key's shard and range, its counters and survivors add up to the
+    range's judged candidates, and every survivor decodes."""
+    if not _names(CHUNK, key, payload, "start", "stop"):
+        return None
+    start, stop = payload["start"], payload["stop"]
     counters, survivors = payload.get("counters"), payload.get("survivors")
     if not (
         _counts(start, stop)
-        and start <= stop
         and isinstance(counters, dict)
         and isinstance(survivors, list)
     ):
-        return False
+        return None
     numbers = [counters.get(name) for name in CHUNK_COUNTERS]
-    return (
+    if not (
         _counts(*numbers)
         and numbers[0] == stop - start
         and numbers[0] - sum(numbers[1:]) == len(survivors)
-        and all(_decodable(x) for x in survivors)
-    )
+    ):
+        return None
+    # Imported here: importing repro.fuzz imports the pipeline.
+    from ..fuzz.corpus import execution_from_json
+
+    try:
+        decoded = [execution_from_json(x) for x in survivors]
+    except Exception:  # any mangling: the record is skipped, not folded
+        return None
+    return dict(payload, survivors=decoded)
 
 
-#: Kind → payload check; other kinds hold any JSON result.
-_VALID = {
-    CHUNK: _valid_chunk_payload,
-    COUNT: _valid_count_payload,
+#: Kind → decoder of a loaded result (``None``: not loaded); other
+#: kinds hold any JSON result, served as read.
+_LOAD = {
+    CHUNK: _load_chunk,
+    COUNT: _load_count,
 }
 
 
+def _line(code: str, kind: str, key: str, result) -> dict:
+    """One record as written: a chunk's survivors as JSON."""
+    if kind == CHUNK:
+        from ..fuzz.corpus import execution_to_json
+
+        survivors = [execution_to_json(x) for x in result["survivors"]]
+        result = dict(result, survivors=survivors)
+    return {"code": code, "kind": kind, "key": key, "result": result}
+
+
 class VerdictCache:
-    """One open store (see the module docstring for the model).
+    """One open store at ``root`` (created on first append); see the
+    module docstring for the model."""
 
-    Args:
-        root: the store directory (created on first append).
-        writer: whether this process may record and compact; the
-            pipeline parent opens with ``True``, readers with ``False``.
-    """
-
-    def __init__(self, root: str | Path, writer: bool = False):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.writer = writer
-        #: kind → key → result of this code, parsed on first use.
+        #: kind → key → result of this code, loaded on first use.
         self._results: dict[str, dict[str, object]] | None = None
         self._segment: JsonlWriter | None = None
         self._lookups = REGISTRY.counter("pipeline.checkpoint.lookups")
@@ -192,50 +253,52 @@ class VerdictCache:
                     if not isinstance(record, dict) or "result" not in record:
                         continue
                     kind, key = record.get("kind"), record.get("key")
-                    result = record["result"]
-                    if (
+                    if not (
                         record.get("code") == code
                         and isinstance(kind, str)
                         and isinstance(key, str)
-                        and _VALID.get(kind, lambda result: True)(result)
                     ):
-                        self._results.setdefault(kind, {})[key] = result
+                        continue
+                    result = record["result"]
+                    if kind in _LOAD:
+                        result = _LOAD[kind](key, result)
+                        if result is None:
+                            continue
+                    self._results.setdefault(kind, {})[key] = result
         return self._results
 
     def recorded(self, kind: str) -> dict[str, object]:
-        """This code's results of one ``kind``, by key, in the order
-        they were first recorded; uncounted (the pipeline and the
-        scheduler read through :meth:`lookup`)."""
+        """This code's results of one ``kind``, by :func:`job_digest`,
+        in the order they were first recorded; uncounted (the pipeline
+        and the scheduler read through :meth:`lookup`)."""
         return self._load().get(kind, {})
 
     # -- lookups and appends ---------------------------------------------
 
-    def lookup(self, kind: str, key: str, default=None):
-        """The result recorded under ``kind`` and ``key``, else
+    def lookup(self, kind: str, job, default=None):
+        """The result recorded for ``job`` under ``kind``, else
         ``default``; counts one lookup, hit or miss."""
         self._lookups.inc()
         results = self.recorded(kind)
+        key = job_digest(job)
         if key in results:
             self._hits.inc()
             return results[key]
         self._misses.inc()
         return default
 
-    def record(self, kind: str, key: str, result) -> None:
-        """Persist one result (writers only; flushed at once).  A key
-        already recorded, or code without a digest, records nothing."""
-        if not self.writer:
-            raise RuntimeError("only the writing process records results")
+    def record(self, kind: str, job, result) -> None:
+        """Persist ``job``'s result (flushed at once).  A job already
+        recorded, or code without a digest, records nothing."""
         code = code_digest()
         results = self._load().setdefault(kind, {})
+        key = job_digest(job)
         if code is None or key in results:
             return
         results[key] = result
         if self._segment is None:
             self._segment = JsonlWriter(self._next_segment())
-        self._segment.write(
-            {"code": code, "kind": kind, "key": key, "result": result}
-        )
+        self._segment.write(_line(code, kind, key, result))
         self._records.inc()
 
     # -- persistence -----------------------------------------------------
@@ -258,8 +321,6 @@ class VerdictCache:
         records.  Returns the surviving segment path (``None`` when
         there were no segments or the code has no digest).
         """
-        if not self.writer:
-            raise RuntimeError("only the writing process may compact")
         results = self._load()
         self._close_segment()
         segments = self._segments()
@@ -271,8 +332,7 @@ class VerdictCache:
         with tmp.open("w", encoding="utf-8") as out:
             for kind in sorted(results):
                 for key, result in sorted(results[kind].items()):
-                    record = {"code": code, "kind": kind, "key": key}
-                    out.write(encode(dict(record, result=result)) + "\n")
+                    out.write(encode(_line(code, kind, key, result)) + "\n")
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, final)
@@ -285,11 +345,5 @@ class VerdictCache:
         """Close this process's segment; compact once the store is
         fragmented."""
         self._close_segment()
-        if self.writer and len(self._segments()) >= _COMPACT_SEGMENTS:
+        if len(self._segments()) >= _COMPACT_SEGMENTS:
             self.compact()
-
-
-def configure(root: str | Path) -> VerdictCache:
-    """Open ``root`` as a pipeline's store, with the pipeline parent as
-    its single writer."""
-    return VerdictCache(root, writer=True)

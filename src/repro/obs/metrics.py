@@ -17,8 +17,9 @@ Concurrency model.  Within a process, every mutation takes the owning
 registry's lock, so concurrent threads never corrupt a metric.  Across
 processes the registry is **per-process accumulated and merged on
 join**: each :mod:`multiprocessing` pool worker records into its own
-(freshly reset) registry, ships incremental :meth:`~MetricsRegistry.
-flush_delta` snapshots back with its results, and the parent
+(freshly reset) registry, ships a :meth:`~MetricsRegistry.flush_delta`
+back with each result -- what it recorded since its last flush, after
+which its registry starts from zero again -- and the parent
 :meth:`~MetricsRegistry.merge`\\ s them in -- no shared memory, no
 cross-process locks.
 
@@ -62,14 +63,15 @@ class Counter:
 
 
 class Gauge:
-    """A last-value-wins measurement."""
+    """A last-value-wins measurement (0.0 until set)."""
 
     __slots__ = ("name", "_lock", "_value")
 
     def __init__(self, name: str, lock: threading.RLock):
         self.name = name
         self._lock = lock
-        self._value: float = 0.0
+        #: ``None`` until set since the last reset.
+        self._value: float | None = None
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -77,7 +79,7 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        return self._value
+        return 0.0 if self._value is None else self._value
 
 
 class Timer:
@@ -149,9 +151,9 @@ class Histogram:
 
     An observation of ``s`` seconds lands in bucket ``floor(log2(s))``
     (clamped to ``[-30, 10]``).  Bucket counts are monotone counters, so
-    the cross-process story is the same per-bucket differencing and
-    summation as timers: merging a worker's flush deltas reproduces its
-    snapshot exactly, at any batch boundary.  Percentiles read off the
+    the cross-process story is the same per-bucket summation as timers:
+    merging a worker's flush deltas reproduces what it observed
+    exactly, at any batch boundary.  Percentiles read off the
     holding bucket's upper edge (``2**(i+1)`` seconds) -- within a
     factor of two of the true value, which is the resolution
     tail-latency questions need, at O(1) memory per metric.
@@ -216,16 +218,15 @@ class UniqueSet:
     (constraint-plan verdict patterns, axiom-violation sets) rather than
     event counts, so a plain :class:`Counter` cannot represent it.  Keys
     are strings so snapshots stay JSON-serialisable; pool workers ship
-    the keys added since the last flush and the parent unions them in.
+    the keys added since their last flush and the parent unions them in.
     """
 
-    __slots__ = ("name", "_lock", "_keys", "_unflushed")
+    __slots__ = ("name", "_lock", "_keys")
 
     def __init__(self, name: str, lock: threading.RLock):
         self.name = name
         self._lock = lock
         self._keys: set[str] = set()
-        self._unflushed: set[str] = set()
 
     def add(self, key: str) -> bool:
         """Record one key; returns True when it was not seen before."""
@@ -233,7 +234,6 @@ class UniqueSet:
             if key in self._keys:
                 return False
             self._keys.add(key)
-            self._unflushed.add(key)
             return True
 
     def __contains__(self, key: str) -> bool:
@@ -259,8 +259,6 @@ class MetricsRegistry:
         self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
         self._uniques: dict[str, UniqueSet] = {}
-        # Baseline for flush_delta: the snapshot state already reported.
-        self._flushed: dict = _empty_snapshot()
 
     # -- metric access ---------------------------------------------------
 
@@ -335,22 +333,35 @@ class MetricsRegistry:
             }
 
     def flush_delta(self) -> dict:
-        """The snapshot delta since the previous flush (and mark it flushed).
+        """Everything recorded since the previous flush, then a
+        :meth:`reset`: the metrics that moved, a gauge only if it was
+        set, and the keys of each unique-set.
 
         Pool workers call this after each job so the parent process can
         merge exactly the metrics that job produced, once.
         """
         with self._lock:
-            current = self.snapshot()
-            delta = _snapshot_difference(current, self._flushed)
-            self._flushed = current
-            unique_keys = {}
-            for name, metric in self._uniques.items():
-                if metric._unflushed:
-                    unique_keys[name] = sorted(metric._unflushed)
-                    metric._unflushed = set()
-            if unique_keys:
-                delta["unique_keys"] = unique_keys
+            snap = self.snapshot()
+            delta = {
+                "counters": {n: v for n, v in snap["counters"].items() if v},
+                "gauges": {
+                    n: g._value
+                    for n, g in self._gauges.items()
+                    if g._value is not None
+                },
+                "timers": {
+                    n: t for n, t in snap["timers"].items() if t["count"]
+                },
+                "histograms": {
+                    n: h for n, h in snap["histograms"].items() if h["count"]
+                },
+                "unique_keys": {
+                    n: sorted(u._keys)
+                    for n, u in self._uniques.items()
+                    if u._keys
+                },
+            }
+            self.reset()
             return delta
 
     def merge(self, snapshot: dict) -> None:
@@ -390,7 +401,7 @@ class MetricsRegistry:
                     metric.add(key)
 
     def reset(self) -> None:
-        """Zero all metrics and the flush baseline (fresh worker state).
+        """Zero all metrics and unset every gauge (fresh worker state).
 
         Metric *objects* survive the reset: hot paths bind them once at
         module import (``C = REGISTRY.counter("x")``), so clearing the
@@ -401,7 +412,7 @@ class MetricsRegistry:
             for counter in self._counters.values():
                 counter._value = 0
             for gauge in self._gauges.values():
-                gauge._value = 0.0
+                gauge._value = None
             for timer in self._timers.values():
                 timer.count = 0
                 timer.total = 0.0
@@ -413,8 +424,6 @@ class MetricsRegistry:
                 histogram.buckets.clear()
             for unique in self._uniques.values():
                 unique._keys = set()
-                unique._unflushed = set()
-            self._flushed = _empty_snapshot()
 
     def hit_rate(self, prefix: str) -> float | None:
         """``hits / lookups`` for a cache instrumented under ``prefix``
@@ -425,52 +434,3 @@ class MetricsRegistry:
             if lookups is None or lookups.value == 0:
                 return None
             return (hits.value if hits else 0) / lookups.value
-
-
-def _empty_snapshot() -> dict:
-    return {"counters": {}, "gauges": {}, "timers": {}, "histograms": {}}
-
-
-def _snapshot_difference(current: dict, baseline: dict) -> dict:
-    """``current - baseline`` for the accumulating fields; gauges pass
-    through as-is (they are last-value, not cumulative)."""
-    base_counters = baseline.get("counters", {})
-    base_timers = baseline.get("timers", {})
-    counters = {
-        name: value - base_counters.get(name, 0)
-        for name, value in current["counters"].items()
-        if value != base_counters.get(name, 0)
-    }
-    timers = {}
-    for name, stats in current["timers"].items():
-        base = base_timers.get(name, {"count": 0, "total": 0.0, "max": 0.0})
-        if stats["count"] != base["count"]:
-            timers[name] = {
-                "count": stats["count"] - base["count"],
-                "total": stats["total"] - base["total"],
-                # Maxima do not difference; report the current maximum
-                # (merge takes the larger side, so this is safe).
-                "max": stats["max"],
-            }
-    base_hists = baseline.get("histograms", {})
-    histograms = {}
-    for name, stats in current.get("histograms", {}).items():
-        base = base_hists.get(name, {"count": 0, "total": 0.0, "buckets": {}})
-        if stats["count"] != base["count"]:
-            base_buckets = base.get("buckets", {})
-            histograms[name] = {
-                "count": stats["count"] - base["count"],
-                "total": stats["total"] - base["total"],
-                "max": stats["max"],
-                "buckets": {
-                    exponent: n - base_buckets.get(exponent, 0)
-                    for exponent, n in stats["buckets"].items()
-                    if n != base_buckets.get(exponent, 0)
-                },
-            }
-    return {
-        "counters": counters,
-        "gauges": dict(current["gauges"]),
-        "timers": timers,
-        "histograms": histograms,
-    }

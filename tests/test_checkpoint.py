@@ -18,9 +18,8 @@ from repro.harness import CheckPipeline
 from repro.harness import table1 as table1_module
 from repro.harness.table1 import run_table1
 from repro.harness import verdict_cache
-from repro.harness.checkpoint import _canon, job_digest
 from repro.harness.pipeline import run_job
-from repro.harness.verdict_cache import VerdictCache
+from repro.harness.verdict_cache import VerdictCache, _canon, job_digest
 from repro.litmus import execution_to_litmus
 from repro.obs import REGISTRY, reset_observability, stats_snapshot
 
@@ -79,7 +78,7 @@ _SEED_SNIPPET = """
 import sys
 sys.path.insert(0, "src")
 from repro.enumeration import enumerate_executions, get_config
-from repro.harness.checkpoint import job_digest
+from repro.harness.verdict_cache import job_digest
 config = get_config("x86")
 for i, x in enumerate(enumerate_executions(config, 2)):
     print(job_digest(("consistent", "x86tm", (), x)))
@@ -117,34 +116,41 @@ def _jobs(root, kind: str = "job") -> dict:
     return dict(VerdictCache(root).recorded(kind))
 
 
+def _keyed(results: dict) -> dict:
+    """``results`` by job, keyed the way the store keys them."""
+    return {job_digest(job): result for job, result in results.items()}
+
+
 def test_store_roundtrip_and_reload(tmp_path):
-    store = VerdictCache(tmp_path, writer=True)
-    assert store.recorded("observable") == {}
+    store = VerdictCache(tmp_path)
+    assert store.lookup("observable", "d1") is None
     store.record("observable", "d1", True)
     store.record("violated", "d2", ["TxnOrder"])
     store.close()
 
-    assert _jobs(tmp_path, "observable") == {"d1": True}
-    assert _jobs(tmp_path, "violated") == {"d2": ["TxnOrder"]}
-    assert "d3" not in _jobs(tmp_path, "observable")
+    assert _jobs(tmp_path, "observable") == _keyed({"d1": True})
+    assert _jobs(tmp_path, "violated") == _keyed({"d2": ["TxnOrder"]})
+    reader = VerdictCache(tmp_path)
+    assert reader.lookup("observable", "d1") is True
+    assert reader.lookup("observable", "d2") is None
 
 
 def test_store_tolerates_truncated_last_line(tmp_path):
     """A crash mid-append leaves a half-written record; reload drops it
     (that job simply re-runs) instead of failing."""
-    store = VerdictCache(tmp_path, writer=True)
+    store = VerdictCache(tmp_path)
     store.record("job", "d1", True)
     store.record("job", "d2", False)
     store.close()
     (segment,) = tmp_path.glob("shards-*.jsonl")
     segment.write_text(segment.read_text() + '{"key": "d3", "kin')  # torn
 
-    reloaded = VerdictCache(tmp_path, writer=True)
-    assert reloaded.recorded("job") == {"d1": True, "d2": False}
+    reloaded = VerdictCache(tmp_path)
+    assert reloaded.recorded("job") == _keyed({"d1": True, "d2": False})
     # The store stays appendable after a torn tail.
     reloaded.record("job", "d4", True)
     reloaded.close()
-    assert sorted(_jobs(tmp_path)) == ["d1", "d2", "d4"]
+    assert _jobs(tmp_path) == _keyed({"d1": True, "d2": False, "d4": True})
 
 
 def _line(**record) -> str:
@@ -153,9 +159,9 @@ def _line(**record) -> str:
 
 def test_store_tolerates_blank_lines(tmp_path):
     (tmp_path / "shards-000001.jsonl").write_text(
-        "\n" + _line(key="d1", kind="job", result=7) + "\n"
+        "\n" + _line(key=job_digest("d1"), kind="job", result=7) + "\n"
     )
-    assert _jobs(tmp_path) == {"d1": 7}
+    assert _jobs(tmp_path) == _keyed({"d1": 7})
 
 
 def test_store_skips_malformed_records(tmp_path):
@@ -167,26 +173,27 @@ def test_store_skips_malformed_records(tmp_path):
         + _line(key="no-result", kind="job")
         + _line(key=["not", "a", "string"], kind="job", result=1)
         + _line(key="no-kind", result=1)
-        + _line(key="d1", kind="job", result=7)
+        + _line(key=job_digest("d1"), kind="job", result=7)
         + '{"code": "c", "key": "torn", "res'
     )
-    store = VerdictCache(tmp_path, writer=True)
-    assert store.recorded("job") == {"d1": 7}
+    store = VerdictCache(tmp_path)
+    assert store.recorded("job") == _keyed({"d1": 7})
     store.record("job", "d2", 8)
     store.close()
-    assert _jobs(tmp_path) == {"d1": 7, "d2": 8}
+    assert _jobs(tmp_path) == _keyed({"d1": 7, "d2": 8})
 
 
 def test_store_ignores_records_of_other_code(tmp_path, monkeypatch):
-    store = VerdictCache(tmp_path, writer=True)
+    store = VerdictCache(tmp_path)
     store.record("job", "d1", True)
     store.close()
     (segment,) = tmp_path.glob("shards-*.jsonl")
     record = json.loads(segment.read_text())
     assert record["code"] == verdict_cache.code_digest()
+    bare = {"kind": "job", "key": job_digest("bare"), "result": 1}
     with segment.open("a") as f:
-        f.write(json.dumps({"kind": "job", "key": "bare", "result": 1}))
-    assert _jobs(tmp_path) == {"d1": True}
+        f.write(json.dumps(bare))
+    assert _jobs(tmp_path) == _keyed({"d1": True})
     monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
     assert _jobs(tmp_path) == {}
     monkeypatch.setattr(verdict_cache, "code_digest", lambda: None)

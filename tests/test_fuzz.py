@@ -326,6 +326,12 @@ def test_injected_mutant_is_caught_and_shrunk(tmp_path):
     assert all(r["litmus"] for r in records if len(r["execution"]["events"]))
 
 
+def test_a_malformed_corpus_line_costs_only_itself(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"digest": "a1"}\nnot json\n{"digest": "b2"}\n{"dig')
+    assert load_corpus(corpus) == [{"digest": "a1"}, {"digest": "b2"}]
+
+
 def test_corpus_is_byte_identical_across_worker_counts(tmp_path):
     blobs = []
     for index, workers in enumerate((1, 2)):

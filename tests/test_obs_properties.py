@@ -123,17 +123,23 @@ _events = st.lists(
 @given(runs=st.lists(_events, min_size=1, max_size=4))
 def test_merging_flush_deltas_reproduces_snapshot(runs):
     """A worker that flushes a delta after every batch reports, in
-    total, exactly its final snapshot: merge(deltas) == snapshot."""
+    total, exactly what it recorded: merge(deltas) equals the snapshot
+    of a registry fed the same events directly."""
     worker = MetricsRegistry()
     parent = MetricsRegistry()
+    reference = MetricsRegistry()
     for events in runs:
         for kind, name, value in events:
-            if kind == "inc":
-                worker.inc(name, value)
-            else:
-                worker.observe(name, value)
+            for registry in (worker, reference):
+                if kind == "inc":
+                    registry.inc(name, value)
+                else:
+                    registry.observe(name, value)
         parent.merge(worker.flush_delta())
-    merged, direct = parent.snapshot(), worker.snapshot()
+    assert worker.snapshot()["counters"] == dict.fromkeys(
+        reference.snapshot()["counters"], 0
+    )  # drained
+    merged, direct = parent.snapshot(), reference.snapshot()
     assert merged["counters"] == direct["counters"]
     for name, stats in direct["timers"].items():
         got = merged["timers"][name]
@@ -167,30 +173,40 @@ def test_unique_set_counts_distinct_keys():
 )
 @settings(max_examples=40, deadline=None)
 def test_unique_set_merge_reproduces_direct_counts(batches):
-    """Per-batch flush_delta → merge must reproduce the worker's own
-    distinct-key counts: the union over shipped key deltas equals the
-    worker's key set."""
+    """Per-batch flush_delta → merge must reproduce the distinct-key
+    counts of a registry fed the same keys directly: the union over
+    shipped key deltas equals the worker's key set."""
     worker = MetricsRegistry()
     parent = MetricsRegistry()
+    reference = MetricsRegistry()
     for batch in batches:
         for key in batch:
             worker.unique("k").add(key)
+            reference.unique("k").add(key)
         parent.merge(worker.flush_delta())
     assert (
         parent.snapshot()["uniques"].get("k", 0)
-        == worker.snapshot()["uniques"].get("k", 0)
+        == reference.snapshot()["uniques"].get("k", 0)
     )
 
 
 def test_unique_set_flush_ships_only_new_keys():
+    """A flush ships the keys added since the previous one; a drained
+    worker re-ships a key it adds again, and the parent's union keeps
+    counting it once."""
     registry = MetricsRegistry()
+    parent = MetricsRegistry()
     registry.unique("k").add("a")
     first = registry.flush_delta()
     assert first["unique_keys"] == {"k": ["a"]}
+    parent.merge(first)
     registry.unique("k").add("a")
     registry.unique("k").add("b")
     second = registry.flush_delta()
-    assert second["unique_keys"] == {"k": ["b"]}
+    assert second["unique_keys"] == {"k": ["a", "b"]}
+    parent.merge(second)
+    assert parent.snapshot()["uniques"] == {"k": 2}
+    assert registry.flush_delta()["unique_keys"] == {}
 
 
 def test_unique_set_reset_clears_keys():
@@ -280,15 +296,18 @@ def test_histogram_merge_is_associative(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(runs=st.lists(_durations, min_size=1, max_size=4))
 def test_histogram_flush_deltas_round_trip(runs):
-    """Merging a worker's per-batch flush deltas reproduces its own
-    snapshot exactly (same algebra as counters/timers)."""
+    """Merging a worker's per-batch flush deltas reproduces the
+    snapshot of a registry fed the same observations directly (same
+    algebra as counters/timers)."""
     worker = MetricsRegistry()
     parent = MetricsRegistry()
     for batch in runs:
         for seconds in batch:
             worker.histogram("h").observe(seconds)
         parent.merge(worker.flush_delta())
-    direct = worker.snapshot()["histograms"].get("h")
+    direct = _hist_registry(
+        [seconds for batch in runs for seconds in batch]
+    ).snapshot()["histograms"].get("h")
     merged = parent.snapshot()["histograms"].get("h")
     if direct is None or direct["count"] == 0:
         assert merged is None or merged["count"] == 0

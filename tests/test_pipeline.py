@@ -11,6 +11,7 @@ from repro.harness.table1 import run_table1
 from repro.harness.pipeline import hardware_for, model_for, run_job
 from repro.harness.verdict_cache import VerdictCache
 from repro.litmus import execution_to_litmus
+from repro.obs import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,16 @@ def test_table1_fanout_matches_sequential(x86_synthesis):
     with CheckPipeline(workers=2) as pipe:
         fanned = run_table1("x86", 3, synthesis=x86_synthesis, pipeline=pipe)
     assert _row_tuples(sequential) == _row_tuples(fanned)
+
+
+def test_pool_jobs_keep_the_parents_worker_gauge():
+    """A worker's metrics delta carries only the gauges that worker
+    set, so merging it leaves ``pipeline.workers`` as the parent set
+    it."""
+    _fork_or_skip()
+    with CheckPipeline(workers=2) as pipe:
+        assert pipe.map(_double_second, [("pair", i) for i in range(4)])
+    assert REGISTRY.gauge("pipeline.workers").value == 2
 
 
 def test_close_drains_and_is_idempotent():

@@ -18,14 +18,15 @@ from collections import Counter
 import pytest
 
 from repro.enumeration import get_config, shard_signatures, synthesise
+from repro.fuzz import corpus
 from repro.harness import scheduler, verdict_cache
-from repro.harness.checkpoint import job_digest
 from repro.harness.pipeline import CheckPipeline
 from repro.harness.table1 import run_table1
 from repro.harness.verdict_cache import (
     CHUNK,
     COUNT,
     VerdictCache,
+    job_digest,
     source_digest,
 )
 from repro.obs import REGISTRY, reset_observability
@@ -145,6 +146,30 @@ class TestWarmRuns:
         assert per_shard["survivors"] >= len(legacy.forbidden)
         assert per_shard.get("chunks", 0) == 0
 
+    def test_survivors_are_decoded_once_at_load(self, tmp_path, monkeypatch):
+        # Survivors travel as executions; only loading a chunk record
+        # decodes its survivors, once each.
+        decoded = []
+        decode = corpus.execution_from_json
+
+        def counting(data):
+            decoded.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(corpus, "execution_from_json", counting)
+        _synth(None, workers=2, bound=3)
+        root = tmp_path / "c"
+        _synth(root, workers=2, bound=4)
+        assert decoded == []
+        stored = sum(
+            len(r["result"]["survivors"])
+            for r in _records(root)
+            if r["kind"] == CHUNK
+        )
+        assert stored == 43
+        _synth(root, workers=2, bound=4)
+        assert len(decoded) == stored
+
     def test_hit_rate_reaches_stats(self, tmp_path):
         from repro.obs import stats_snapshot
 
@@ -201,13 +226,12 @@ class TestKeys:
     def test_code_digest_is_part_of_the_key(self, tmp_path, monkeypatch):
         # Only records stamped with this code's digest are served.
         job = ("synth_count", *self.BASE)
-        count = job_digest(job)
-        store = VerdictCache(tmp_path, writer=True)
-        store.record(COUNT, count, scheduler.run_shard_job(job))
+        store = VerdictCache(tmp_path)
+        store.record(COUNT, job, scheduler.run_shard_job(job))
         store.close()
-        assert VerdictCache(tmp_path).lookup(COUNT, count) is not None
+        assert VerdictCache(tmp_path).lookup(COUNT, job) is not None
         monkeypatch.setattr(verdict_cache, "code_digest", lambda: "edited")
-        assert VerdictCache(tmp_path).lookup(COUNT, count) is None
+        assert VerdictCache(tmp_path).lookup(COUNT, job) is None
 
     def test_source_digest_tracks_every_source_file(self, tmp_path):
         package = tmp_path / "pkg"
@@ -303,6 +327,29 @@ class TestDamage:
         _assert_identical(legacy, _synth(root))
         _assert_all_hit(_counters(), len(records))
 
+        # Two bound-3 chunk records with their signatures swapped: each
+        # names another chunk than its key, so neither loads, and their
+        # recomputations replace them.
+        first, second = [
+            r
+            for r in records
+            if r["kind"] == CHUNK and r["result"]["bound"] == 3
+        ][:2]
+        assert first["result"]["sig"] != second["result"]["sig"]
+        damaged = [
+            dict(r, result=dict(r["result"], sig=other["result"]["sig"]))
+            for r, other in ((first, second), (second, first))
+        ]
+        kept = [r for r in records if r not in (first, second)]
+        _rewrite(root, kept + damaged)
+        _assert_identical(legacy, _synth(root))
+        counters = _counters()
+        assert counters["pipeline.checkpoint.misses"] == 2
+        assert counters["pipeline.checkpoint.records"] == 2
+        assert counters["scheduler.chunks"] == 2
+        _assert_identical(legacy, _synth(root))
+        _assert_all_hit(_counters(), len(records))
+
 
 class TestCheckpointAndCompaction:
     """Count and chunk records resume unfinished shards and replay
@@ -391,7 +438,7 @@ class TestCheckpointAndCompaction:
         root = tmp_path / "c"
         _synth(root)
         before = sorted(json.dumps(r, sort_keys=True) for r in _records(root))
-        cache = VerdictCache(root, writer=True)
+        cache = VerdictCache(root)
         cache.compact()
         cache.close()
         assert len(list(root.glob("shards-*.jsonl"))) == 1
@@ -410,7 +457,7 @@ class TestCheckpointAndCompaction:
             edited.setattr(verdict_cache, "code_digest", lambda: "edited")
             _synth(root)
         assert len(_records(root)) == 2 * ours
-        cache = VerdictCache(root, writer=True)
+        cache = VerdictCache(root)
         cache.compact()
         cache.close()
         records = _records(root)
@@ -432,7 +479,7 @@ class TestCheckpointAndCompaction:
         lines.append(lines.pop(chunk))
         torn = json.loads(lines[-1])["key"]
         segment.write_text("\n".join(lines[:-1] + [lines[-1][:40]]))
-        cache = VerdictCache(root, writer=True)
+        cache = VerdictCache(root)
         cache.compact()
         cache.close()
         keys = [r["key"] for r in _records(root)]
@@ -477,4 +524,4 @@ def test_lazily_loaded_cache_is_shared_with_forked_workers(tmp_path, legacy):
     after = _records(root)
     assert sorted(r["key"] for r in after) == sorted(r["key"] for r in records)
     reader = VerdictCache(root)
-    assert all(reader.lookup(r["kind"], r["key"]) is not None for r in after)
+    assert all(r["key"] in reader.recorded(r["kind"]) for r in after)
